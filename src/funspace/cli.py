@@ -216,6 +216,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pbn(args) -> int:
+    if args.runs < 1:
+        print("--runs must be at least 1", file=sys.stderr)
+        return 3
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     if args.experiment:
         report = run_experiment(
@@ -238,22 +241,31 @@ def cmd_pbn(args) -> int:
             print("one of --experiment, --th-preset, --model is required",
                   file=sys.stderr)
             return 2
+        names = (None if args.randomize in (None, "all")
+                 else args.randomize.split(","))
+        active = [nm.strip() for nm in args.active.split(",")] if args.active else []
+        unknown = [nm for nm in (names or []) + active if nm not in bn.names()]
+        if unknown:
+            print(f"unknown component(s): {', '.join(unknown)}", file=sys.stderr)
+            return 3
         if args.randomize is None and args.th_preset:
             # Preset without --randomize: all-singleton ensembles, i.e. the
             # deterministic synchronous dynamics.
             pnet = ProbabilisticNetwork(bn, (None,) * bn.n)
         else:
-            names = (None if args.randomize in (None, "all")
-                     else args.randomize.split(","))
             pnet = randomized_network(
                 bn, components=names, mode=args.mode, ref_prob=args.ref_prob
             )
         if args.initial:
+            if len(args.initial) != bn.n:
+                print(f"--initial has {len(args.initial)} values for "
+                      f"{bn.n} components", file=sys.stderr)
+                return 3
             initial = state_from_string(args.initial)
-        elif args.active:
+        elif active:
             initial = 0
-            for nm in args.active.split(","):
-                initial |= 1 << bn.index(nm.strip())
+            for nm in active:
+                initial |= 1 << bn.index(nm)
         elif args.th_preset:
             initial = th_initial_state()
         else:

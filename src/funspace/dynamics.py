@@ -18,7 +18,7 @@ and walks those counts along upward paths in the function order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,9 +32,13 @@ from .neighborhood import parent_step
 from .shapes import (
     FunctionShape,
     RegulatorContext,
-    evaluate,
+    compile_clauses,
+    holds,
     make_shape,
+    table_states,
     true_count,
+    truth_table,
+    variable_table,
 )
 
 #: Refuse to materialize graphs over more than 2**25 states by default.
@@ -49,6 +53,10 @@ class Component:
     component tuple, in the same order as ``ctx.signs`` and the shape's
     1-based clause indices.  For constants, ``shape``/``ctx`` are None and
     ``constant`` holds the value.
+
+    ``compiled`` is the function compiled once against network state bits
+    (see :func:`funspace.shapes.compile_clauses`); a constant compiles to
+    one empty clause (true) or to no clause at all (false).
     """
 
     name: str
@@ -56,11 +64,13 @@ class Component:
     shape: FunctionShape | None = None
     ctx: RegulatorContext | None = None
     constant: bool | None = None
+    compiled: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shape is None:
             if self.constant is None or self.regulators or self.ctx is not None:
                 raise ValueError(f"component {self.name}: constants take no regulators")
+            object.__setattr__(self, "compiled", ((0, 0),) if self.constant else ())
         else:
             if self.ctx is None or self.constant is not None:
                 raise ValueError(f"component {self.name}: function needs a context")
@@ -73,6 +83,9 @@ class Component:
                 raise ArityMismatch(f"component {self.name}: context arity differs")
             if len(set(self.regulators)) != len(self.regulators):
                 raise ValueError(f"component {self.name}: repeated regulator")
+            object.__setattr__(
+                self, "compiled", compile_clauses(self.shape, self.ctx, self.regulators)
+            )
 
 
 @dataclass(frozen=True)
@@ -113,25 +126,13 @@ class BooleanNetwork:
                 return i
         raise KeyError(name)
 
-    def local_state(self, i: int, state: int) -> int:
-        """Project a network state onto component i's regulator coordinates."""
-        c = self.components[i]
-        local = 0
-        for k, r in enumerate(c.regulators):
-            if state & (1 << r):
-                local |= 1 << k
-        return local
-
     def component_value(self, i: int, state: int) -> bool:
-        c = self.components[i]
-        if c.shape is None:
-            return bool(c.constant)
-        return evaluate(c.shape, c.ctx, self.local_state(i, state))
+        return holds(self.components[i].compiled, state)
 
     def step_sync(self, state: int) -> int:
         nxt = 0
-        for i in range(self.n):
-            if self.component_value(i, state):
+        for i, c in enumerate(self.components):
+            if holds(c.compiled, state):
                 nxt |= 1 << i
         return nxt
 
@@ -181,9 +182,17 @@ def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
 
 
 def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:
-    """Fixed points of the update (scheme-independent), ascending."""
+    """Fixed points of the update (scheme-independent), ascending.
+
+    A state is fixed when every component's next value equals its current
+    one, so the fixed points are the AND over components of
+    NOT(table XOR variable), computed on whole-space bitsets.
+    """
     _check_limit(bn.n, limit)
-    return tuple(s for s in range(1 << bn.n) if bn.step_sync(s) == s)
+    fixed = (1 << (1 << bn.n)) - 1
+    for i, c in enumerate(bn.components):
+        fixed &= ~(truth_table(c.compiled, bn.n) ^ variable_table(i, bn.n))
+    return tuple(table_states(fixed))
 
 
 def attractors(stg: STG) -> tuple[frozenset[int], ...]:
@@ -280,15 +289,13 @@ def component_transitions(
 ) -> TransitionSet:
     """All states where component i's asynchronous update fires, by direction."""
     _check_limit(bn.n, limit)
-    inc, dec = [], []
-    bit = 1 << i
-    for s in range(1 << bn.n):
-        v = bn.component_value(i, s)
-        if v and not s & bit:
-            inc.append(s)
-        elif not v and s & bit:
-            dec.append(s)
-    return TransitionSet(i, bn.n, frozenset(inc), frozenset(dec))
+    table = truth_table(bn.components[i].compiled, bn.n)
+    on = variable_table(i, bn.n)
+    return TransitionSet(
+        i, bn.n,
+        frozenset(table_states(table & ~on)),
+        frozenset(table_states(on & ~table)),
+    )
 
 
 def shape_transition_counts(
@@ -309,17 +316,9 @@ def shape_transition_counts(
     if ctx.self_index is None:
         t = true_count(shape)
         return t, (1 << p) - t, p + 1
-    bit = 1 << (ctx.self_index - 1)
-    neg = ctx.neg_mask
-    inc = dec = 0
-    for s in range(1 << p):
-        lits = s ^ neg
-        v = any(c & lits == c for c in shape.clauses)
-        if v and not s & bit:
-            inc += 1
-        elif not v and s & bit:
-            dec += 1
-    return inc, dec, p
+    table = truth_table(compile_clauses(shape, ctx), p)
+    own = variable_table(ctx.self_index - 1, p)
+    return (table & ~own).bit_count(), (own & ~table).bit_count(), p
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ the rule-based neighbors can be tested against it (p ≤ 5).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -50,11 +50,16 @@ from .errors import (
 )
 from .shapes import (
     FunctionShape,
+    RegulatorContext,
+    _covers,
+    _is_subset,
     bits_of,
+    compile_clauses,
+    holds,
     inf_shape,
-    popcount,
     sup_shape,
     true_count,
+    truth_table,
 )
 
 PARENT_R1 = "parent-r1"  # independent new clause
@@ -79,10 +84,6 @@ class NeighborStep:
         return (self.rule, self.shape.sort_key())
 
 
-def _is_subset(a: int, b: int) -> bool:
-    return a & b == a
-
-
 def _minimal_transversals(clauses: tuple[int, ...]) -> list[int]:
     """Minimal hitting sets of a clause family, as bitmasks (Berge)."""
     trans = [0]
@@ -93,7 +94,7 @@ def _minimal_transversals(clauses: tuple[int, ...]) -> list[int]:
                 continue
             for b in bits_of(c):
                 nxt.append(t | (1 << b))
-        nxt.sort(key=popcount)
+        nxt.sort(key=int.bit_count)
         kept: list[int] = []
         for t in nxt:
             if not any(_is_subset(u, t) for u in kept):
@@ -138,13 +139,6 @@ def _with_clause(shape: FunctionShape, m: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _covers(clauses: Iterable[int], p: int) -> bool:
-    u = 0
-    for c in clauses:
-        u |= c
-    return u == (1 << p) - 1
-
-
 def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from above, tagged by the rule that built them."""
     p = shape.arity
@@ -180,10 +174,6 @@ def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return tuple(steps)
 
 
-def _in_up_set(clauses: tuple[int, ...], state: int) -> bool:
-    return any(_is_subset(c, state) for c in clauses)
-
-
 def _remove_minimals(
     shape: FunctionShape, removed: tuple[int, ...]
 ) -> FunctionShape | None:
@@ -195,9 +185,9 @@ def _remove_minimals(
     some regulator.
     """
     p = shape.arity
-    full = (1 << p) - 1
     removed_set = set(removed)
     kept = tuple(c for c in shape.clauses if c not in removed_set)
+    up_set = compile_clauses(shape, RegulatorContext.all_positive(p))
     new: set[int] = set()
     for x in removed:
         for k in range(p):
@@ -210,7 +200,7 @@ def _remove_minimals(
             ok = True
             for j in bits_of(y):
                 z = y ^ (1 << j)
-                if z not in removed_set and _in_up_set(shape.clauses, z):
+                if z not in removed_set and holds(up_set, z):
                     ok = False
                     break
             if ok:
@@ -389,7 +379,7 @@ def count_consistent(p: int) -> int:
     function whose support is a proper subset of the p regulators.
     """
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise ArityTooLarge(f"arity must be at least 1, got {p}")
     if p not in _MONOTONE_COUNTS:
         raise DedekindUnknown(
             f"counts known only for p <= {max(_MONOTONE_COUNTS)}, got {p}"
@@ -408,35 +398,30 @@ def count_consistent(p: int) -> int:
 class HasseDiagram:
     """Full covering diagram of the order for one arity.
 
-    ``edges`` holds (lower_index, upper_index) pairs into ``shapes``.
+    ``edges`` holds (lower_index, upper_index) pairs into ``shapes``; the
+    shape index and the adjacency lists are built once, on construction.
     """
 
     p: int
     shapes: tuple[FunctionShape, ...]
     edges: frozenset[tuple[int, int]]
-    _index: dict[FunctionShape, int] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self._index = {s: i for i, s in enumerate(self.shapes)}
+        self._up: list[list[int]] = [[] for _ in self.shapes]
+        self._down: list[list[int]] = [[] for _ in self.shapes]
+        for a, b in self.edges:
+            self._up[a].append(b)
+            self._down[b].append(a)
 
     def index(self, shape: FunctionShape) -> int:
-        if not self._index:
-            self._index.update((s, i) for i, s in enumerate(self.shapes))
         return self._index[shape]
 
     def parents_of(self, shape: FunctionShape) -> set[FunctionShape]:
-        i = self.index(shape)
-        return {self.shapes[b] for a, b in self.edges if a == i}
+        return {self.shapes[b] for b in self._up[self.index(shape)]}
 
     def children_of(self, shape: FunctionShape) -> set[FunctionShape]:
-        i = self.index(shape)
-        return {self.shapes[a] for a, b in self.edges if b == i}
-
-
-def _truth_mask(shape: FunctionShape) -> int:
-    """True set as a 2^p-bit integer (all-positive signs; order-faithful)."""
-    tt = 0
-    for s in range(1 << shape.arity):
-        if any(_is_subset(c, s) for c in shape.clauses):
-            tt |= 1 << s
-    return tt
+        return {self.shapes[a] for a in self._down[self.index(shape)]}
 
 
 def build_hasse(p: int) -> HasseDiagram:
@@ -450,8 +435,9 @@ def build_hasse(p: int) -> HasseDiagram:
     if not 1 <= p <= 5:
         raise ArityTooLarge(f"diagram construction supports 1 <= p <= 5, got {p}")
     shapes = tuple(enumerate_all(p))
-    tts = [_truth_mask(s) for s in shapes]
-    order = sorted(range(len(shapes)), key=lambda i: (popcount(tts[i]), tts[i]))
+    ctx = RegulatorContext.all_positive(p)
+    tts = [truth_table(compile_clauses(s, ctx), p) for s in shapes]
+    order = sorted(range(len(shapes)), key=lambda i: (tts[i].bit_count(), tts[i]))
     edges: set[tuple[int, int]] = set()
     for a in range(len(shapes)):
         ta = tts[a]

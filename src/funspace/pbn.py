@@ -7,11 +7,12 @@ optionally siblings) sharing the remainder uniformly.  Updates are
 synchronous; at every step each component independently samples which of
 its candidate functions to apply.
 
-A run stops when the current state is stable under the *reference
-realization* — the per-component maximal-probability functions — or after
-``max_steps`` steps.  Randomness is reproducible: each run derives its own
-generator from the master seed by an integer mix, and exactly one draw is
-consumed per randomized component per step.
+A run stops when a sampled step leaves the state unchanged (a fixed point
+of the functions drawn at that step), when a network with no randomized
+component revisits a state (a proven cycle), or after ``max_steps`` steps.
+Randomness is reproducible: each run derives its own generator from the
+master seed by an integer mix, and exactly one draw is consumed per
+randomized component per step.
 
 The built-in model is a 23-component T-helper-cell differentiation
 network whose stable patterns are read as phenotypes through the Tbet and
@@ -23,13 +24,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import BooleanNetwork
 from .errors import ArityMismatch, InvalidProbability, MissingMarker
 from .modelio import parse_model
 from .neighborhood import children, parents, siblings
-from .shapes import FunctionShape, POSITIVE, state_to_string
+from .shapes import FunctionShape, compile_clauses, holds, state_to_string
 
 
 @dataclass(frozen=True)
@@ -144,32 +146,6 @@ def randomized_network(
 # Simulation
 
 
-def _compile_shape(
-    bn: BooleanNetwork, i: int, shape: FunctionShape
-) -> tuple[tuple[int, int], ...]:
-    """Clauses as (must-be-1, must-be-0) masks over *network* state bits."""
-    comp = bn.components[i]
-    out = []
-    for c in shape.clauses:
-        ones = zeros = 0
-        for k, r in enumerate(comp.regulators):
-            if not c & (1 << k):
-                continue
-            if comp.ctx.signs[k] == POSITIVE:
-                ones |= 1 << r
-            else:
-                zeros |= 1 << r
-        out.append((ones, zeros))
-    return tuple(out)
-
-
-def _eval_compiled(clauses: tuple[tuple[int, int], ...], state: int) -> bool:
-    for ones, zeros in clauses:
-        if state & ones == ones and not state & zeros:
-            return True
-    return False
-
-
 def _mix_seed(master: int, k: int) -> int:
     """Derive run k's seed from the master seed (splitmix-style)."""
     x = (master + (k + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -226,34 +202,22 @@ def simulate(
     """
     bn = pnet.network
     n = bn.n
-    const_mask = 0
-    for i, c in enumerate(bn.components):
-        if c.shape is None and c.constant:
-            const_mask |= 1 << i
 
-    # Randomized components: (index, cumulative probs, compiled shapes).
+    # Randomized components: (bit, cumulative probs, compiled shapes); the
+    # rest: (bit, compiled clauses), leaving out constant-false ones.
     randomized = []
-    for i, ens in enumerate(pnet.ensembles):
-        if ens is None or len(ens) == 1:
-            continue
-        cum = []
-        acc = 0.0
-        for _, prob in ens.entries:
-            acc += prob
-            cum.append(acc)
-        cum[-1] = 1.0
-        compiled = tuple(_compile_shape(bn, i, s) for s, _ in ens.entries)
-        randomized.append((i, tuple(cum), compiled))
-    randomized_idx = {i for i, _, _ in randomized}
-
-    fixed_compiled: list[tuple[tuple[int, int], ...] | None] = []
-    for i, c in enumerate(bn.components):
-        if c.shape is None or i in randomized_idx:
-            fixed_compiled.append(None)
-            continue
-        ens = pnet.ensembles[i]
-        shape = c.shape if ens is None else ens.entries[0][0]
-        fixed_compiled.append(_compile_shape(bn, i, shape))
+    fixed = []
+    for i, (c, ens) in enumerate(zip(bn.components, pnet.ensembles)):
+        if ens is None:
+            if c.compiled:
+                fixed.append((1 << i, c.compiled))
+        elif len(ens) == 1:
+            fixed.append((1 << i, compile_clauses(ens.entries[0][0], c.ctx, c.regulators)))
+        else:
+            cum = list(accumulate(prob for _, prob in ens.entries))
+            cum[-1] = 1.0
+            compiled = tuple(compile_clauses(s, c.ctx, c.regulators) for s, _ in ens.entries)
+            randomized.append((1 << i, tuple(cum), compiled))
 
     # With no randomized components every trajectory is deterministic, so
     # a revisited state proves a cycle; under per-step sampling a revisit
@@ -272,18 +236,17 @@ def simulate(
         absorbed = False
         visited = {state} if deterministic else None
         while steps < max_steps:
-            nxt = const_mask
-            for i in range(n):
-                cl = fixed_compiled[i]
-                if cl is not None and _eval_compiled(cl, state):
-                    nxt |= 1 << i
-            for i, cum, compiled in randomized:
+            nxt = 0
+            for bit, clauses in fixed:
+                if holds(clauses, state):
+                    nxt |= bit
+            for bit, cum, compiled in randomized:
                 r = rng.random()
                 pick = 0
                 while cum[pick] < r:
                     pick += 1
-                if _eval_compiled(compiled[pick], state):
-                    nxt |= 1 << i
+                if holds(compiled[pick], state):
+                    nxt |= bit
             steps += 1
             if nxt == state:
                 absorbed = True

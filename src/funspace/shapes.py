@@ -23,13 +23,16 @@ Representation conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     EmptyClauseSet,
+    ModelSyntaxError,
     NoActivators,
     NotAntichain,
     NotAutoregulated,
@@ -50,10 +53,6 @@ NEGATIVE = -1
 OPERATIVE = "o"
 NON_OPERATIVE = "n"
 FREE = "*"
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -83,6 +82,11 @@ def _is_subset(a: int, b: int) -> bool:
     return a & b == a
 
 
+def _covers(clauses: Iterable[int], p: int) -> bool:
+    """Does every regulator 1..p appear in some clause?"""
+    return reduce(or_, clauses, 0) == (1 << p) - 1
+
+
 @dataclass(frozen=True)
 class FunctionShape:
     """Antichain cover of {1..p}: the clause index sets of one function.
@@ -103,7 +107,6 @@ class FunctionShape:
         if not cls:
             raise EmptyClauseSet("a shape needs at least one clause")
         full = (1 << p) - 1
-        union = 0
         prev = 0
         for c in cls:
             if c == 0:
@@ -113,9 +116,8 @@ class FunctionShape:
             if c <= prev:
                 raise ValueError("clauses must be strictly increasing masks")
             prev = c
-            union |= c
-        if union != full:
-            missing = clause_indices(full ^ union)
+        if not _covers(cls, p):
+            missing = clause_indices(full & ~reduce(or_, cls))
             raise NotCover(f"regulators {missing} appear in no clause")
         for a, b in combinations(cls, 2):
             if _is_subset(a, b) or _is_subset(b, a):
@@ -168,7 +170,7 @@ def minimize(clauses: Iterable[Iterable[int]], p: int) -> FunctionShape:
     Keeps the inclusion-minimal clauses, then validates the cover
     condition (every regulator essential).
     """
-    masks = sorted({clause_mask(c, p) for c in clauses}, key=lambda m: (popcount(m), m))
+    masks = sorted({clause_mask(c, p) for c in clauses}, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in masks:
         if not any(_is_subset(k, m) for k in kept):
@@ -300,34 +302,98 @@ def evaluate(shape: FunctionShape, ctx: RegulatorContext, state: int) -> bool:
     return any(c & lits == c for c in shape.clauses)
 
 
-def true_states(shape: FunctionShape, ctx: RegulatorContext) -> frozenset[int]:
-    """The function's true set T(f) ⊆ B^p."""
+# ---------------------------------------------------------------------------
+# The clause evaluator.  A clause family compiled against a state space is a
+# tuple of (ones, zeros) masks: a clause holds where all of ``ones`` is set
+# and all of ``zeros`` is clear.  ``evaluate`` above stays separate on
+# purpose: it is the independent reference the tests hold these against.
+
+
+def compile_clauses(
+    shape: FunctionShape, ctx: RegulatorContext, positions: Sequence[int] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The shape's clauses as (must-be-1, must-be-0) masks under ``ctx``.
+
+    Regulator k reads state bit ``positions[k-1]``; by default bit k-1, so
+    the state space is B^p itself.
+    """
     _require_same_arity(shape, ctx)
     neg = ctx.neg_mask
+    # Lists, not generators, feed tuple(): on CPython 3.11, tuples grown from
+    # generators call after call ratchet up the resident memory.
+    local = tuple([(c & ~neg, c & neg) for c in shape.clauses])
+    if positions is None:
+        return local
+
+    def place(mask: int) -> int:
+        return reduce(or_, [1 << positions[k] for k in bits_of(mask)], 0)
+
+    return tuple([(place(ones), place(zeros)) for ones, zeros in local])
+
+
+def holds(clauses: tuple[tuple[int, int], ...], state: int) -> bool:
+    """Point test: does some compiled clause hold at ``state``?"""
+    for ones, zeros in clauses:
+        if state & ones == ones and not state & zeros:
+            return True
+    return False
+
+
+def variable_table(j: int, n: int) -> int:
+    """Bit s is set iff state s has bit j set, for every s < 2^n.
+
+    Built by doubling one period (2^j zeros, then 2^j ones), which stays
+    linear in 2^n; big-int division is quadratic in CPython and takes over
+    a minute at n = 23.
+    """
+    half = 1 << j
+    v = ((1 << half) - 1) << half
+    w = half << 1
+    while w < 1 << n:
+        v |= v << w
+        w <<= 1
+    return v
+
+
+def truth_table(clauses: tuple[tuple[int, int], ...], n: int) -> int:
+    """Whole-space test: bit s is set iff ``holds(clauses, s)``, for s < 2^n."""
+    full = (1 << (1 << n)) - 1
+    var: dict[int, int] = {}
+    table = 0
+    for ones, zeros in clauses:
+        t = full
+        for j in bits_of(ones | zeros):
+            if j not in var:
+                var[j] = variable_table(j, n)
+            t &= var[j] if ones >> j & 1 else ~var[j]
+        table |= t
+    return table
+
+
+def table_states(table: int) -> list[int]:
+    """The set bits of a truth table, ascending, in one linear pass.
+
+    :func:`bits_of` is faster on clause masks, but on a 2^n-bit table it
+    copies the whole int once per set bit.
+    """
+    digits = bin(table)[:1:-1]
     out = []
-    for s in range(1 << shape.arity):
-        lits = s ^ neg
-        if any(c & lits == c for c in shape.clauses):
-            out.append(s)
-    return frozenset(out)
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
+def true_states(shape: FunctionShape, ctx: RegulatorContext) -> frozenset[int]:
+    """The function's true set T(f) ⊆ B^p."""
+    return frozenset(table_states(truth_table(compile_clauses(shape, ctx), shape.arity)))
 
 
 def true_count(shape: FunctionShape) -> int:
-    """|T(f)| — sign-independent, so computed with the all-positive context.
-
-    Inclusion–exclusion over clause unions; exact and cheap for the clause
-    counts that occur in practice.
-    """
-    p, cls = shape.arity, shape.clauses
-    total = 0
-    for r in range(1, len(cls) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for comb in combinations(cls, r):
-            u = 0
-            for c in comb:
-                u |= c
-            total += sign << (p - popcount(u))
-    return total
+    """|T(f)| — sign-independent, so computed with the all-positive context."""
+    ctx = RegulatorContext.all_positive(shape.arity)
+    return truth_table(compile_clauses(shape, ctx), shape.arity).bit_count()
 
 
 def is_consistent(table: Sequence[bool] | Sequence[int], ctx: RegulatorContext) -> bool:
@@ -354,37 +420,24 @@ def shape_from_truth_table(
     if len(table) != size:
         raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
     neg = ctx.neg_mask
-    values = [bool(v) for v in table]
     # Work in literal space: lit = state ^ neg must make the function monotone.
-    lit_values = [False] * size
-    for s in range(size):
-        lit_values[s ^ neg] = values[s]
-    for s in range(size):
-        if not lit_values[s]:
-            continue
-        for k in range(p):
-            if not s & (1 << k) and not lit_values[s | (1 << k)]:
-                raise NotConsistent(
-                    f"regulator {k + 1} acts against its declared sign"
-                )
+    lits = sum(1 << (s ^ neg) for s in range(size) if table[s])
+    above = 0  # literal states one bit above a true one
+    for k in range(p):
+        up = (lits & ~variable_table(k, p)) << (1 << k)
+        if up & ~lits:
+            raise NotConsistent(f"regulator {k + 1} acts against its declared sign")
+        above |= up
     # Minimal true points in literal space are the clauses.
-    minimal = []
-    for s in range(size):
-        if lit_values[s] and all(
-            not lit_values[s ^ (1 << k)] for k in bits_of(s)
-        ):
-            minimal.append(s)
+    minimal = table_states(lits & ~above)
     if not minimal:
         raise NotConsistent("constant false")
     if minimal == [0]:
         raise NotConsistent("constant true")
-    union = 0
-    for m in minimal:
-        union |= m
-    if union != size - 1:
-        idle = clause_indices((size - 1) ^ union)
+    if not _covers(minimal, p):
+        idle = clause_indices((size - 1) & ~reduce(or_, minimal))
         raise NotConsistent(f"regulators {idle} are not essential")
-    return FunctionShape(p, tuple(sorted(minimal)))
+    return FunctionShape(p, tuple(minimal))
 
 
 # ---------------------------------------------------------------------------
@@ -432,25 +485,10 @@ class Signature:
 
     def states(self, ctx: RegulatorContext) -> Iterator[int]:
         """Expand the signature into its regulator states, ascending."""
-        if ctx.arity != self.arity:
-            raise ArityMismatch("context arity differs from signature arity")
-        fixed = 0
-        free_bits = []
-        for k, sym in enumerate(self.symbols):
-            if sym == FREE:
-                free_bits.append(k)
-            elif sym == OPERATIVE:
-                if ctx.signs[k] == POSITIVE:
-                    fixed |= 1 << k
-            else:  # NON_OPERATIVE
-                if ctx.signs[k] == NEGATIVE:
-                    fixed |= 1 << k
-        for combo in range(1 << len(free_bits)):
-            s = fixed
-            for j, k in enumerate(free_bits):
-                if combo & (1 << j):
-                    s |= 1 << k
-            yield s
+        pat = self.pattern(ctx)
+        ones = sum(1 << k for k, ch in enumerate(pat) if ch == "1")
+        zeros = sum(1 << k for k, ch in enumerate(pat) if ch == "0")
+        return iter(table_states(truth_table(((ones, zeros),), self.arity)))
 
     def render(self, ctx: RegulatorContext | None = None,
                operative: str = "o", inhibitor_operative: str = "ō",
@@ -493,7 +531,7 @@ def level(shape: FunctionShape) -> tuple[int, ...]:
 
     A clause of size s in a p-regulator shape leaves p − s regulators free.
     """
-    dims = sorted((shape.arity - popcount(c) for c in shape.clauses), reverse=True)
+    dims = sorted((shape.arity - c.bit_count() for c in shape.clauses), reverse=True)
     return tuple(dims)
 
 
@@ -540,5 +578,5 @@ def state_from_string(text: str) -> int:
         if ch == "1":
             state |= 1 << k
         elif ch != "0":
-            raise ValueError(f"bad state character {ch!r}")
+            raise ModelSyntaxError(f"bad state character {ch!r}")
     return state

@@ -95,6 +95,11 @@ def test_enumerate_past_the_table(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_enumerate_zero(capsys):
+    assert main(["enumerate", "0"]) == 3
+    assert capsys.readouterr().err == "error: arity must be at least 1, got 0\n"
+
+
 def test_enumerate_json(capsys):
     assert main(["enumerate", "2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -250,6 +255,21 @@ def test_pbn_phenotypes_need_markers(capsys):
 def test_pbn_requires_a_source(capsys):
     assert main(["pbn", "--runs", "1"]) == 2
     assert "one of --experiment, --th-preset, --model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--active", "Foo"], 3, "unknown component(s): Foo"),
+    (["--randomize", "GATA3,Foo"], 3, "unknown component(s): Foo"),
+    (["--initial", "01x"], 3, "--initial has 3 values for 23 components"),
+    (["--initial", "0" * 31], 3, "--initial has 31 values for 23 components"),
+    (["--initial", "x" + "0" * 22], 2, "parse error: bad state character"),
+    (["--runs", "0"], 3, "--runs must be at least 1"),
+])
+def test_pbn_bad_inputs_exit_with_one_line(capsys, argv, code, message):
+    assert main(["pbn", "--th-preset", "--seed", "1", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 # ---------------------------------------------------------------------------

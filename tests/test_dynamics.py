@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from funspace import (
     BooleanNetwork,
@@ -11,6 +13,7 @@ from funspace import (
     attractors,
     component_transitions,
     enumerate_all,
+    evaluate,
     f_star,
     inf_shape,
     make_shape,
@@ -36,6 +39,8 @@ from funspace.errors import (
     SingleRegulator,
     StateSpaceTooLarge,
 )
+
+from conftest import networks
 
 
 def all_sign_ctx(p):
@@ -342,6 +347,48 @@ def test_state_space_limit(toy_bn):
         stable_states(toy_bn, limit=2)
     with pytest.raises(StateSpaceTooLarge):
         component_transitions(toy_bn, 0, limit=2)
+
+
+def _reference_step(bn, state):
+    """step_sync through evaluate() on each component's projected state."""
+    nxt = 0
+    for i, c in enumerate(bn.components):
+        if c.shape is None:
+            value = c.constant
+        else:
+            local = sum(1 << k for k, r in enumerate(c.regulators) if state >> r & 1)
+            value = evaluate(c.shape, c.ctx, local)
+        nxt |= value << i
+    return nxt
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks())
+def test_network_evaluation_matches_evaluate(bn):
+    steps = [_reference_step(bn, s) for s in range(1 << bn.n)]
+    assert [bn.step_sync(s) for s in range(1 << bn.n)] == steps
+    assert stable_states(bn) == tuple(s for s, t in enumerate(steps) if s == t)
+    for i in range(bn.n):
+        ts = component_transitions(bn, i)
+        bit = 1 << i
+        assert ts.increasing == {s for s, t in enumerate(steps) if t & bit and not s & bit}
+        assert ts.decreasing == {s for s, t in enumerate(steps) if s & bit and not t & bit}
+
+
+def test_th_model_stable_states_are_the_published_patterns(th_bn):
+    # all 2^23 states; one step_sync per state would take minutes
+    start = time.perf_counter()
+    fixed = stable_states(th_bn)
+    assert time.perf_counter() - start < 5
+    on = {
+        frozenset(th_bn.components[i].name for i in range(th_bn.n) if s >> i & 1)
+        for s in fixed
+    }
+    assert on == {
+        frozenset(),  # Th0
+        frozenset({"GATA3", "IL10", "IL10R", "IL4", "IL4R", "STAT3", "STAT6"}),  # Th2
+        frozenset({"IFNg", "IFNgR", "SOCS1", "Tbet"}),  # Th1
+    }
 
 
 def test_local_state_projection(toy_bn):

@@ -14,6 +14,7 @@ from funspace import (
     majority_rule,
     make_shape,
     neighbor_ensemble,
+    network_from_functions,
     run_experiment,
     simulate,
     state_from_string,
@@ -223,6 +224,16 @@ def test_degenerate_pbn_follows_sync(toy_bn):
     out = rep.outcomes[0]
     assert not out.absorbed and out.steps == 2
     assert state_to_string(out.final_state, 3) == "000"
+
+
+def test_simulation_reads_constant_inputs():
+    bn = network_from_functions([
+        ("on", True), ("off", False), ("t", (["on", "off"], "++", [[1], [2]])),
+    ])
+    rep = simulate(ProbabilisticNetwork(bn, (None,) * 3), 0, runs=1, seed=1)
+    out = rep.outcomes[0]
+    assert out.absorbed and out.steps == 3
+    assert out.final_state == bn.step_sync(bn.step_sync(0)) == state_from_string("101")
 
 
 def test_seed_determinism():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from funspace import (
     FunctionShape,
@@ -20,6 +21,7 @@ from funspace import (
     shape_from_truth_table,
     shape_leq,
     shape_lt,
+    shape_transition_counts,
     signatures,
     state_from_string,
     state_to_string,
@@ -27,6 +29,7 @@ from funspace import (
     true_count,
     true_states,
 )
+from funspace.shapes import compile_clauses, holds, truth_table
 from funspace.errors import (
     ArityTooLarge,
     EmptyClauseSet,
@@ -36,6 +39,8 @@ from funspace.errors import (
     NotCover,
     ThresholdOutOfRange,
 )
+
+from conftest import shapes_with_contexts
 
 
 def all_contexts(p):
@@ -168,6 +173,29 @@ def test_true_count_matches_enumeration():
         ctx = RegulatorContext.all_positive(p)
         for s in enumerate_all(p):
             assert true_count(s) == len(true_states(s, ctx))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes_with_contexts())
+def test_clause_evaluator_matches_evaluate(case):
+    # evaluate() is the independent reference for every table-based count
+    shape, ctx = case
+    p = shape.arity
+    truth = {s for s in range(1 << p) if evaluate(shape, ctx, s)}
+    compiled = compile_clauses(shape, ctx)
+    assert truth_table(compiled, p) == sum(1 << s for s in truth)
+    assert all(holds(compiled, s) == (s in truth) for s in range(1 << p))
+    assert true_states(shape, ctx) == truth
+    assert true_count(shape) == len(truth)
+    assert shape_from_truth_table([s in truth for s in range(1 << p)], ctx) == shape
+    inc, dec, n = shape_transition_counts(shape, ctx)
+    if ctx.self_index is None:
+        assert (inc, dec, n) == (len(truth), (1 << p) - len(truth), p + 1)
+    else:
+        own = 1 << (ctx.self_index - 1)
+        assert inc == sum(1 for s in truth if not s & own)
+        assert dec == sum(1 for s in range(1 << p) if s & own and s not in truth)
+        assert n == p
 
 
 def test_operative_corners():

@@ -25,8 +25,8 @@ Rule 3 never needs comparable pairs: if m ⊂ m' both lie in M(S), the
 single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
-remaining true set); `children` keeps precisely the candidates whose
-parent set contains the start, which is the defining duality.
+remaining true set); every such candidate is a cover by construction (see
+`children`).
 
 `build_hasse` is the independent oracle: it ranks all shapes by true-set
 containment and extracts covering pairs directly from the definition, so
@@ -55,8 +55,9 @@ from .shapes import (
     _is_subset,
     bits_of,
     compile_clauses,
-    holds,
     inf_shape,
+    level,
+    level_leq,
     sup_shape,
     true_count,
     truth_table,
@@ -131,10 +132,14 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
     return all(not _is_subset(m, c) and not _is_subset(c, m) for c in shape.clauses)
 
 
-def _with_clause(shape: FunctionShape, m: int) -> tuple[int, ...]:
-    """Clauses of min(S ∪ {m}): drop clauses strictly above m, insert m."""
-    kept = [c for c in shape.clauses if not (_is_subset(m, c) and c != m)]
-    kept.append(m)
+def _with_clauses(shape: FunctionShape, *added: int) -> tuple[int, ...]:
+    """Clauses of min(S ∪ added), for pairwise incomparable states outside T(S).
+
+    No added state lies above a clause, so minimizing drops exactly the
+    clauses above some added state.
+    """
+    kept = [c for c in shape.clauses if not any(_is_subset(m, c) for m in added)]
+    kept.extend(added)
     kept.sort()
     return tuple(kept)
 
@@ -147,29 +152,19 @@ def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     for m in max_outside(shape):
         if m == 0:
             continue  # only at the one-shape arity-1 order; no parent there
-        if all(not _is_subset(m, c) for c in shape.clauses):
-            # Independent: m is maximal outside, so no clause fits inside it
-            # either; S ∪ {m} is an antichain and covers at least as much.
-            new = tuple(sorted(shape.clauses + (m,)))
-            steps.append(
-                NeighborStep(FunctionShape(p, new), PARENT_R1, 1)
-            )
+        new = _with_clauses(shape, m)
+        if len(new) > len(shape.clauses):
+            # Nothing absorbed, so m is independent: m is maximal outside,
+            # so no clause fits inside it either, and S ∪ {m} still covers.
+            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R1, 1))
+        elif _covers(new, p):
+            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R2, 1))
         else:
-            new = _with_clause(shape, m)
-            if _covers(new, p):
-                steps.append(NeighborStep(FunctionShape(p, new), PARENT_R2, 1))
-            else:
-                failed.append(m)
+            failed.append(m)
     for m1, m2 in combinations(failed, 2):
-        kept = [
-            c
-            for c in shape.clauses
-            if not (_is_subset(m1, c) and c != m1)
-            and not (_is_subset(m2, c) and c != m2)
-        ]
-        merged = tuple(sorted(kept + [m1, m2]))
-        if _covers(merged, p):
-            steps.append(NeighborStep(FunctionShape(p, merged), PARENT_R3, 2))
+        new = _with_clauses(shape, m1, m2)
+        if _covers(new, p):
+            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R3, 2))
     steps.sort(key=NeighborStep.sort_key)
     return tuple(steps)
 
@@ -187,7 +182,6 @@ def _remove_minimals(
     p = shape.arity
     removed_set = set(removed)
     kept = tuple(c for c in shape.clauses if c not in removed_set)
-    up_set = compile_clauses(shape, RegulatorContext.all_positive(p))
     new: set[int] = set()
     for x in removed:
         for k in range(p):
@@ -200,7 +194,7 @@ def _remove_minimals(
             ok = True
             for j in bits_of(y):
                 z = y ^ (1 << j)
-                if z not in removed_set and holds(up_set, z):
+                if z not in removed_set and any(_is_subset(c, z) for c in shape.clauses):
                     ok = False
                     break
             if ok:
@@ -208,15 +202,18 @@ def _remove_minimals(
     clauses = tuple(sorted(set(kept) | new))
     if not clauses or not _covers(clauses, p):
         return None
-    return FunctionShape(p, clauses)
+    return FunctionShape._unchecked(p, clauses)
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
-    """All covers of ``shape`` from below.
+    """All covers of ``shape`` from below, built from the inverse removals.
 
-    Candidates come from inverse removals; the defining contract — keep
-    exactly those S' with ``shape`` among S'.parents() — is applied as a
-    final filter.
+    Each candidate is a cover by construction.  Dropping a clause c (a
+    minimal element of T) leaves the up-set T∖{c}, one state smaller, so
+    when it still covers every regulator it is a child.  For clauses c1, c2
+    that each fail alone, the only sets strictly between T∖{c1,c2} and T
+    are T∖{c1} and T∖{c2}, both invalid, so a valid T∖{c1,c2} is a child
+    too.
     """
     steps: list[NeighborStep] = []
     failing: list[int] = []
@@ -230,11 +227,6 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
         cand = _remove_minimals(shape, (c1, c2))
         if cand is not None:
             steps.append(NeighborStep(cand, CHILD, 2))
-    steps = [
-        st
-        for st in steps
-        if any(pst.shape == shape for pst in parents(st.shape))
-    ]
     steps.sort(key=NeighborStep.sort_key)
     return tuple(steps)
 
@@ -248,20 +240,16 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     """
     if via not in ("parents", "children", "both"):
         raise ValueError("via must be 'parents', 'children' or 'both'")
-    exclude = {shape}
-    exclude.update(st.shape for st in parents(shape))
-    exclude.update(st.shape for st in children(shape))
+    ups = [st.shape for st in parents(shape)]
+    downs = [st.shape for st in children(shape)]
     out: set[FunctionShape] = set()
     if via in ("parents", "both"):
-        for pst in parents(shape):
-            for cst in children(pst.shape):
-                if cst.shape not in exclude:
-                    out.add(cst.shape)
+        for up in ups:
+            out.update(st.shape for st in children(up))
     if via in ("children", "both"):
-        for cst in children(shape):
-            for pst in parents(cst.shape):
-                if pst.shape not in exclude:
-                    out.add(pst.shape)
+        for down in downs:
+            out.update(st.shape for st in parents(down))
+    out.difference_update(ups, downs, (shape,))
     return tuple(sorted(out, key=FunctionShape.sort_key))
 
 
@@ -324,8 +312,8 @@ def enumerate_all(p: int) -> Iterator[FunctionShape]:
     Depth-first antichain extension over clause masks in ascending numeric
     order: each partial antichain is visited exactly once, and the ones
     covering {1..p} are emitted.  Work is proportional to the number of
-    antichains, so p = 6 (≈7.8M shapes) takes on the order of a minute and
-    p ≥ 7 is out of reach by intent.
+    antichains, so p = 6 (≈7.8M shapes) takes about 20 s and p ≥ 7 is
+    out of reach by intent.
     """
     if not 1 <= p <= 6:
         raise ArityTooLarge(f"full enumeration supports 1 <= p <= 6, got {p}")
@@ -461,13 +449,12 @@ def verify_rules(p: int, diagram: HasseDiagram | None = None) -> list[str]:
     1 or 2, matching the step's tag, and levels never decrease upward.
     ``diagram`` may pass in a prebuilt ``build_hasse(p)`` result.
     """
-    from .shapes import level, level_leq  # local import keeps module top light
-
     hd = build_hasse(p) if diagram is None else diagram
     problems: list[str] = []
     for i, s in enumerate(hd.shapes):
+        ups = parents(s)
         want_up = hd.parents_of(s)
-        got_up = {st.shape for st in parents(s)}
+        got_up = {st.shape for st in ups}
         if got_up != want_up:
             extra = got_up - want_up
             missing = want_up - got_up
@@ -484,7 +471,7 @@ def verify_rules(p: int, diagram: HasseDiagram | None = None) -> list[str]:
                 f"children({s}): extra={sorted(map(str, extra))} "
                 f"missing={sorted(map(str, missing))}"
             )
-        for st in parents(s):
+        for st in ups:
             d = true_count(st.shape) - true_count(s)
             if d != st.delta or d not in (1, 2):
                 problems.append(

@@ -28,6 +28,7 @@ from funspace import (
     inf_shape,
     level,
     level_leq,
+    parents,
     run_experiment,
     shape_transition_counts,
     state_from_string,
@@ -120,7 +121,7 @@ def test_criterion_04_edge_deltas(diagrams):
     for p in (1, 2, 3, 4, 5):
         ctx = ctx_cache[p]
         for child in diagrams[p].shapes:
-            for st in hasse_slice(child).parents:
+            for st in parents(child):
                 grown = true_count(st.shape) - true_count(child)
                 # brute-force check that T only grows
                 assert all(

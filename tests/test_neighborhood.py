@@ -1,18 +1,26 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from funspace import (
+    FunctionShape,
+    RegulatorContext,
     build_hasse,
     children,
     count_consistent,
     enumerate_all,
+    evaluate,
     hasse_slice,
     inf_shape,
     make_shape,
     parent_step,
     parents,
     random_path,
+    shape_from_truth_table,
     shape_leq,
     siblings,
     sup_shape,
@@ -20,6 +28,8 @@ from funspace import (
     verify_rules,
 )
 from funspace.errors import ArityTooLarge, DedekindUnknown, NotAParent
+
+from conftest import shapes
 
 
 def shp(text: str, p: int):
@@ -142,6 +152,62 @@ def test_neighbors_pairwise_incomparable():
             for i, a in enumerate(downs):
                 for b in downs[i + 1:]:
                     assert not shape_leq(a, b) and not shape_leq(b, a)
+
+
+def _valid_table(t: int, without: list[int]) -> bool:
+    """Is the bitset T (bit x = state x) a shape's true set?
+
+    It must be an up-set in which every regulator is essential; that also
+    rules out both constants.  ``without[k]`` holds the states lacking
+    regulator k + 1.
+    """
+    for k, without_k in enumerate(without):
+        raised = (t & without_k) << (1 << k)  # members, with regulator k switched on
+        if raised & ~t or raised == t & ~without_k:
+            return False
+    return True
+
+
+def _brute_covers(shape, up: bool) -> set:
+    """(neighbour, delta) pairs found by flipping one or two states of T(S).
+
+    Adds states outside T(S) (``up``) or removes states of T(S); a pair
+    counts only when neither of its single flips is valid, since that set
+    would lie strictly between.
+    """
+    p = shape.arity
+    ctx = RegulatorContext.all_positive(p)
+    t = sum(1 << x for x in range(1 << p) if evaluate(shape, ctx, x))
+    without = [sum(1 << x for x in range(1 << p) if not x >> k & 1) for k in range(p)]
+    pool = [x for x in range(1 << p) if (t >> x & 1) != up]
+    singles = {x for x in pool if _valid_table(t ^ 1 << x, without)}
+    found = {(t ^ 1 << x, 1) for x in singles}
+    for x, y in combinations(pool, 2):
+        if x not in singles and y not in singles:
+            flipped = t ^ 1 << x ^ 1 << y
+            if _valid_table(flipped, without):
+                found.add((flipped, 2))
+    return {
+        (shape_from_truth_table([b >> x & 1 for x in range(1 << p)], ctx), d)
+        for b, d in found
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(6, 8).flatmap(shapes))
+def test_rules_match_local_brute_force_past_the_oracle(s):
+    # build_hasse stops at p = 5; this oracle works on one truth table only
+    ups = parents(s)
+    downs = children(s)
+    assert {(st.shape, st.delta) for st in ups} == _brute_covers(s, up=True)
+    assert {(st.shape, st.delta) for st in downs} == _brute_covers(s, up=False)
+    for st in ups + downs:
+        # the rules build neighbours unchecked; the strict constructor must agree
+        assert FunctionShape(s.arity, st.shape.clauses) == st.shape
+    for st in ups:
+        assert s in {c.shape for c in children(st.shape)}
+    for st in downs:
+        assert s in {q.shape for q in parents(st.shape)}
 
 
 def test_levels_never_decrease_upward():

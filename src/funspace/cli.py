@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .dynamics import (
+    DEFAULT_STATE_LIMIT,
     attractors,
     shape_transition_counts,
     stg_async,
@@ -40,7 +41,6 @@ from .neighborhood import (
 )
 from .pbn import (
     EXPERIMENTS,
-    ProbabilisticNetwork,
     classify_phenotype,
     randomized_network,
     run_experiment,
@@ -241,21 +241,16 @@ def cmd_pbn(args) -> int:
             print("one of --experiment, --th-preset, --model is required",
                   file=sys.stderr)
             return 2
-        names = (None if args.randomize in (None, "all")
-                 else args.randomize.split(","))
+        names = (None if args.randomize == "all"
+                 else args.randomize.split(",") if args.randomize else [])
         active = [nm.strip() for nm in args.active.split(",")] if args.active else []
         unknown = [nm for nm in (names or []) + active if nm not in bn.names()]
         if unknown:
             print(f"unknown component(s): {', '.join(unknown)}", file=sys.stderr)
             return 3
-        if args.randomize is None and args.th_preset:
-            # Preset without --randomize: all-singleton ensembles, i.e. the
-            # deterministic synchronous dynamics.
-            pnet = ProbabilisticNetwork(bn, (None,) * bn.n)
-        else:
-            pnet = randomized_network(
-                bn, components=names, mode=args.mode, ref_prob=args.ref_prob
-            )
+        pnet = randomized_network(
+            bn, components=names, mode=args.mode, ref_prob=args.ref_prob
+        )
         if args.initial:
             if len(args.initial) != bn.n:
                 print(f"--initial has {len(args.initial)} values for "
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "dot", "json"], default="text")
     p.add_argument("--edges", action="store_true", help="list every transition")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--limit", type=int, default=25,
+    p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
                    help="largest component count to materialize")
     p.set_defaults(func=cmd_stg)
 
@@ -370,10 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=sorted(EXPERIMENTS) + [c.lower() for c in sorted(EXPERIMENTS)],
                    help="built-in T-helper experiment")
     p.add_argument("--th-preset", action="store_true",
-                   help="use the built-in T-helper model (deterministic unless "
-                        "--randomize is given; implied by --experiment)")
+                   help="use the built-in T-helper model (implied by --experiment)")
     p.add_argument("--model", help="custom model file")
-    p.add_argument("--randomize", help="comma-separated component names, or 'all'")
+    p.add_argument("--randomize",
+                   help="comma-separated component names, or 'all'; without it "
+                        "--th-preset and --model run deterministically")
     p.add_argument("--mode", choices=["parents_children", "with_siblings"],
                    default="parents_children")
     p.add_argument("--initial", help="initial state as a 0/1 string")

@@ -7,8 +7,9 @@ uses component 1 leftmost via :func:`funspace.shapes.state_to_string`.
 
 Two update schemes: asynchronous (one component flips per transition; the
 union over components gives the transition graph) and synchronous (all
-components update together).  Self-loops are never materialized, so stable
-states are exactly the nodes without successors in either graph.
+components update together).  Both graphs come from one update map F(s)
+read off the components' truth tables.  Self-loops are never materialized,
+so stable states are exactly the nodes without successors in either graph.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -32,6 +33,7 @@ from .neighborhood import parent_step
 from .shapes import (
     FunctionShape,
     RegulatorContext,
+    bits_of,
     compile_clauses,
     holds,
     make_shape,
@@ -160,25 +162,31 @@ class STG:
         return sum(len(s) for s in self.successors)
 
 
+def _update_map(bn: BooleanNetwork, limit: int) -> list[int]:
+    """The synchronous update ``F[s]`` of every state s < 2^n, read off the
+    truth tables: bit i of ``F[s]`` is set for each state in component i's."""
+    _check_limit(bn.n, limit)
+    update = [0] * (1 << bn.n)
+    for i, c in enumerate(bn.components):
+        bit = 1 << i
+        for s in table_states(truth_table(c.compiled, bn.n)):
+            update[s] |= bit
+    return update
+
+
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Asynchronous graph: one transition per component whose value differs."""
-    _check_limit(bn.n, limit)
-    succ = []
-    for s in range(1 << bn.n):
-        target = bn.step_sync(s)
-        diff = s ^ target
-        succ.append(tuple(s ^ (1 << i) for i in range(bn.n) if diff & (1 << i)))
-    return STG("async", bn.n, tuple(succ))
+    update = _update_map(bn, limit)
+    succ = tuple(
+        tuple([s ^ (1 << i) for i in bits_of(s ^ t)]) for s, t in enumerate(update)
+    )
+    return STG("async", bn.n, succ)
 
 
 def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Synchronous graph: every state maps to its full update (no self-loops)."""
-    _check_limit(bn.n, limit)
-    succ = []
-    for s in range(1 << bn.n):
-        t = bn.step_sync(s)
-        succ.append((t,) if t != s else ())
-    return STG("sync", bn.n, tuple(succ))
+    update = _update_map(bn, limit)
+    return STG("sync", bn.n, tuple((t,) if t != s else () for s, t in enumerate(update)))
 
 
 def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:
@@ -198,58 +206,49 @@ def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple
 def attractors(stg: STG) -> tuple[frozenset[int], ...]:
     """Terminal strongly connected components, sorted by smallest state.
 
-    Iterative Tarjan over the successor lists; an SCC is an attractor when
-    no edge leaves it.  Stable states come out as singletons.
+    Iterative Tarjan; each frame holds a successor iterator and the stack
+    height at its state's push.  A state in a finished SCC gets index 2^n,
+    so it never lowers a ``low``.  A popped SCC is an attractor when no
+    edge reaches a finished state.  Stable states come out as singletons.
     """
-    n_states = 1 << stg.n
     succ = stg.successors
-    index = [-1] * n_states
-    low = [0] * n_states
-    on_stack = bytearray(n_states)
+    done = 1 << stg.n
+    index = [-1] * done
+    low = [0] * done
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    out: list[frozenset[int]] = []
     counter = 0
-    for root in range(n_states):
+    for root in range(done):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]), 0)]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
+            v, it, height = work[-1]
+            for w in it:
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    out = []
-    for comp in sccs:
-        members = set(comp)
-        if all(w in members for v in comp for w in succ[v]):
-            out.append(frozenset(comp))
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = stack[height:]
+                    del stack[height:]
+                    if all(index[w] != done for u in comp for w in succ[u]):
+                        out.append(frozenset(comp))
+                    for u in comp:
+                        index[u] = done
     out.sort(key=min)
     return tuple(out)
 

@@ -238,19 +238,7 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.
     """
-    if via not in ("parents", "children", "both"):
-        raise ValueError("via must be 'parents', 'children' or 'both'")
-    ups = [st.shape for st in parents(shape)]
-    downs = [st.shape for st in children(shape)]
-    out: set[FunctionShape] = set()
-    if via in ("parents", "both"):
-        for up in ups:
-            out.update(st.shape for st in children(up))
-    if via in ("children", "both"):
-        for down in downs:
-            out.update(st.shape for st in parents(down))
-    out.difference_update(ups, downs, (shape,))
-    return tuple(sorted(out, key=FunctionShape.sort_key))
+    return hasse_slice(shape, via).siblings
 
 
 @dataclass(frozen=True)
@@ -264,12 +252,20 @@ class HasseSlice:
 
 
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
-    return HasseSlice(
-        center=shape,
-        parents=parents(shape),
-        children=children(shape),
-        siblings=siblings(shape, via=sibling_via),
-    )
+    """``shape``'s parents, children and (derived from those) siblings."""
+    if sibling_via not in ("parents", "children", "both"):
+        raise ValueError("via must be 'parents', 'children' or 'both'")
+    ups = parents(shape)
+    downs = children(shape)
+    out: set[FunctionShape] = set()
+    if sibling_via in ("parents", "both"):
+        for up in ups:
+            out.update(st.shape for st in children(up.shape))
+    if sibling_via in ("children", "both"):
+        for down in downs:
+            out.update(st.shape for st in parents(down.shape))
+    out.difference_update([st.shape for st in ups + downs], (shape,))
+    return HasseSlice(shape, ups, downs, tuple(sorted(out, key=FunctionShape.sort_key)))
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:

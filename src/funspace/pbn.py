@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .dynamics import BooleanNetwork
 from .errors import ArityMismatch, InvalidProbability, MissingMarker
 from .modelio import parse_model
-from .neighborhood import children, parents, siblings
+from .neighborhood import HasseSlice, children, hasse_slice, parents
 from .shapes import FunctionShape, compile_clauses, holds, state_to_string
 
 
@@ -111,11 +111,10 @@ def neighbor_ensemble(
     if comp.shape is None:
         raise ValueError(f"component {comp.name} is constant")
     ref = comp.shape
-    others: list[FunctionShape] = [st.shape for st in parents(ref)]
-    others += [st.shape for st in children(ref)]
-    if mode == "with_siblings":
-        others += list(siblings(ref, via="both"))
-    others = sorted(set(others), key=FunctionShape.sort_key)
+    sl = (hasse_slice(ref, "both") if mode == "with_siblings"
+          else HasseSlice(ref, parents(ref), children(ref), ()))
+    others = sorted({st.shape for st in sl.parents + sl.children}.union(sl.siblings),
+                    key=FunctionShape.sort_key)
     if not others or ref_prob == 1:
         return FunctionEnsemble(((ref, 1.0),))
     share = (1.0 - ref_prob) / len(others)
@@ -357,15 +356,16 @@ def th_neighbor_table(bn: BooleanNetwork | None = None) -> dict[str, NeighborTab
             continue
         shape = comp.shape
         names = tuple(bn.components[r].name for r in comp.regulators)
+        sl = hasse_slice(shape, "both")
         table[comp.name] = NeighborTableEntry(
             name=comp.name,
             shape=shape,
             regulator_names=names,
             n_regulators=shape.arity,
             n_functions=count_consistent(shape.arity),
-            parents=tuple(st.shape for st in parents(shape)),
-            children=tuple(st.shape for st in children(shape)),
-            starred_siblings=siblings(shape, via="both"),
+            parents=tuple(st.shape for st in sl.parents),
+            children=tuple(st.shape for st in sl.children),
+            starred_siblings=sl.siblings,
         )
     return table
 

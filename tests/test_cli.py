@@ -246,6 +246,14 @@ def test_pbn_custom_model_states(capsys):
     assert "110      100.00%  (2)" in out  # labels are state strings
 
 
+def test_pbn_custom_model_is_deterministic_without_randomize(capsys):
+    # 000 -> 011 -> 000 is a cycle of the toy model's synchronous update
+    assert main(["pbn", "--model", TOY, "--runs", "20", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "mean steps: 2.0" in out
+    assert "000      100.00%  (20)" in out
+
+
 def test_pbn_phenotypes_need_markers(capsys):
     assert main(["pbn", "--model", TOY, "--runs", "1", "--seed", "1",
                  "--phenotypes"]) == 3

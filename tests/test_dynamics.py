@@ -362,11 +362,34 @@ def _reference_step(bn, state):
     return nxt
 
 
+def _reference_attractors(stg):
+    """Each state's reachable set, kept when every state in it reaches back."""
+    reach = []
+    for s in range(1 << stg.n):
+        seen, todo = {s}, [s]
+        while todo:
+            for w in stg.successors[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    found = {frozenset(r) for s, r in enumerate(reach) if all(s in reach[t] for t in r)}
+    return tuple(sorted(found, key=min))
+
+
 @settings(max_examples=150, deadline=None)
 @given(networks())
 def test_network_evaluation_matches_evaluate(bn):
     steps = [_reference_step(bn, s) for s in range(1 << bn.n)]
     assert [bn.step_sync(s) for s in range(1 << bn.n)] == steps
+    g_async, g_sync = stg_async(bn), stg_sync(bn)
+    assert g_async.successors == tuple(
+        tuple(s ^ (1 << i) for i in range(bn.n) if (s ^ t) >> i & 1)
+        for s, t in enumerate(steps)
+    )
+    assert g_sync.successors == tuple(() if s == t else (t,) for s, t in enumerate(steps))
+    for g in (g_async, g_sync):
+        assert attractors(g) == _reference_attractors(g)
     assert stable_states(bn) == tuple(s for s, t in enumerate(steps) if s == t)
     for i in range(bn.n):
         ts = component_transitions(bn, i)

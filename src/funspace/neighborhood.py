@@ -7,10 +7,10 @@ neighbor computation local.  Everything here revolves around one object:
     D(S)  = states outside the function's true set (up-set of the clauses)
     M(S)  = the maximal elements of D(S)
 
-M(S) is computable without scanning B^p: a state m is in D(S) iff it
-contains no clause, i.e. its complement hits every clause; so M(S) is
-exactly { complement of h : h a minimal hitting set (transversal) of the
-clause family }.  Transversals come from Berge's sequential algorithm.
+Both are read off 2^p-bit tables (bit s stands for state s): the clause
+table C and its up-closure T = T(S), p shift-ORs (`shapes.up_closure`).
+A state outside T is in M(S) iff switching on any one regulator it lacks
+lands in T, which is one AND per regulator over the whole table.
 
 Parents (covers above S) add one or two elements of M(S) as new clauses:
 
@@ -26,7 +26,7 @@ single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
-`children`).
+`children`).  Candidates stay tables until they pass the cover test.
 
 `build_hasse` is the independent oracle: it ranks all shapes by true-set
 containment and extracts covering pairs directly from the definition, so
@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -51,16 +52,20 @@ from .errors import (
 from .shapes import (
     FunctionShape,
     RegulatorContext,
-    _covers,
     _is_subset,
     bits_of,
+    clause_mask,
     compile_clauses,
     inf_shape,
     level,
     level_leq,
+    minimal_elements,
     sup_shape,
+    table_states,
     true_count,
     truth_table,
+    up_closure,
+    variable_tables,
 )
 
 PARENT_R1 = "parent-r1"  # independent new clause
@@ -85,33 +90,43 @@ class NeighborStep:
         return (self.rule, self.shape.sort_key())
 
 
-def _minimal_transversals(clauses: tuple[int, ...]) -> list[int]:
-    """Minimal hitting sets of a clause family, as bitmasks (Berge)."""
-    trans = [0]
-    for c in clauses:
-        nxt = [t for t in trans if t & c]
-        for t in trans:
-            if t & c:
-                continue
-            for b in bits_of(c):
-                nxt.append(t | (1 << b))
-        nxt.sort(key=int.bit_count)
-        kept: list[int] = []
-        for t in nxt:
-            if not any(_is_subset(u, t) for u in kept):
-                kept.append(t)
-        trans = kept
-    return trans
+def _clause_table(shape: FunctionShape) -> int:
+    return sum([1 << c for c in shape.clauses])
+
+
+def _max_outside_table(t: int, p: int) -> int:
+    """M(S) from T(S): states outside T whose one-bit raises all lie in T."""
+    m = ~t & ((1 << (1 << p)) - 1)
+    for k, v in enumerate(variable_tables(p)):
+        m &= v | t >> (1 << k)
+    return m
+
+
+@cache
+def _states(p: int) -> tuple[int, ...]:
+    # Shared int objects for the clauses read off tables: a fresh int per
+    # clause (above 256) tripled the memory of large neighbour lists.
+    return tuple(range(1 << p))
+
+
+def _shape_of(table: int, p: int) -> FunctionShape:
+    states = _states(p)
+    return FunctionShape._unchecked(p, tuple([states[s] for s in table_states(table)]))
+
+
+def _covering(table: int, p: int) -> FunctionShape | None:
+    """The shape with this clause table, or None when some regulator is missing."""
+    return _shape_of(table, p) if all(table & v for v in variable_tables(p)) else None
 
 
 def max_outside(shape: FunctionShape) -> tuple[int, ...]:
     """Maximal states outside the true set (all-positive reading), ascending.
 
-    These are the complements of the minimal transversals of the clause
-    family.  Every parent step adds clauses from this set.
+    The complements of the minimal transversals of the clause family; every
+    parent step adds clauses from this set.
     """
-    full = (1 << shape.arity) - 1
-    return tuple(sorted(full ^ t for t in _minimal_transversals(shape.clauses)))
+    p = shape.arity
+    return tuple(table_states(_max_outside_table(up_closure(_clause_table(shape), p), p)))
 
 
 def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
@@ -119,90 +134,37 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
 
     Accepts 1-based indices or a prepacked bitmask.
     """
-    if isinstance(sigma, int):
-        m = sigma
-    else:
-        m = 0
-        for i in sigma:
-            if not 1 <= i <= shape.arity:
-                raise ValueError(f"regulator index {i} outside 1..{shape.arity}")
-            m |= 1 << (i - 1)
+    m = sigma if isinstance(sigma, int) else clause_mask(sigma, shape.arity)
     if m == 0:
         return False
     return all(not _is_subset(m, c) and not _is_subset(c, m) for c in shape.clauses)
 
 
-def _with_clauses(shape: FunctionShape, *added: int) -> tuple[int, ...]:
-    """Clauses of min(S ∪ added), for pairwise incomparable states outside T(S).
-
-    No added state lies above a clause, so minimizing drops exactly the
-    clauses above some added state.
-    """
-    kept = [c for c in shape.clauses if not any(_is_subset(m, c) for m in added)]
-    kept.extend(added)
-    kept.sort()
-    return tuple(kept)
-
-
 def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from above, tagged by the rule that built them."""
     p = shape.arity
+    var = variable_tables(p)
+    c = _clause_table(shape)
+    full = (1 << (1 << p)) - 1
     steps: list[NeighborStep] = []
-    failed: list[int] = []  # absorbing maximal states that fail the cover test alone
-    for m in max_outside(shape):
+    failed: list[tuple[int, int]] = []  # (m, U(m)) of absorbing states failing alone
+    for m in table_states(_max_outside_table(up_closure(c, p), p)):
         if m == 0:
             continue  # only at the one-shape arity-1 order; no parent there
-        new = _with_clauses(shape, m)
-        if len(new) > len(shape.clauses):
+        above = reduce(and_, [var[j] for j in bits_of(m)], full)  # U(m), states ⊇ m
+        if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
-            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R1, 1))
-        elif _covers(new, p):
-            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R2, 1))
+            steps.append(NeighborStep(_shape_of(c | 1 << m, p), PARENT_R1, 1))
+        elif (new := _covering(c & ~above | 1 << m, p)) is not None:
+            steps.append(NeighborStep(new, PARENT_R2, 1))
         else:
-            failed.append(m)
-    for m1, m2 in combinations(failed, 2):
-        new = _with_clauses(shape, m1, m2)
-        if _covers(new, p):
-            steps.append(NeighborStep(FunctionShape._unchecked(p, new), PARENT_R3, 2))
+            failed.append((m, above))
+    for (m1, u1), (m2, u2) in combinations(failed, 2):
+        if (new := _covering(c & ~(u1 | u2) | 1 << m1 | 1 << m2, p)) is not None:
+            steps.append(NeighborStep(new, PARENT_R3, 2))
     steps.sort(key=NeighborStep.sort_key)
     return tuple(steps)
-
-
-def _remove_minimals(
-    shape: FunctionShape, removed: tuple[int, ...]
-) -> FunctionShape | None:
-    """Shape of T(S) minus the given clauses, or None when not a valid shape.
-
-    The result's clauses are the kept ones plus the new minimal elements of
-    the punctured up-set; those can only be one-bit extensions of removed
-    clauses.  Returns None when the remainder is empty or stops covering
-    some regulator.
-    """
-    p = shape.arity
-    removed_set = set(removed)
-    kept = tuple(c for c in shape.clauses if c not in removed_set)
-    new: set[int] = set()
-    for x in removed:
-        for k in range(p):
-            bit = 1 << k
-            if x & bit:
-                continue
-            y = x | bit
-            # y is minimal in the punctured up-set iff every immediate
-            # subset is either removed or outside the up-set entirely.
-            ok = True
-            for j in bits_of(y):
-                z = y ^ (1 << j)
-                if z not in removed_set and any(_is_subset(c, z) for c in shape.clauses):
-                    ok = False
-                    break
-            if ok:
-                new.add(y)
-    clauses = tuple(sorted(set(kept) | new))
-    if not clauses or not _covers(clauses, p):
-        return None
-    return FunctionShape._unchecked(p, clauses)
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
@@ -213,18 +175,20 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     when it still covers every regulator it is a child.  For clauses c1, c2
     that each fail alone, the only sets strictly between T∖{c1,c2} and T
     are T∖{c1} and T∖{c2}, both invalid, so a valid T∖{c1,c2} is a child
-    too.
+    too.  Its clauses are the minimal elements left; an empty rest fails the cover.
     """
+    p = shape.arity
+    t = up_closure(_clause_table(shape), p)
     steps: list[NeighborStep] = []
     failing: list[int] = []
     for c in shape.clauses:
-        cand = _remove_minimals(shape, (c,))
+        cand = _covering(minimal_elements(t ^ 1 << c, p), p)
         if cand is None:
             failing.append(c)
         else:
             steps.append(NeighborStep(cand, CHILD, 1))
     for c1, c2 in combinations(failing, 2):
-        cand = _remove_minimals(shape, (c1, c2))
+        cand = _covering(minimal_elements(t ^ 1 << c1 ^ 1 << c2, p), p)
         if cand is not None:
             steps.append(NeighborStep(cand, CHILD, 2))
     steps.sort(key=NeighborStep.sort_key)
@@ -308,7 +272,7 @@ def enumerate_all(p: int) -> Iterator[FunctionShape]:
     Depth-first antichain extension over clause masks in ascending numeric
     order: each partial antichain is visited exactly once, and the ones
     covering {1..p} are emitted.  Work is proportional to the number of
-    antichains, so p = 6 (≈7.8M shapes) takes about 20 s and p ≥ 7 is
+    antichains, so p = 6 (≈7.8M shapes) takes about 11 s and p ≥ 7 is
     out of reach by intent.
     """
     if not 1 <= p <= 6:
@@ -323,22 +287,31 @@ def enumerate_all(p: int) -> Iterator[FunctionShape]:
             if inter != m and inter != m2:
                 acc |= 1 << m2
         follow[m] = acc
+    # Explicit stack: per depth, the masks still to try and the union so far.
     chosen: list[int] = []
-
-    def walk(cands: int, union: int) -> Iterator[FunctionShape]:
+    pending = [((1 << (full + 1)) - 1) ^ 1]  # bits 1..full
+    unions = [0]
+    while pending:
+        rest = pending[-1]
+        if not rest:
+            pending.pop()
+            unions.pop()
+            del chosen[-1:]  # the mask that opened this depth; none at the root
+            continue
+        low = rest & -rest
+        rest ^= low
+        pending[-1] = rest
+        m = low.bit_length() - 1
+        chosen.append(m)
+        union = unions[-1] | m
         if union == full:
             yield FunctionShape._unchecked(p, tuple(chosen))
-        rest = cands
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = low.bit_length() - 1
-            chosen.append(m)
-            yield from walk(rest & follow[m], union | m)
-            chosen.pop()
-
-    all_masks = ((1 << (full + 1)) - 1) ^ 1  # bits 1..full
-    yield from walk(all_masks, 0)
+        rest &= follow[m]
+        if rest:
+            pending.append(rest)
+            unions.append(union)
+        else:
+            chosen.pop()  # a leaf: nothing extends this antichain
 
 
 #: Sizes of the free distributive lattice on p generators (number of

@@ -23,7 +23,7 @@ Representation conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -41,9 +41,9 @@ from .errors import (
     ThresholdOutOfRange,
 )
 
-#: Largest supported regulator count for shape algebra.  Local operations
-#: (evaluation, neighbors) stay cheap far beyond the enumerable range, but
-#: 16 keeps every mask in a machine word and every loop honest.
+#: Largest supported regulator count for shape algebra.  Neighbour tables
+#: have 2^p bits: at 16 `max_outside` takes 0.07 s, but neighbour lists are
+#: bound by their size (`children(majority_rule(16, 8))`: 56 s, 1.3 GB).
 MAX_ARITY = 16
 
 POSITIVE = 1
@@ -82,6 +82,11 @@ def _is_subset(a: int, b: int) -> bool:
     return a & b == a
 
 
+def _require_arity(p: int) -> None:
+    if not 1 <= p <= MAX_ARITY:
+        raise ArityTooLarge(f"arity {p} outside 1..{MAX_ARITY}")
+
+
 def _covers(clauses: Iterable[int], p: int) -> bool:
     """Does every regulator 1..p appear in some clause?"""
     return reduce(or_, clauses, 0) == (1 << p) - 1
@@ -102,8 +107,7 @@ class FunctionShape:
 
     def __post_init__(self) -> None:
         p, cls = self.arity, self.clauses
-        if not 1 <= p <= MAX_ARITY:
-            raise ArityTooLarge(f"arity {p} outside 1..{MAX_ARITY}")
+        _require_arity(p)
         if not cls:
             raise EmptyClauseSet("a shape needs at least one clause")
         full = (1 << p) - 1
@@ -180,20 +184,23 @@ def minimize(clauses: Iterable[Iterable[int]], p: int) -> FunctionShape:
 
 def sup_shape(p: int) -> FunctionShape:
     """Top of the order: one singleton clause per regulator (OR of all)."""
-    return FunctionShape(p, tuple(1 << k for k in range(p)))
+    _require_arity(p)
+    return FunctionShape._unchecked(p, tuple(1 << k for k in range(p)))
 
 
 def inf_shape(p: int) -> FunctionShape:
     """Bottom of the order: the single full clause (AND of all)."""
-    return FunctionShape(p, ((1 << p) - 1,))
+    _require_arity(p)
+    return FunctionShape._unchecked(p, ((1 << p) - 1,))
 
 
 def majority_rule(p: int, r: int) -> FunctionShape:
     """All size-r clauses: true when at least r of p literals are satisfied."""
     if not 1 <= r <= p:
         raise ThresholdOutOfRange(f"threshold {r} outside 1..{p}")
+    _require_arity(p)
     masks = sorted(clause_mask(c, p) for c in combinations(range(1, p + 1), r))
-    return FunctionShape(p, tuple(masks))
+    return FunctionShape._unchecked(p, tuple(masks))
 
 
 def shape_leq(a: FunctionShape, b: FunctionShape) -> bool:
@@ -370,6 +377,31 @@ def truth_table(clauses: tuple[tuple[int, int], ...], n: int) -> int:
     return table
 
 
+@cache
+def variable_tables(p: int) -> tuple[int, ...]:
+    """``variable_table(k, p)`` for every k < p, built once per shape arity
+    (networks call :func:`variable_table`: their tables reach 2^23 bits)."""
+    _require_arity(p)
+    return tuple([variable_table(k, p) for k in range(p)])
+
+
+def up_closure(table: int, p: int) -> int:
+    """The up-set generated by a 2^p-bit table: per regulator k, every
+    state without k passes its bit on to the state with k switched on."""
+    for k, v in enumerate(variable_tables(p)):
+        table |= (table & ~v) << (1 << k)
+    return table
+
+
+def minimal_elements(table: int, p: int) -> int:
+    """States of a 2^p-bit table with no one-bit-smaller state in it: the
+    minimal elements of an up-set, or of one less some minimal states."""
+    above = 0
+    for k, v in enumerate(variable_tables(p)):
+        above |= (table & ~v) << (1 << k)
+    return table & ~above
+
+
 def table_states(table: int) -> list[int]:
     """The set bits of a truth table, ascending, in one linear pass.
 
@@ -391,9 +423,8 @@ def true_states(shape: FunctionShape, ctx: RegulatorContext) -> frozenset[int]:
 
 
 def true_count(shape: FunctionShape) -> int:
-    """|T(f)| — sign-independent, so computed with the all-positive context."""
-    ctx = RegulatorContext.all_positive(shape.arity)
-    return truth_table(compile_clauses(shape, ctx), shape.arity).bit_count()
+    """|T(f)| — sign-independent, so counted in the all-positive reading."""
+    return up_closure(sum([1 << c for c in shape.clauses]), shape.arity).bit_count()
 
 
 def is_consistent(table: Sequence[bool] | Sequence[int], ctx: RegulatorContext) -> bool:
@@ -422,14 +453,10 @@ def shape_from_truth_table(
     neg = ctx.neg_mask
     # Work in literal space: lit = state ^ neg must make the function monotone.
     lits = sum(1 << (s ^ neg) for s in range(size) if table[s])
-    above = 0  # literal states one bit above a true one
-    for k in range(p):
-        up = (lits & ~variable_table(k, p)) << (1 << k)
-        if up & ~lits:
+    for k, v in enumerate(variable_tables(p)):
+        if (lits & ~v) << (1 << k) & ~lits:
             raise NotConsistent(f"regulator {k + 1} acts against its declared sign")
-        above |= up
-    # Minimal true points in literal space are the clauses.
-    minimal = table_states(lits & ~above)
+    minimal = table_states(minimal_elements(lits, p))  # the clauses
     if not minimal:
         raise NotConsistent("constant false")
     if minimal == [0]:

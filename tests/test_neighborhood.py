@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,9 @@ from funspace import (
     evaluate,
     hasse_slice,
     inf_shape,
+    majority_rule,
     make_shape,
+    max_outside,
     parent_step,
     parents,
     random_path,
@@ -28,6 +31,7 @@ from funspace import (
     verify_rules,
 )
 from funspace.errors import ArityTooLarge, DedekindUnknown, NotAParent
+from funspace.neighborhood import PARENT_R1, PARENT_R2, PARENT_R3
 
 from conftest import shapes
 
@@ -210,6 +214,53 @@ def test_rules_match_local_brute_force_past_the_oracle(s):
         assert s in {q.shape for q in parents(st.shape)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(6, 10).flatmap(shapes))
+def test_max_outside_matches_a_scan(s):
+    p = s.arity
+
+    def inside(x):
+        return any(c & x == c for c in s.clauses)
+
+    want = [x for x in range(1 << p) if not inside(x)
+            and all(inside(x | 1 << k) for k in range(p) if not x >> k & 1)]
+    assert list(max_outside(s)) == want
+
+
+def _transversal(s):
+    """Tr(S): the complements of M(S), i.e. the minimal transversals of S."""
+    full = (1 << s.arity) - 1
+    return FunctionShape(s.arity, tuple(sorted(full ^ m for m in max_outside(s))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(6, 12).flatmap(lambda p: hst.tuples(shapes(p), shapes(p))))
+def test_transversal_map_swaps_parents_and_children(pair):
+    # Tr is an order-reversing involution, so the parents of S are the
+    # images of the children of Tr(S), with the same deltas
+    a, b = pair
+    ta, tb = _transversal(a), _transversal(b)
+    assert _transversal(ta) == a
+    assert shape_leq(a, b) == shape_leq(tb, ta)
+    ups = parents(a)
+    assert {(st.shape, st.delta) for st in ups} == {
+        (_transversal(st.shape), st.delta) for st in children(ta)
+    }
+    for st in ups:
+        # the strict constructor agrees, and the tag names what was added
+        assert FunctionShape(a.arity, st.shape.clauses) == st.shape
+        absorbed = not set(a.clauses) <= set(st.shape.clauses)
+        want = PARENT_R3 if st.delta == 2 else PARENT_R2 if absorbed else PARENT_R1
+        assert st.rule == want
+
+
+def test_neighbour_clauses_share_their_ints():
+    # clauses are read off tables; large lists must not hold an int per clause
+    s = majority_rule(10, 5)
+    ints = {id(x) for st in parents(s) + children(s) for x in st.shape.clauses}
+    assert len(ints) <= 1 << 10
+
+
 def test_levels_never_decrease_upward():
     from funspace import level, level_leq
     for p in (2, 3, 4):
@@ -249,6 +300,20 @@ def test_enumeration_matches_counts():
         shapes = list(enumerate_all(p))
         assert len(shapes) == count_consistent(p)
         assert len(set(shapes)) == len(shapes)  # no duplicates
+
+
+def test_enumeration_order_is_pinned():
+    # the order of the recursive antichain extension, kept by the stack walk
+    assert [s.clauses for s in enumerate_all(3)] == [
+        (1, 2, 4), (1, 6), (2, 5), (3, 4), (3, 5), (3, 5, 6), (3, 6), (5, 6), (7,)
+    ]
+    digests = {
+        4: "74eddc62970b2c6b92edb96cb2dd85e51ac4b145b849efe5b623824a5382573a",
+        5: "1a85598c22d9e5ccdfba17fb18c081a2fdd02bb4140f50bb9da9de38a61aa561",
+    }
+    for p, digest in digests.items():
+        seq = [s.clauses for s in enumerate_all(p)]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
 
 
 def test_counts_table():

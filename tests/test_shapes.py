@@ -115,6 +115,20 @@ def test_majority_rule():
         majority_rule(3, 0)
 
 
+def test_unchecked_constructions_equal_strict_ones():
+    # sup_shape, inf_shape and majority_rule skip the strict constructor
+    for p in range(1, 9):
+        built = [sup_shape(p), inf_shape(p)] + [majority_rule(p, r) for r in range(1, p + 1)]
+        for s in built:
+            assert FunctionShape(p, s.clauses) == s
+    for bad in (0, 17):
+        for build in (sup_shape, inf_shape):
+            with pytest.raises(ArityTooLarge):
+                build(bad)
+    with pytest.raises(ArityTooLarge):
+        majority_rule(17, 8)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation, order, and truth tables
 

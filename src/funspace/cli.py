@@ -219,6 +219,9 @@ def cmd_pbn(args) -> int:
     if args.runs < 1:
         print("--runs must be at least 1", file=sys.stderr)
         return 3
+    if args.max_steps < 1:
+        print("--max-steps must be at least 1", file=sys.stderr)
+        return 3
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     if args.experiment:
         report = run_experiment(

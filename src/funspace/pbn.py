@@ -14,6 +14,12 @@ Randomness is reproducible: each run derives its own generator from the
 master seed by an integer mix, and exactly one draw is consumed per
 randomized component per step.
 
+A simulation tests no clauses while it steps.  Each component is
+tabulated once per call on the submasks of its regulators (one bit per
+ensemble entry for a randomized component), the fixed components' update
+is memoized per visited state up to ``MEMO_LIMIT`` states, and the
+classifier is called once per distinct final state.
+
 The built-in model is a 23-component T-helper-cell differentiation
 network whose stable patterns are read as phenotypes through the Tbet and
 GATA3 markers (Th1 = Tbet only, Th2 = GATA3 only, Th0 = neither).
@@ -23,8 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import BooleanNetwork
@@ -181,6 +188,24 @@ class SimulationReport:
         return sum(1 for o in self.outcomes if o.label == label)
 
 
+#: Most states whose fixed-component update one :func:`simulate` call
+#: remembers (about 6 MB at the cap); past it, new states are computed and
+#: not stored, so long non-absorbing runs keep their memory bounded.
+MEMO_LIMIT = 1 << 16
+
+
+def _lookup(clauses: tuple[tuple[int, int], ...], regs: int, bit: int) -> dict[int, int]:
+    """``bit`` or 0 for every submask of ``regs``: where the compiled
+    clauses hold at a state masked to the component's regulators."""
+    table = {}
+    key = regs
+    while True:
+        table[key] = bit if holds(clauses, key) else 0
+        if not key:
+            return table
+        key = (key - 1) & regs
+
+
 def simulate(
     pnet: ProbabilisticNetwork,
     initial: int,
@@ -197,26 +222,41 @@ def simulate(
     a fully deterministic network revisits a state (a provable cycle), or
     after ``max_steps``.  ``absorbed`` on the outcome records whether the
     run ended at such a fixed point.  ``classifier`` labels the final
-    state (default: the state string).
+    state (default: the state string); it is called once per distinct
+    final state, so it must be a pure function of the state.
+
+    Run k draws from ``random.Random(_mix_seed(seed, k))``: one
+    ``random()`` r per randomized component per step, in component order,
+    picking the first ensemble entry whose cumulative probability is at
+    least r.  Every component is tabulated once per call on the submasks
+    of its regulators, so a step reads ``state & regs`` from a dict
+    instead of testing clauses; the OR of the fixed components is also
+    memoized per visited state, for at most ``MEMO_LIMIT`` states.
     """
     bn = pnet.network
     n = bn.n
 
-    # Randomized components: (bit, cumulative probs, compiled shapes); the
-    # rest: (bit, compiled clauses), leaving out constant-false ones.
-    randomized = []
+    # Fixed components (no ensemble or a one-entry one): (regs, submask ->
+    # bit or 0), leaving out constant-false ones; randomized ones: (regs,
+    # submask -> one bit or 0 per ensemble entry, cumulative probs).
     fixed = []
+    randomized = []
     for i, (c, ens) in enumerate(zip(bn.components, pnet.ensembles)):
         if ens is None:
-            if c.compiled:
-                fixed.append((1 << i, c.compiled))
-        elif len(ens) == 1:
-            fixed.append((1 << i, compile_clauses(ens.entries[0][0], c.ctx, c.regulators)))
+            if not c.compiled:
+                continue
+            compiled = [c.compiled]
         else:
+            compiled = [compile_clauses(s, c.ctx, c.regulators) for s, _ in ens.entries]
+        regs = reduce(or_, [1 << r for r in c.regulators], 0)
+        columns = [_lookup(clauses, regs, 1 << i) for clauses in compiled]
+        if len(columns) == 1:
+            fixed.append((regs, columns[0]))
+        else:
+            rows = {key: tuple([col[key] for col in columns]) for key in columns[0]}
             cum = list(accumulate(prob for _, prob in ens.entries))
             cum[-1] = 1.0
-            compiled = tuple(compile_clauses(s, c.ctx, c.regulators) for s, _ in ens.entries)
-            randomized.append((1 << i, tuple(cum), compiled))
+            randomized.append((regs, rows, tuple(cum)))
 
     # With no randomized components every trajectory is deterministic, so
     # a revisited state proves a cycle; under per-step sampling a revisit
@@ -225,27 +265,31 @@ def simulate(
 
     if classifier is None:
         classifier = lambda s: state_to_string(s, n)  # noqa: E731
+    labels: dict[int, str] = {}
+    memo: dict[int, int] = {}
 
     outcomes = []
     for run in range(runs):
         run_seed = _mix_seed(seed, run)
-        rng = random.Random(run_seed)
+        draw = random.Random(run_seed).random
         state = initial
         steps = 0
         absorbed = False
         visited = {state} if deterministic else None
         while steps < max_steps:
-            nxt = 0
-            for bit, clauses in fixed:
-                if holds(clauses, state):
-                    nxt |= bit
-            for bit, cum, compiled in randomized:
-                r = rng.random()
+            nxt = memo.get(state)
+            if nxt is None:
+                nxt = 0
+                for regs, table in fixed:
+                    nxt |= table[state & regs]
+                if len(memo) < MEMO_LIMIT:
+                    memo[state] = nxt
+            for regs, rows, cum in randomized:
+                r = draw()
                 pick = 0
                 while cum[pick] < r:
                     pick += 1
-                if holds(compiled[pick], state):
-                    nxt |= bit
+                nxt |= rows[state & regs][pick]
             steps += 1
             if nxt == state:
                 absorbed = True
@@ -255,9 +299,9 @@ def simulate(
                 if state in visited:
                     break
                 visited.add(state)
-        outcomes.append(
-            RunOutcome(run, run_seed, steps, state, absorbed, classifier(state))
-        )
+        if state not in labels:
+            labels[state] = classifier(state)
+        outcomes.append(RunOutcome(run, run_seed, steps, state, absorbed, labels[state]))
     return SimulationReport(seed, runs, max_steps, tuple(outcomes))
 
 

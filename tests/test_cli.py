@@ -260,6 +260,13 @@ def test_pbn_phenotypes_need_markers(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pbn_experiment_refuses_unstepped_runs(capsys):
+    # zero steps would label the initial state as if a run had ended there
+    assert main(["pbn", "--experiment", "C", "--runs", "5", "--max-steps", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-steps must be at least 1" in captured.err
+
+
 def test_pbn_requires_a_source(capsys):
     assert main(["pbn", "--runs", "1"]) == 2
     assert "one of --experiment, --th-preset, --model" in capsys.readouterr().err
@@ -272,6 +279,8 @@ def test_pbn_requires_a_source(capsys):
     (["--initial", "0" * 31], 3, "--initial has 31 values for 23 components"),
     (["--initial", "x" + "0" * 22], 2, "parse error: bad state character"),
     (["--runs", "0"], 3, "--runs must be at least 1"),
+    (["--max-steps", "0"], 3, "--max-steps must be at least 1"),
+    (["--max-steps", "-3"], 3, "--max-steps must be at least 1"),
 ])
 def test_pbn_bad_inputs_exit_with_one_line(capsys, argv, code, message):
     assert main(["pbn", "--th-preset", "--seed", "1", *argv]) == code

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import math
+import random
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funspace import pbn
 from funspace import (
     EXPERIMENTS,
     FunctionEnsemble,
@@ -15,6 +23,7 @@ from funspace import (
     make_shape,
     neighbor_ensemble,
     network_from_functions,
+    randomized_network,
     run_experiment,
     simulate,
     state_from_string,
@@ -24,6 +33,8 @@ from funspace import (
     th_neighbor_table,
 )
 from funspace.errors import ArityMismatch, InvalidProbability, MissingMarker
+
+from conftest import networks
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +278,109 @@ def test_experiment_c_short_batch():
     rep = run_experiment("C", runs=120, seed=1)
     assert rep.proportions == {"Th1": 1.0}
     assert all(o.absorbed for o in rep.outcomes)
+
+
+def test_simulation_outcomes_are_pinned():
+    # the draw order and count of the per-step evaluator the lookup tables
+    # replaced: SHA-256 of every (run, seed, steps, final_state, absorbed,
+    # label) of run_experiment(x, runs=200, seed=1)
+    digests = {
+        "A": "60052b9709ee025ee743027e2b877462f6eeb298b3b4c6ba10cd03dec1cfd46a",
+        "B": "8462178d8038a27c0470b39a4828915d53bc679946e268db9a8f932cf805d004",
+        "C": "0a3f859016bcbefaaebd6309b2a46f46b98bd12e01a388447ea42ba612614f96",
+        "D": "d4ec6977bb7c97ebbe01dd791957515d17f5dc0d81751f80f6e9c21cc90da980",
+        "E": "fc2a86adf57e2d562fc90ae3d72914355ad0b237ff0bf6b8b0794faa37bc764a",
+        "F": "308ceb4053adb1cf7d14cef5ad9d25490b139daa46c2e91ee50bd05ad42c4503",
+    }
+    for which, digest in digests.items():
+        seq = [(o.run, o.seed, o.steps, o.final_state, o.absorbed, o.label)
+               for o in run_experiment(which, runs=200, seed=1).outcomes]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest, which
+
+
+def reference_simulate(pnet, initial, runs, seed, max_steps):
+    """The documented rule, one clause test per component per step: run k
+    draws from Random(_mix_seed(seed, k)), one random() r per component
+    with a multi-entry ensemble, in component order, and applies the first
+    entry whose running probability total reaches r (the last if none)."""
+    bn = pnet.network
+    deterministic = all(ens is None or len(ens) == 1 for ens in pnet.ensembles)
+    outcomes = []
+    for run in range(runs):
+        rng = random.Random(pbn._mix_seed(seed, run))
+        state, steps, absorbed, seen = initial, 0, False, {initial}
+        while steps < max_steps:
+            nxt = 0
+            for i, (comp, ens) in enumerate(zip(bn.components, pnet.ensembles)):
+                if comp.shape is None:
+                    on = comp.constant
+                else:
+                    shape = comp.shape if ens is None else ens.entries[-1][0]
+                    if ens is not None and len(ens) > 1:
+                        r, total = rng.random(), 0.0
+                        for candidate, prob in ens.entries[:-1]:
+                            total += prob
+                            if r <= total:
+                                shape = candidate
+                                break
+                    local = sum(1 << k for k, reg in enumerate(comp.regulators)
+                                if state >> reg & 1)
+                    on = evaluate(shape, comp.ctx, local)
+                if on:
+                    nxt |= 1 << i
+            steps += 1
+            if nxt == state:
+                absorbed = True
+                break
+            state = nxt
+            if deterministic:
+                if state in seen:
+                    break
+                seen.add(state)
+        outcomes.append((steps, state, absorbed))
+    return outcomes
+
+
+@pytest.mark.parametrize("memo_limit", [pbn.MEMO_LIMIT, 0], ids=["memo", "no-store"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_simulate_follows_the_documented_rule(memo_limit, data):
+    bn = data.draw(networks())
+    regulated = [c.name for c in bn.components if c.shape is not None]
+    targets = data.draw(st.none() | st.lists(st.sampled_from(regulated), unique=True)
+                        if regulated else st.just([]))
+    mode = data.draw(st.sampled_from(["parents_children", "with_siblings"]))
+    ref_prob = data.draw(st.sampled_from([0.8, 0.5, 0.3]))
+    pnet = randomized_network(bn, components=targets, mode=mode, ref_prob=ref_prob)
+    initial = data.draw(st.integers(0, (1 << bn.n) - 1))
+    seed = data.draw(st.integers(0, 2**32))
+    max_steps = data.draw(st.integers(1, 50))
+    labelled = []
+
+    def classifier(state):
+        labelled.append(state)
+        return f"s{state}"
+
+    with patch.object(pbn, "MEMO_LIMIT", memo_limit):
+        rep = simulate(pnet, initial, runs=4, seed=seed, max_steps=max_steps,
+                       classifier=classifier)
+    assert [(o.steps, o.final_state, o.absorbed) for o in rep.outcomes] == \
+        reference_simulate(pnet, initial, 4, seed, max_steps)
+    assert [o.label for o in rep.outcomes] == [f"s{o.final_state}" for o in rep.outcomes]
+    assert sorted(labelled) == sorted({o.final_state for o in rep.outcomes})
+
+
+def test_draw_picks_entries_with_their_probabilities():
+    # t = a AND b with ensemble {AND: 0.8, OR: 0.2}; from a on, b off, one
+    # step sets t exactly when OR was drawn
+    bn = network_from_functions([
+        ("a", True), ("b", False), ("t", (["a", "b"], "++", [[1, 2]])),
+    ])
+    ens = FunctionEnsemble(((make_shape([[1, 2]], 2), 0.8),
+                            (make_shape([[1], [2]], 2), 0.2)))
+    pnet = ProbabilisticNetwork(bn, (None, None, ens))
+    runs = 4000
+    rep = simulate(pnet, state_from_string("100"), runs=runs, seed=7, max_steps=1)
+    assert {o.final_state & 3 for o in rep.outcomes} == {1}
+    share = sum(o.final_state >> 2 & 1 for o in rep.outcomes) / runs
+    assert abs(share - 0.2) <= 5 * math.sqrt(0.2 * 0.8 / runs)

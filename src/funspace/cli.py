@@ -25,7 +25,6 @@ from .dynamics import (
 from .errors import FunspaceError, ModelError
 from .modelio import (
     load_model,
-    network_to_json,
     parse_expression,
     render_expression,
     slice_to_dot,
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", action="store_true", help="list every transition")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
-                   help="largest component count to materialize")
+                   help="largest component count to accept")
     p.set_defaults(func=cmd_stg)
 
     p = sub.add_parser("verify", help="check neighbor rules against brute force")

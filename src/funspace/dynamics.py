@@ -7,9 +7,11 @@ uses component 1 leftmost via :func:`funspace.shapes.state_to_string`.
 
 Two update schemes: asynchronous (one component flips per transition; the
 union over components gives the transition graph) and synchronous (all
-components update together).  Both graphs come from one update map F(s)
-read off the components' truth tables.  Self-loops are never materialized,
-so stable states are exactly the nodes without successors in either graph.
+components update together).  A graph is held as the components' 2^n-bit
+truth tables: stable states, edge counts and async attractors are bitwise
+operations on whole-space sets, and only sync attractors and the explicit
+edge list walk the states one by one.  Self-loops are never counted, so
+stable states are exactly the nodes without successors in either graph.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -19,7 +21,9 @@ and walks those counts along upward paths in the function order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,7 +47,8 @@ from .shapes import (
     variable_table,
 )
 
-#: Refuse to materialize graphs over more than 2**25 states by default.
+#: Refuse graphs over more than 2**25 states by default (a 2^n-bit table
+#: per component: 4 MB each at n = 25).
 DEFAULT_STATE_LIMIT = 25
 
 
@@ -105,10 +110,7 @@ class BooleanNetwork:
                     raise ValueError(f"component {c.name}: regulator index {r} out of range")
             if c.ctx is not None:
                 # self_index must agree with the regulator list.
-                if i in c.regulators:
-                    want = c.regulators.index(i) + 1
-                else:
-                    want = None
+                want = c.regulators.index(i) + 1 if i in c.regulators else None
                 if c.ctx.self_index != want:
                     raise ValueError(
                         f"component {c.name}: self_index {c.ctx.self_index} "
@@ -146,111 +148,131 @@ def _check_limit(n: int, limit: int) -> None:
         )
 
 
+def _closure(x: int, moves: list[tuple[int, int, int]], forward: bool) -> int:
+    """The states x reaches (``forward``) or that reach x, as a 2^n-bit set.
+    A move (w, up, down) is an edge s -> s + w for each bit s of ``up`` and
+    s -> s - w for each bit s of ``down``; sweeps stop when one adds nothing."""
+    while True:
+        y = x
+        for w, up, down in moves:
+            if forward:
+                y |= (y & up) << w | (y & down) >> w
+            else:
+                y |= (y >> w) & up | (y << w) & down
+        if y == x:
+            return x
+        x = y
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class STG:
-    """A state-transition graph; nodes are all states 0..2^n-1 implicitly."""
+    """A state-transition graph over the states 0..2^n-1: ``tables[i]`` is
+    component i's 2^n-bit truth table (bit s is its next value at state s).
+    ``successors``, each state's out-edges, is built on first access."""
 
     mode: str  # 'async' | 'sync'
     n: int
-    successors: tuple[tuple[int, ...], ...]
+    tables: tuple[int, ...]
+
+    def _fixed(self) -> int:
+        """The fixed points: AND over components of NOT(table XOR variable)."""
+        fixed = (1 << (1 << self.n)) - 1
+        for i, t in enumerate(self.tables):
+            fixed &= ~(t ^ variable_table(i, self.n))
+        return fixed
+
+    def _update(self) -> memoryview:
+        """The synchronous update ``F[s]`` of every state s, 4 bytes a state.
+        Component i's table digits (state 0 last) become bytes 0 or 1, read
+        as one int, shifted by i % 8 and OR-ed into byte i // 8 of each F[s]."""
+        size = 1 << self.n
+        words = bytearray(4 * size)
+        for i, t in enumerate(self.tables):
+            k = i // 8 if sys.byteorder == "little" else 3 - i // 8
+            lane = int.from_bytes(format(t, f"0{size}b").encode().translate(_BITS), "big")
+            lane = lane << i % 8 | int.from_bytes(words[k::4], "little")
+            words[k::4] = lane.to_bytes(size, "little")
+        return memoryview(words).cast("I")
 
     def stable_states(self) -> tuple[int, ...]:
-        return tuple(s for s in range(1 << self.n) if not self.successors[s])
+        return tuple(table_states(self._fixed()))
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.successors)
+        if self.mode == "sync":
+            return (1 << self.n) - self._fixed().bit_count()
+        return sum((t ^ variable_table(i, self.n)).bit_count() for i, t in enumerate(self.tables))
 
-
-def _update_map(bn: BooleanNetwork, limit: int) -> list[int]:
-    """The synchronous update ``F[s]`` of every state s < 2^n, read off the
-    truth tables: bit i of ``F[s]`` is set for each state in component i's."""
-    _check_limit(bn.n, limit)
-    update = [0] * (1 << bn.n)
-    for i, c in enumerate(bn.components):
-        bit = 1 << i
-        for s in table_states(truth_table(c.compiled, bn.n)):
-            update[s] |= bit
-    return update
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        pairs = enumerate(self._update())
+        if self.mode == "sync":
+            return tuple([(t,) if t != s else () for s, t in pairs])
+        return tuple([tuple([s ^ (1 << i) for i in bits_of(s ^ t)]) for s, t in pairs])
 
 
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Asynchronous graph: one transition per component whose value differs."""
-    update = _update_map(bn, limit)
-    succ = tuple(
-        tuple([s ^ (1 << i) for i in bits_of(s ^ t)]) for s, t in enumerate(update)
-    )
-    return STG("async", bn.n, succ)
+    _check_limit(bn.n, limit)
+    return STG("async", bn.n, tuple([truth_table(c.compiled, bn.n) for c in bn.components]))
 
 
 def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Synchronous graph: every state maps to its full update (no self-loops)."""
-    update = _update_map(bn, limit)
-    return STG("sync", bn.n, tuple((t,) if t != s else () for s, t in enumerate(update)))
+    return replace(stg_async(bn, limit), mode="sync")
 
 
 def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:
-    """Fixed points of the update (scheme-independent), ascending.
-
-    A state is fixed when every component's next value equals its current
-    one, so the fixed points are the AND over components of
-    NOT(table XOR variable), computed on whole-space bitsets.
-    """
-    _check_limit(bn.n, limit)
-    fixed = (1 << (1 << bn.n)) - 1
-    for i, c in enumerate(bn.components):
-        fixed &= ~(truth_table(c.compiled, bn.n) ^ variable_table(i, bn.n))
-    return tuple(table_states(fixed))
+    """Fixed points of the update (scheme-independent), ascending."""
+    return stg_sync(bn, limit).stable_states()
 
 
 def attractors(stg: STG) -> tuple[frozenset[int], ...]:
     """Terminal strongly connected components, sorted by smallest state.
 
-    Iterative Tarjan; each frame holds a successor iterator and the stack
-    height at its state's push.  A state in a finished SCC gets index 2^n,
-    so it never lowers a ``low``.  A popped SCC is an attractor when no
-    edge reaches a finished state.  Stable states come out as singletons.
+    Stable states come out as singletons.  Sync: the cycles of the update
+    map, found by one walk that marks each state on-path, then done.  Async:
+    implicit-set search on 2^n-bit sets (Xie & Beerel, IEEE TCAD 2000).  The
+    stable states and the states that reach one go first.  Then, from the
+    lowest state s left, s moves to a state it reaches that cannot reach it
+    back, until there is none; what s reaches is an attractor, and it goes
+    with every state that reaches it.
     """
-    succ = stg.successors
-    done = 1 << stg.n
-    index = [-1] * done
-    low = [0] * done
-    stack: list[int] = []
-    out: list[frozenset[int]] = []
-    counter = 0
-    for root in range(done):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]), 0)]
-        while work:
-            v, it, height = work[-1]
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    work.append((w, iter(succ[w]), len(stack)))
-                    stack.append(w)
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = stack[height:]
-                    del stack[height:]
-                    if all(index[w] != done for u in comp for w in succ[u]):
-                        out.append(frozenset(comp))
-                    for u in comp:
-                        index[u] = done
-    out.sort(key=min)
-    return tuple(out)
+    if stg.mode == "sync":
+        update, out = stg._update(), []
+        mark = bytearray(len(update))  # 0 new, 1 on the current path, 2 done
+        for root in range(len(update)):
+            path, s = [], root
+            while not mark[s]:
+                mark[s] = 1
+                path.append(s)
+                s = update[s]
+            if mark[s] == 1:
+                out.append(frozenset(path[path.index(s):]))
+            for s in path:
+                mark[s] = 2
+        return tuple(sorted(out, key=min))
+    moves = []  # components that never flip are left out
+    for i, t in enumerate(stg.tables):
+        var = variable_table(i, stg.n)
+        if t != var:
+            moves.append((1 << i, t & ~var, var & ~t))
+    fixed = stg._fixed()
+    out = [frozenset((s,)) for s in table_states(fixed)]
+    left = ((1 << (1 << stg.n)) - 1) & ~_closure(fixed, moves, False)
+    while left:
+        escape = left
+        while escape:
+            s = escape & -escape
+            fwd, bwd = _closure(s, moves, True), _closure(s, moves, False)
+            escape = fwd & ~bwd
+        low = (fwd & -fwd).bit_length() - 1  # skip the empty states below it
+        out.append(frozenset([low + k for k in table_states(fwd >> low)]))
+        left &= ~bwd
+    return tuple(sorted(out, key=min))
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +429,10 @@ def path_trace(
             raise ArityMismatch(f"shape {s} does not match context arity {ctx.arity}")
     for a, b in zip(path, path[1:]):
         parent_step(a, b)  # raises NotAParent on a broken link
-    rows = []
-    for s in path:
-        inc, dec, _ = shape_transition_counts(s, ctx)
-        rows.append(TraceRow(s, true_count(s), inc, dec))
-    return rows
+    return [TraceRow(s, true_count(s), *shape_transition_counts(s, ctx)[:2]) for s in path]
 
 
-def network_from_functions(
-    specs: Iterable[tuple[str, object]],
-) -> BooleanNetwork:
+def network_from_functions(specs: Iterable[tuple[str, object]]) -> BooleanNetwork:
     """Convenience builder from (name, spec) pairs.
 
     ``spec`` is either a bool (constant input) or a triple
@@ -435,7 +451,5 @@ def network_from_functions(
         self_index = regs.index(i) + 1 if i in regs else None
         ctx = RegulatorContext.from_str(sign_text, self_index)
         shape = make_shape(clause_sets, len(regs))
-        comps.append(
-            Component(name=name, regulators=regs, shape=shape, ctx=ctx)
-        )
+        comps.append(Component(name=name, regulators=regs, shape=shape, ctx=ctx))
     return BooleanNetwork(tuple(comps))

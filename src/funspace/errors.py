@@ -56,7 +56,7 @@ class DedekindUnknown(FunspaceError, ValueError):
 
 
 class StateSpaceTooLarge(FunspaceError, ValueError):
-    """Refusing to materialize a state space above the configured limit."""
+    """Refusing a state space above the configured limit."""
 
 
 class NotAutoregulated(FunspaceError, ValueError):

@@ -35,7 +35,6 @@ from .shapes import (
     NEGATIVE,
     POSITIVE,
     RegulatorContext,
-    clause_indices,
     minimize,
     state_to_string,
 )

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .dynamics import BooleanNetwork
 from .errors import ArityMismatch, InvalidProbability, MissingMarker
 from .modelio import parse_model
-from .neighborhood import HasseSlice, children, hasse_slice, parents
+from .neighborhood import HasseSlice, children, count_consistent, hasse_slice, parents
 from .shapes import FunctionShape, compile_clauses, holds, state_to_string
 
 
@@ -139,13 +139,10 @@ def randomized_network(
         targets = {i for i, c in enumerate(bn.components) if c.shape is not None}
     else:
         targets = {bn.index(name) for name in components}
-    slots: list[FunctionEnsemble | None] = []
-    for i in range(bn.n):
-        if i in targets:
-            slots.append(neighbor_ensemble(bn, i, mode=mode, ref_prob=ref_prob))
-        else:
-            slots.append(None)
-    return ProbabilisticNetwork(bn, tuple(slots))
+    return ProbabilisticNetwork(bn, tuple([
+        neighbor_ensemble(bn, i, mode=mode, ref_prob=ref_prob) if i in targets else None
+        for i in range(bn.n)
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +387,6 @@ def th_neighbor_table(bn: BooleanNetwork | None = None) -> dict[str, NeighborTab
     ``starred_siblings`` uses the wide sibling notion (shared parent or
     shared child), which is what the published table's starred rows count.
     """
-    from .neighborhood import count_consistent
-
     if bn is None:
         bn = th_model()
     table: dict[str, NeighborTableEntry] = {}

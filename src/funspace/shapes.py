@@ -250,11 +250,7 @@ class RegulatorContext:
     @property
     def neg_mask(self) -> int:
         """Bitmask of inhibitor positions."""
-        m = 0
-        for k, s in enumerate(self.signs):
-            if s == NEGATIVE:
-                m |= 1 << k
-        return m
+        return sum(1 << k for k, s in enumerate(self.signs) if s == NEGATIVE)
 
     @property
     def pos_mask(self) -> int:
@@ -540,13 +536,8 @@ class Signature:
 def signatures(shape: FunctionShape, ctx: RegulatorContext) -> tuple[Signature, ...]:
     """One signature per clause, aligned with ``shape.clauses`` order."""
     _require_same_arity(shape, ctx)
-    sigs = []
-    for c in shape.clauses:
-        syms = tuple(
-            OPERATIVE if c & (1 << k) else FREE for k in range(shape.arity)
-        )
-        sigs.append(Signature(syms))
-    return tuple(sigs)
+    return tuple(Signature(tuple(OPERATIVE if c & (1 << k) else FREE for k in range(shape.arity)))
+                 for c in shape.clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ def shapes_with_contexts(draw, max_arity=8):
 
 
 @st.composite
-def networks(draw, max_n=6):
+def networks(draw, max_n=6, min_n=1):
     """Networks of random signed shapes over random regulators, some constant."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     comps = []
     for i in range(n):
         if draw(st.integers(0, 4)) == 0:

@@ -173,6 +173,24 @@ def test_stg_edges_flag(capsys):
     assert "  010 -> 110" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_stg_zero_components(tmp_path, capsys, mode):
+    model = tmp_path / "empty.bnet"
+    model.write_text("targets, factors\n")  # a header and no component
+    path = str(model)
+    assert main(["stg", path, "--mode", mode, "--edges"]) == 0
+    assert capsys.readouterr().out == (
+        f"components: \n{mode} graph: 1 states, 0 transitions\n"
+        "stable states (1): \nattractor [stable]: \n"
+    )
+    assert main(["stg", path, "--mode", mode, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n_states"], doc["n_edges"]) == (1, 0)
+    assert doc["stable_states"] == [""] and doc["attractors"] == [[""]]
+    assert main(["stg", path, "--mode", mode, "--format", "dot"]) == 0
+    assert '  "" [shape=doublecircle];' in capsys.readouterr().out
+
+
 def test_stg_missing_file(capsys):
     assert main(["stg", "no/such/file.bnet"]) == 2
     assert "cannot read/write:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from funspace import (
     inf_shape,
     make_shape,
     network_from_functions,
+    parse_model,
     path_trace,
     random_path,
     shape_leq,
@@ -396,6 +398,41 @@ def test_network_evaluation_matches_evaluate(bn):
         bit = 1 << i
         assert ts.increasing == {s for s, t in enumerate(steps) if t & bit and not s & bit}
         assert ts.decreasing == {s for s, t in enumerate(steps) if s & bit and not t & bit}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(networks(min_n=8, max_n=10))
+def test_attractors_past_six_components(bn):
+    # large enough that the async search often moves its start state
+    # several times before it reaches an attractor
+    for g in (stg_async(bn), stg_sync(bn)):
+        assert attractors(g) == _reference_attractors(g)
+
+
+def test_zero_component_network():
+    bn = parse_model("targets, factors\n")
+    assert stable_states(bn) == (0,)
+    for g in (stg_async(bn), stg_sync(bn)):
+        assert (g.n, g.n_edges, g.successors) == (0, 0, ((),))
+        assert g.stable_states() == (0,)
+        assert attractors(g) == (frozenset({0}),)
+
+
+def test_async_attractors_of_a_20_ring_stay_small():
+    # x_i copies x_{i-1}, with signs alternating around the ring; the
+    # explicit graph of 2^20 states peaked at 513 MB under tracemalloc
+    n = 20
+    bn = network_from_functions(
+        (f"x{i}", ([f"x{(i - 1) % n}"], "+-"[i % 2], [[1]])) for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        atts = attractors(stg_async(bn))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert len(atts) == 2 and atts == tuple(frozenset({s}) for s in stable_states(bn))
 
 
 def test_th_model_stable_states_are_the_published_patterns(th_bn):

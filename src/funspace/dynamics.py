@@ -41,6 +41,7 @@ from .shapes import (
     compile_clauses,
     holds,
     make_shape,
+    shape_table,
     table_states,
     true_count,
     truth_table,
@@ -328,8 +329,9 @@ def shape_transition_counts(
     is forced at every transition source, so the counts reduce to the
     regulator space: increasing = |T(f)|, decreasing = 2^p − |T(f)|, and
     they always sum to 2^(n−1) = 2^p.  With autoregulation the space is
-    B^p itself and the counts come from splitting T(f) on the target's own
-    coordinate.
+    B^p itself and the counts come from splitting the truth table
+    (:func:`funspace.shapes.shape_table`, the sign-flipped up-closure of
+    the clause table) on the target's own coordinate.
     """
     if shape.arity != ctx.arity:
         raise ArityMismatch("shape and context arity differ")
@@ -337,7 +339,7 @@ def shape_transition_counts(
     if ctx.self_index is None:
         t = true_count(shape)
         return t, (1 << p) - t, p + 1
-    table = truth_table(compile_clauses(shape, ctx), p)
+    table = shape_table(shape, ctx)
     own = variable_table(ctx.self_index - 1, p)
     return (table & ~own).bit_count(), (own & ~table).bit_count(), p
 

@@ -26,7 +26,8 @@ single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
-`children`).  Candidates stay tables until they pass the cover test.
+`children`).  Candidates stay tables until they pass the cover test, and
+`random_path` orders them as tables and builds only the shape it steps to.
 
 `build_hasse` is the independent oracle: it ranks all shapes by true-set
 containment and extracts covering pairs directly from the definition, so
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cmp_to_key, reduce
 from itertools import combinations
 from math import comb
 from operator import and_
@@ -55,12 +56,12 @@ from .shapes import (
     _is_subset,
     bits_of,
     clause_mask,
+    clause_table,
     compile_clauses,
     inf_shape,
     level,
     level_leq,
     minimal_elements,
-    sup_shape,
     table_states,
     true_count,
     truth_table,
@@ -72,6 +73,7 @@ PARENT_R1 = "parent-r1"  # independent new clause
 PARENT_R2 = "parent-r2"  # absorbing new clause
 PARENT_R3 = "parent-r3"  # pair of absorbing clauses, covering jointly
 CHILD = "child"
+_DELTA = {PARENT_R1: 1, PARENT_R2: 1, PARENT_R3: 2}
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,6 @@ class NeighborStep:
 
     def sort_key(self) -> tuple:
         return (self.rule, self.shape.sort_key())
-
-
-def _clause_table(shape: FunctionShape) -> int:
-    return sum([1 << c for c in shape.clauses])
 
 
 def _max_outside_table(t: int, p: int) -> int:
@@ -114,9 +112,9 @@ def _shape_of(table: int, p: int) -> FunctionShape:
     return FunctionShape._unchecked(p, tuple([states[s] for s in table_states(table)]))
 
 
-def _covering(table: int, p: int) -> FunctionShape | None:
-    """The shape with this clause table, or None when some regulator is missing."""
-    return _shape_of(table, p) if all(table & v for v in variable_tables(p)) else None
+def _covering(table: int, p: int) -> bool:
+    """Does a clause table use every regulator?"""
+    return all(map(table.__and__, variable_tables(p)))
 
 
 def max_outside(shape: FunctionShape) -> tuple[int, ...]:
@@ -126,7 +124,7 @@ def max_outside(shape: FunctionShape) -> tuple[int, ...]:
     parent step adds clauses from this set.
     """
     p = shape.arity
-    return tuple(table_states(_max_outside_table(up_closure(_clause_table(shape), p), p)))
+    return tuple(table_states(_max_outside_table(up_closure(clause_table(shape), p), p)))
 
 
 def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
@@ -140,29 +138,53 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
     return all(not _is_subset(m, c) and not _is_subset(c, m) for c in shape.clauses)
 
 
-def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
-    """All covers of ``shape`` from above, tagged by the rule that built them."""
-    p = shape.arity
+def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int]]:
+    """(rule, clause table) of every parent of the shape with clause table
+    ``c`` and up-set ``t``, R1/R2 by ascending new clause, then R3 pairs."""
     var = variable_tables(p)
-    c = _clause_table(shape)
     full = (1 << (1 << p)) - 1
-    steps: list[NeighborStep] = []
     failed: list[tuple[int, int]] = []  # (m, U(m)) of absorbing states failing alone
-    for m in table_states(_max_outside_table(up_closure(c, p), p)):
+    for m in table_states(_max_outside_table(t, p)):
         if m == 0:
             continue  # only at the one-shape arity-1 order; no parent there
         above = reduce(and_, [var[j] for j in bits_of(m)], full)  # U(m), states ⊇ m
         if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
-            steps.append(NeighborStep(_shape_of(c | 1 << m, p), PARENT_R1, 1))
-        elif (new := _covering(c & ~above | 1 << m, p)) is not None:
-            steps.append(NeighborStep(new, PARENT_R2, 1))
+            yield PARENT_R1, c | 1 << m
+        elif _covering(new := c & ~above | 1 << m, p):
+            yield PARENT_R2, new
         else:
             failed.append((m, above))
     for (m1, u1), (m2, u2) in combinations(failed, 2):
-        if (new := _covering(c & ~(u1 | u2) | 1 << m1 | 1 << m2, p)) is not None:
-            steps.append(NeighborStep(new, PARENT_R3, 2))
+        if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p):
+            yield PARENT_R3, new
+
+
+def _compare_tables(x: tuple[str, int], y: tuple[str, int]) -> int:
+    """Order (rule, clause table) pairs like ``NeighborStep.sort_key``: by
+    rule, clause count, then the table holding the lowest differing state."""
+    (rx, a), (ry, b) = x, y
+    if rx != ry:
+        return -1 if rx < ry else 1
+    if (na := a.bit_count()) != (nb := b.bit_count()):
+        return na - nb
+    d = a ^ b
+    return -1 if d & -d & a else 1
+
+
+_TABLE_ORDER = cmp_to_key(_compare_tables)
+
+
+def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
+    """All covers of ``shape`` from above, tagged by the rule that built them.
+
+    A shape is read off each parent table as soon as it is found.
+    """
+    p = shape.arity
+    c = clause_table(shape)
+    steps = [NeighborStep(_shape_of(new, p), rule, _DELTA[rule])
+             for rule, new in _parent_tables(c, up_closure(c, p), p)]
     steps.sort(key=NeighborStep.sort_key)
     return tuple(steps)
 
@@ -178,19 +200,17 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     too.  Its clauses are the minimal elements left; an empty rest fails the cover.
     """
     p = shape.arity
-    t = up_closure(_clause_table(shape), p)
+    t = up_closure(clause_table(shape), p)
     steps: list[NeighborStep] = []
     failing: list[int] = []
     for c in shape.clauses:
-        cand = _covering(minimal_elements(t ^ 1 << c, p), p)
-        if cand is None:
-            failing.append(c)
+        if _covering(cand := minimal_elements(t ^ 1 << c, p), p):
+            steps.append(NeighborStep(_shape_of(cand, p), CHILD, 1))
         else:
-            steps.append(NeighborStep(cand, CHILD, 1))
+            failing.append(c)
     for c1, c2 in combinations(failing, 2):
-        cand = _covering(minimal_elements(t ^ 1 << c1 ^ 1 << c2, p), p)
-        if cand is not None:
-            steps.append(NeighborStep(cand, CHILD, 2))
+        if _covering(cand := minimal_elements(t ^ 1 << c1 ^ 1 << c2, p), p):
+            steps.append(NeighborStep(_shape_of(cand, p), CHILD, 2))
     steps.sort(key=NeighborStep.sort_key)
     return tuple(steps)
 
@@ -239,26 +259,29 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
     """
     if lower.arity != upper.arity:
         raise ArityMismatch("shapes of different arity cannot be neighbors")
-    for st in parents(lower):
-        if st.shape == upper:
-            return st
+    p = lower.arity
+    c, want = clause_table(lower), clause_table(upper)
+    for rule, new in _parent_tables(c, up_closure(c, p), p):
+        if new == want:
+            return NeighborStep(upper, rule, _DELTA[rule])
     raise NotAParent(f"{upper} does not cover {lower}")
 
 
 def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     """Uniform-upward random walk from the bottom shape to the top one.
 
-    At each step one parent is chosen uniformly.  Deterministic for a given
-    seed; every consecutive pair is a covering edge.
+    At each step one parent is chosen uniformly from the parent tables,
+    sorted in the order of ``parents``; only the pick becomes a shape.
+    Deterministic for a given seed; every consecutive pair is a covering
+    edge.
     """
     rng = random.Random(seed)
-    cur = inf_shape(p)
-    path = [cur]
-    top = sup_shape(p)
-    while cur != top:
-        options = parents(cur)
-        cur = options[rng.randrange(len(options))].shape
-        path.append(cur)
+    path = [inf_shape(p)]
+    c = t = clause_table(path[0])  # the bottom's one clause is its up-set
+    while options := sorted(_parent_tables(c, t, p), key=_TABLE_ORDER):
+        c = options[rng.randrange(len(options))][1]
+        t |= c  # a parent's up-set adds exactly its new clauses
+        path.append(_shape_of(c, p))
     return path
 
 

@@ -413,14 +413,35 @@ def table_states(table: int) -> list[int]:
     return out
 
 
+def clause_table(shape: FunctionShape) -> int:
+    """The 2^p-bit table with bit c set for every clause c, parsed from
+    binary digits (summing ``1 << c`` is quadratic in the table size)."""
+    digits = bytearray(b"0" * (1 << shape.arity))
+    for c in shape.clauses:
+        digits[~c] = 49  # ord("1"); bit c is the c-th digit from the right
+    return int(digits, 2)
+
+
+def shape_table(shape: FunctionShape, ctx: RegulatorContext) -> int:
+    """Bit s set iff the function holds at s: the up-closure of the clause
+    table with the halves swapped across each inhibitor's bit."""
+    _require_same_arity(shape, ctx)
+    p = shape.arity
+    table = up_closure(clause_table(shape), p)
+    var = variable_tables(p)
+    for k in bits_of(ctx.neg_mask):
+        table = (table & var[k]) >> (1 << k) | (table & ~var[k]) << (1 << k)
+    return table
+
+
 def true_states(shape: FunctionShape, ctx: RegulatorContext) -> frozenset[int]:
     """The function's true set T(f) ⊆ B^p."""
-    return frozenset(table_states(truth_table(compile_clauses(shape, ctx), shape.arity)))
+    return frozenset(table_states(shape_table(shape, ctx)))
 
 
 def true_count(shape: FunctionShape) -> int:
     """|T(f)| — sign-independent, so counted in the all-positive reading."""
-    return up_closure(sum([1 << c for c in shape.clauses]), shape.arity).bit_count()
+    return up_closure(clause_table(shape), shape.arity).bit_count()
 
 
 def is_consistent(table: Sequence[bool] | Sequence[int], ctx: RegulatorContext) -> bool:

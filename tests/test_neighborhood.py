@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
@@ -31,7 +33,14 @@ from funspace import (
     verify_rules,
 )
 from funspace.errors import ArityTooLarge, DedekindUnknown, NotAParent
-from funspace.neighborhood import PARENT_R1, PARENT_R2, PARENT_R3
+from funspace.neighborhood import (
+    PARENT_R1,
+    PARENT_R2,
+    PARENT_R3,
+    NeighborStep,
+    _compare_tables,
+)
+from funspace.shapes import clause_table
 
 from conftest import shapes
 
@@ -369,6 +378,49 @@ def test_random_path_seeded():
     for lo, hi in zip(p1, p1[1:]):
         parent_step(lo, hi)  # raises if not a Hasse step
     assert random_path(1) == [sup_shape(1)]
+
+
+def _reference_walk(p, seed):
+    """The walk that picks uniformly from the sorted ``parents`` list."""
+    rng = random.Random(seed)
+    path = [inf_shape(p)]
+    while path[-1] != sup_shape(p):
+        options = parents(path[-1])
+        path.append(options[rng.randrange(len(options))].shape)
+    return path
+
+
+@pytest.mark.parametrize(
+    "p, seeds", [(p, range(10)) for p in range(1, 8)] + [(8, range(3)), (9, range(3))]
+)
+def test_random_path_takes_the_parents_pick(p, seeds):
+    for seed in seeds:
+        assert random_path(p, seed) == _reference_walk(p, seed)
+
+
+@hst.composite
+def _ranked_shapes(draw):
+    """Distinct shapes of one arity, each with a rule; images of each shape
+    under regulator permutations share its clause count."""
+    p = draw(hst.integers(2, 12))
+    found = set()
+    for shape in draw(hst.lists(shapes(p), min_size=1, max_size=4)):
+        for perm in draw(hst.lists(hst.permutations(range(p)), max_size=4)):
+            found.add(FunctionShape(p, tuple(sorted(
+                sum(1 << perm[j] for j in range(p) if c >> j & 1) for c in shape.clauses))))
+        found.add(shape)
+    rules = hst.sampled_from((PARENT_R1, PARENT_R2, PARENT_R3))
+    return [(draw(rules), s) for s in sorted(found, key=FunctionShape.sort_key)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ranked_shapes(), hst.randoms())
+def test_table_order_is_the_sort_key_order(ranked, rnd):
+    rnd.shuffle(ranked)
+    want = sorted(ranked, key=lambda rs: NeighborStep(rs[1], rs[0], 1).sort_key())
+    by_table = {clause_table(s): s for _, s in ranked}
+    got = sorted([(r, clause_table(s)) for r, s in ranked], key=cmp_to_key(_compare_tables))
+    assert [(r, by_table[t]) for r, t in got] == want
 
 
 def test_random_path_seeds_differ():

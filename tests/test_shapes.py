@@ -29,7 +29,15 @@ from funspace import (
     true_count,
     true_states,
 )
-from funspace.shapes import compile_clauses, holds, truth_table
+from funspace.shapes import (
+    clause_table,
+    compile_clauses,
+    holds,
+    shape_table,
+    table_states,
+    truth_table,
+    variable_table,
+)
 from funspace.errors import (
     ArityTooLarge,
     EmptyClauseSet,
@@ -210,6 +218,49 @@ def test_clause_evaluator_matches_evaluate(case):
         assert inc == sum(1 for s in truth if not s & own)
         assert dec == sum(1 for s in range(1 << p) if s & own and s not in truth)
         assert n == p
+
+
+def _compiled_table(shape, ctx):
+    return truth_table(compile_clauses(shape, ctx), shape.arity)
+
+
+def _compiled_transition_counts(shape, ctx):
+    """shape_transition_counts from the compiled clauses' truth table."""
+    p = shape.arity
+    table = _compiled_table(shape, ctx)
+    if ctx.self_index is None:
+        return table.bit_count(), (1 << p) - table.bit_count(), p + 1
+    own = variable_table(ctx.self_index - 1, p)
+    return (table & ~own).bit_count(), (own & ~table).bit_count(), p
+
+
+def _assert_tables_match_compiled(shape, ctx):
+    table = _compiled_table(shape, ctx)
+    assert shape_table(shape, ctx) == table
+    assert true_states(shape, ctx) == frozenset(table_states(table))
+    assert shape_transition_counts(shape, ctx) == _compiled_transition_counts(shape, ctx)
+
+
+def test_shape_table_matches_compiled_clauses_for_every_context():
+    # every sign string and self_index at p <= 5, over a spread of shapes
+    for p, stride in ((1, 1), (2, 1), (3, 1), (4, 7), (5, 301)):
+        for shape in list(enumerate_all(p))[::stride]:
+            for signs in all_contexts(p):
+                for self_index in (None, *range(1, p + 1)):
+                    _assert_tables_match_compiled(
+                        shape, RegulatorContext(signs.signs, self_index))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes_with_contexts(max_arity=10))
+def test_shape_table_matches_compiled_clauses(case):
+    _assert_tables_match_compiled(*case)
+
+
+def test_clause_table_equals_the_sum_of_clause_bits():
+    for p in range(1, 17):
+        for shape in (inf_shape(p), sup_shape(p), majority_rule(p, (p + 1) // 2)):
+            assert clause_table(shape) == sum(1 << c for c in shape.clauses)
 
 
 def test_operative_corners():

@@ -28,7 +28,7 @@ from .modelio import (
     parse_expression,
     render_expression,
     slice_to_dot,
-    stg_to_dot,
+    stg_dot_lines,
 )
 from .neighborhood import (
     build_hasse,
@@ -160,7 +160,7 @@ def cmd_stg(args) -> int:
     graph = build(bn, limit=args.limit)
     names = bn.names()
     if args.format == "dot":
-        print(stg_to_dot(graph, names), end="")
+        sys.stdout.writelines(stg_dot_lines(graph, names))
         return 0
     stable = graph.stable_states()
     attr = attractors(graph)

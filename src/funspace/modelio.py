@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .dynamics import BooleanNetwork, Component, STG
 from .errors import (
@@ -357,25 +357,27 @@ def network_to_json(bn: BooleanNetwork) -> str:
     return json.dumps({"components": comps}, indent=2)
 
 
-def stg_to_dot(stg: STG, names: Iterable[str] | None = None) -> str:
-    """GraphViz text for a transition graph; stable states get double circles."""
+def stg_dot_lines(stg: STG, names: Iterable[str] | None = None) -> Iterator[str]:
+    """GraphViz text for a transition graph, line by line; stable states get double circles."""
     n = stg.n
     label = ", ".join(names) if names else None
-    lines = ["digraph stg {"]
+    yield "digraph stg {\n"
     if label:
-        lines.append(f'  label="components: {label}";')
-    lines.append("  node [shape=circle];")
+        yield f'  label="components: {label}";\n'
+    yield "  node [shape=circle];\n"
     stable = set(stg.stable_states())
     for s in range(1 << n):
         shape = "doublecircle" if s in stable else "circle"
-        lines.append(f'  "{state_to_string(s, n)}" [shape={shape}];')
+        yield f'  "{state_to_string(s, n)}" [shape={shape}];\n'
     for s in range(1 << n):
         for t in stg.successors[s]:
-            lines.append(
-                f'  "{state_to_string(s, n)}" -> "{state_to_string(t, n)}";'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{state_to_string(s, n)}" -> "{state_to_string(t, n)}";\n'
+    yield "}\n"
+
+
+def stg_to_dot(stg: STG, names: Iterable[str] | None = None) -> str:
+    """The lines of :func:`stg_dot_lines` as one string."""
+    return "".join(stg_dot_lines(stg, names))
 
 
 def slice_to_dot(sl: HasseSlice) -> str:

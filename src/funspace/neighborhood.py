@@ -26,8 +26,11 @@ single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
-`children`).  Candidates stay tables until they pass the cover test, and
-`random_path` orders them as tables and builds only the shape it steps to.
+`_child_tables`).  Candidates stay tables until they pass the cover test:
+`random_path` orders them as tables and builds only the shape it steps to,
+and siblings (the parents' children, the children's parents) are found and
+deduplicated as tables, whose up-sets each step already knows, so only the
+siblings returned become shapes.
 
 `build_hasse` is the independent oracle: it ranks all shapes by true-set
 containment and extracts covering pairs directly from the definition, so
@@ -176,21 +179,23 @@ def _compare_tables(x: tuple[str, int], y: tuple[str, int]) -> int:
 _TABLE_ORDER = cmp_to_key(_compare_tables)
 
 
-def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
-    """All covers of ``shape`` from above, tagged by the rule that built them.
+def _steps(found: Iterable[tuple[str, int, int]], p: int) -> tuple[NeighborStep, ...]:
+    """(rule, delta, clause table) triples as sorted steps, each table a shape at once."""
+    steps = [NeighborStep(_shape_of(table, p), rule, delta) for rule, delta, table in found]
+    return tuple(sorted(steps, key=NeighborStep.sort_key))
 
-    A shape is read off each parent table as soon as it is found.
-    """
+
+def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
+    """All covers of ``shape`` from above, tagged by the rule that built them."""
     p = shape.arity
     c = clause_table(shape)
-    steps = [NeighborStep(_shape_of(new, p), rule, _DELTA[rule])
-             for rule, new in _parent_tables(c, up_closure(c, p), p)]
-    steps.sort(key=NeighborStep.sort_key)
-    return tuple(steps)
+    found = _parent_tables(c, up_closure(c, p), p)
+    return _steps(((rule, _DELTA[rule], new) for rule, new in found), p)
 
 
-def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
-    """All covers of ``shape`` from below, built from the inverse removals.
+def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[int, int, int]]:
+    """(delta, clause table, up-set) of every child of the shape with clause
+    table ``c`` and up-set ``t``: single drops by ascending clause, then pairs.
 
     Each candidate is a cover by construction.  Dropping a clause c (a
     minimal element of T) leaves the up-set T∖{c}, one state smaller, so
@@ -199,20 +204,50 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     are T∖{c1} and T∖{c2}, both invalid, so a valid T∖{c1,c2} is a child
     too.  Its clauses are the minimal elements left; an empty rest fails the cover.
     """
-    p = shape.arity
-    t = up_closure(clause_table(shape), p)
-    steps: list[NeighborStep] = []
     failing: list[int] = []
-    for c in shape.clauses:
-        if _covering(cand := minimal_elements(t ^ 1 << c, p), p):
-            steps.append(NeighborStep(_shape_of(cand, p), CHILD, 1))
+    for s in table_states(c):
+        if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
+            yield 1, cand, u
         else:
-            failing.append(c)
-    for c1, c2 in combinations(failing, 2):
-        if _covering(cand := minimal_elements(t ^ 1 << c1 ^ 1 << c2, p), p):
-            steps.append(NeighborStep(_shape_of(cand, p), CHILD, 2))
-    steps.sort(key=NeighborStep.sort_key)
-    return tuple(steps)
+            failing.append(s)
+    for s1, s2 in combinations(failing, 2):
+        if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
+            yield 2, cand, u
+
+
+def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
+    """All covers of ``shape`` from below: the inverse removals of
+    `_child_tables`, each table a shape at once."""
+    p = shape.arity
+    c = clause_table(shape)
+    found = _child_tables(c, up_closure(c, p), p)
+    return _steps(((CHILD, delta, cand) for delta, cand, _ in found), p)
+
+
+def _slice_tables(shape: FunctionShape, via: str) -> tuple[list, list, tuple[FunctionShape, ...]]:
+    """The parent tables, the child tables and the sibling shapes of ``shape``.
+
+    Neighbours of neighbours stay clause tables, deduplicated as ints; their
+    up-sets need no closure (a parent's is ``t | new``, a child's comes with
+    it).  Only the siblings left after dropping ``shape`` and its neighbours
+    become shapes.
+    """
+    if via not in ("parents", "children", "both"):
+        raise ValueError("via must be 'parents', 'children' or 'both'")
+    p = shape.arity
+    c = clause_table(shape)
+    t = up_closure(c, p)
+    ups = list(_parent_tables(c, t, p))
+    downs = list(_child_tables(c, t, p))
+    found: set[int] = set()
+    if via != "children":
+        for _, new in ups:
+            found.update([cand for _, cand, _ in _child_tables(new, t | new, p)])
+    if via != "parents":
+        for _, cand, u in downs:
+            found.update([new for _, new in _parent_tables(cand, u, p)])
+    found.difference_update([new for _, new in ups], [cand for _, cand, _ in downs], (c,))
+    return ups, downs, tuple(sorted([_shape_of(x, p) for x in found], key=FunctionShape.sort_key))
 
 
 def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape, ...]:
@@ -220,9 +255,11 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
 
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
-    Direct neighbors of ``shape`` and the shape itself never count.
+    Direct neighbors of ``shape`` and the shape itself never count.  The
+    search runs on clause tables (`_slice_tables`); only the siblings
+    returned become shapes.
     """
-    return hasse_slice(shape, via).siblings
+    return _slice_tables(shape, via)[2]
 
 
 @dataclass(frozen=True)
@@ -236,20 +273,16 @@ class HasseSlice:
 
 
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
-    """``shape``'s parents, children and (derived from those) siblings."""
-    if sibling_via not in ("parents", "children", "both"):
-        raise ValueError("via must be 'parents', 'children' or 'both'")
-    ups = parents(shape)
-    downs = children(shape)
-    out: set[FunctionShape] = set()
-    if sibling_via in ("parents", "both"):
-        for up in ups:
-            out.update(st.shape for st in children(up.shape))
-    if sibling_via in ("children", "both"):
-        for down in downs:
-            out.update(st.shape for st in parents(down.shape))
-    out.difference_update([st.shape for st in ups + downs], (shape,))
-    return HasseSlice(shape, ups, downs, tuple(sorted(out, key=FunctionShape.sort_key)))
+    """``shape``'s parents, children and siblings, from one pass over the
+    neighbour tables (`_slice_tables`) that ``siblings`` makes too."""
+    ups, downs, sibs = _slice_tables(shape, sibling_via)
+    p = shape.arity
+    return HasseSlice(
+        shape,
+        _steps(((rule, _DELTA[rule], new) for rule, new in ups), p),
+        _steps(((CHILD, delta, cand) for delta, cand, _ in downs), p),
+        sibs,
+    )
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:

@@ -481,7 +481,8 @@ def shape_from_truth_table(
     if not _covers(minimal, p):
         idle = clause_indices((size - 1) & ~reduce(or_, minimal))
         raise NotConsistent(f"regulators {idle} are not essential")
-    return FunctionShape(p, tuple(minimal))
+    # minimal elements are an ascending antichain of non-zero states
+    return FunctionShape._unchecked(p, tuple(minimal))
 
 
 # ---------------------------------------------------------------------------

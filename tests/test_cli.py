@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from funspace import stg_async, stg_sync, stg_to_dot
 from funspace.cli import main
 
 from conftest import FIXTURES
@@ -166,6 +167,13 @@ def test_stg_dot(capsys):
     assert main(["stg", TOY, "--format", "dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("digraph") and out.count("doublecircle") == 3
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_stg_dot_streams_the_library_text(capsys, mode, toy_bn):
+    assert main(["stg", TOY, "--mode", mode, "--format", "dot"]) == 0
+    build = stg_async if mode == "async" else stg_sync
+    assert capsys.readouterr().out == stg_to_dot(build(toy_bn), toy_bn.names())
 
 
 def test_stg_edges_flag(capsys):

@@ -17,6 +17,7 @@ from funspace import (
     render_model,
     slice_to_dot,
     stg_async,
+    stg_sync,
     stg_to_dot,
 )
 from funspace.errors import (
@@ -27,6 +28,7 @@ from funspace.errors import (
     NotDNFAfterNormalization,
     UnknownVariable,
 )
+from funspace.modelio import stg_dot_lines
 from tests.conftest import FIXTURES
 
 
@@ -218,6 +220,14 @@ def test_stg_dot(toy_bn):
     assert dot.count("doublecircle") == 3  # the three stable states
     assert '"000" -> "010";' in dot
     assert dot == stg_to_dot(stg_async(toy_bn), toy_bn.names())
+
+
+def test_stg_dot_lines_stream_the_dot_text(toy_bn):
+    for build in (stg_async, stg_sync):
+        lines = list(stg_dot_lines(build(toy_bn), toy_bn.names()))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == stg_to_dot(build(toy_bn), toy_bn.names())
+        assert len(lines) == 3 + 8 + build(toy_bn).n_edges + 1  # head, nodes, edges, "}"
 
 
 def test_slice_dot():

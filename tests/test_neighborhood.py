@@ -38,9 +38,10 @@ from funspace.neighborhood import (
     PARENT_R2,
     PARENT_R3,
     NeighborStep,
+    _child_tables,
     _compare_tables,
 )
-from funspace.shapes import clause_table
+from funspace.shapes import clause_table, up_closure
 
 from conftest import shapes
 
@@ -426,6 +427,70 @@ def test_table_order_is_the_sort_key_order(ranked, rnd):
 def test_random_path_seeds_differ():
     seen = {tuple(random_path(4, seed=s)) for s in range(8)}
     assert len(seen) > 1
+
+
+VIAS = ("parents", "children", "both")
+
+
+def _reference_siblings(s, via):
+    """Siblings from neighbour shapes: children of the parents and/or
+    parents of the children, less the direct neighbours and ``s``."""
+    ups = [st.shape for st in parents(s)]
+    downs = [st.shape for st in children(s)]
+    out = set()
+    if via != "children":
+        for up in ups:
+            out.update(st.shape for st in children(up))
+    if via != "parents":
+        for down in downs:
+            out.update(st.shape for st in parents(down))
+    out.difference_update(ups, downs, (s,))
+    return tuple(sorted(out, key=FunctionShape.sort_key))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 8).flatmap(shapes))
+def test_siblings_match_the_shape_reference(s):
+    for via in VIAS:
+        want = _reference_siblings(s, via)
+        assert siblings(s, via) == want
+        sl = hasse_slice(s, via)
+        assert (sl.center, sl.parents, sl.children, sl.siblings) == (
+            s, parents(s), children(s), want)
+
+
+def test_siblings_match_the_diagram():
+    for p in (1, 2, 3, 4):
+        hd = build_hasse(p)
+        for s in hd.shapes:
+            ups, downs = hd.parents_of(s), hd.children_of(s)
+            via_ups = set().union(*map(hd.children_of, ups))
+            via_downs = set().union(*map(hd.parents_of, downs))
+            near = ups | downs | {s}
+            for via, want in (("parents", via_ups), ("children", via_downs),
+                              ("both", via_ups | via_downs)):
+                assert set(siblings(s, via)) == want - near
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_child_tables_carry_their_up_sets(s):
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    found = list(_child_tables(c, t, p))
+    assert sorted((delta, cand) for delta, cand, _ in found) == sorted(
+        (st.delta, clause_table(st.shape)) for st in children(s))
+    for delta, cand, u in found:
+        assert u == up_closure(cand, p)
+        assert u & t == u and (t ^ u).bit_count() == delta
+
+
+def test_siblings_reject_an_unknown_via():
+    with pytest.raises(ValueError):
+        siblings(sup_shape(3), via="cousins")
+    with pytest.raises(ValueError):
+        hasse_slice(sup_shape(3), sibling_via="cousins")
 
 
 def test_hasse_slice_bundle():

@@ -282,6 +282,16 @@ def test_consistency_round_trip():
                 assert shape_from_truth_table(table, ctx) == s
 
 
+def test_shape_from_truth_table_round_trips_wide_majorities():
+    # the recovered shape is built unchecked; the strict constructor must agree
+    for p in range(10, 15):
+        s = majority_rule(p, p // 2)
+        ctx = RegulatorContext.from_str("+-" * (p // 2) + "+" * (p % 2))
+        true = set(table_states(shape_table(s, ctx)))
+        got = shape_from_truth_table([x in true for x in range(1 << p)], ctx)
+        assert got == s == FunctionShape(p, got.clauses)
+
+
 def test_inconsistent_tables_rejected():
     ctx = RegulatorContext.from_str("++")
     assert not is_consistent([0, 1, 1, 0], ctx)  # xor: sign violation

@@ -186,9 +186,8 @@ def cmd_stg(args) -> int:
         print(f"attractor [{kind}]: "
               + " ".join(sorted(state_to_string(s, graph.n) for s in a)))
     if args.edges:
-        for s in range(1 << graph.n):
-            for t in graph.successors[s]:
-                print(f"  {state_to_string(s, graph.n)} -> {state_to_string(t, graph.n)}")
+        for s, t in graph.edges():
+            print(f"  {state_to_string(s, graph.n)} -> {state_to_string(t, graph.n)}")
     return 0
 
 

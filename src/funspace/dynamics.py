@@ -9,9 +9,9 @@ Two update schemes: asynchronous (one component flips per transition; the
 union over components gives the transition graph) and synchronous (all
 components update together).  A graph is held as the components' 2^n-bit
 truth tables: stable states, edge counts and async attractors are bitwise
-operations on whole-space sets, and only sync attractors and the explicit
-edge list walk the states one by one.  Self-loops are never counted, so
-stable states are exactly the nodes without successors in either graph.
+operations on whole-space sets, sync attractors are set images of the
+update map, and only sync cycles and the edge list walk states one by one.
+Self-loops are never counted: stable states are the nodes without out-edges.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -165,7 +165,8 @@ def _closure(x: int, moves: list[tuple[int, int, int]], forward: bool) -> int:
         x = y
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+#: Table digits "0"/"1" to 0 or the bit of component i % 8 in its byte lane.
+_LANE = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 
 @dataclass(frozen=True)
@@ -187,15 +188,17 @@ class STG:
 
     def _update(self) -> memoryview:
         """The synchronous update ``F[s]`` of every state s, 4 bytes a state.
-        Component i's table digits (state 0 last) become bytes 0 or 1, read
-        as one int, shifted by i % 8 and OR-ed into byte i // 8 of each F[s]."""
+        Component i's table digits (state 0 last) become bytes 0 or 1 << i % 8,
+        read as one int; the ints of the (at most 8) components in byte lane
+        i // 8 are OR-ed and the lane is written once."""
         size = 1 << self.n
         words = bytearray(4 * size)
-        for i, t in enumerate(self.tables):
-            k = i // 8 if sys.byteorder == "little" else 3 - i // 8
-            lane = int.from_bytes(format(t, f"0{size}b").encode().translate(_BITS), "big")
-            lane = lane << i % 8 | int.from_bytes(words[k::4], "little")
-            words[k::4] = lane.to_bytes(size, "little")
+        for k in range(0, self.n, 8):
+            lane = 0
+            for i, t in enumerate(self.tables[k:k + 8]):
+                lane |= int.from_bytes(format(t, f"0{size}b").encode().translate(_LANE[i]), "big")
+            at = k // 8 if sys.byteorder == "little" else 3 - k // 8
+            words[at::4] = lane.to_bytes(size, "little")
         return memoryview(words).cast("I")
 
     def stable_states(self) -> tuple[int, ...]:
@@ -213,6 +216,15 @@ class STG:
         if self.mode == "sync":
             return tuple([(t,) if t != s else () for s, t in pairs])
         return tuple([tuple([s ^ (1 << i) for i in bits_of(s ^ t)]) for s, t in pairs])
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every transition (s, t) in ``successors`` order, streamed from the
+        update map without building ``successors``."""
+        for s, t in enumerate(self._update()):
+            if self.mode == "async":
+                yield from [(s, s ^ 1 << i) for i in bits_of(s ^ t)]
+            elif t != s:
+                yield s, t
 
 
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
@@ -235,27 +247,34 @@ def attractors(stg: STG) -> tuple[frozenset[int], ...]:
     """Terminal strongly connected components, sorted by smallest state.
 
     Stable states come out as singletons.  Sync: the cycles of the update
-    map, found by one walk that marks each state on-path, then done.  Async:
-    implicit-set search on 2^n-bit sets (Xie & Beerel, IEEE TCAD 2000).  The
-    stable states and the states that reach one go first.  Then, from the
-    lowest state s left, s moves to a state it reaches that cannot reach it
-    back, until there is none; what s reaches is an attractor, and it goes
-    with every state that reaches it.
+    map F, among the states left once the images F^k(S) stop shrinking (sets
+    of about 60-85 bytes per state of F(S)), each walked from its lowest
+    state.  Async: implicit-set search on 2^n-bit sets (Xie & Beerel, IEEE
+    TCAD 2000).  The stable states and the states that reach one go first.
+    Then, from the lowest state s left, s moves to a state it reaches that
+    cannot reach it back, until there is none; what s reaches is an
+    attractor, and it goes with every state that reaches it.
     """
     if stg.mode == "sync":
-        update, out = stg._update(), []
-        mark = bytearray(len(update))  # 0 new, 1 on the current path, 2 done
-        for root in range(len(update)):
-            path, s = [], root
-            while not mark[s]:
-                mark[s] = 1
-                path.append(s)
+        # The images are nested, so one no smaller than the last is the cycles.
+        update = stg._update()
+        size, image = len(update), set(update)
+        while len(image) < size:
+            size, image = len(image), set(map(update.__getitem__, image))
+        mark = bytearray(len(update))
+        for s in image:
+            mark[s] = 1
+        del image
+        out, s = [], mark.find(1)
+        while s >= 0:  # s is the lowest state of a cycle not yet emitted
+            cycle = []
+            while mark[s]:
+                mark[s] = 0
+                cycle.append(s)
                 s = update[s]
-            if mark[s] == 1:
-                out.append(frozenset(path[path.index(s):]))
-            for s in path:
-                mark[s] = 2
-        return tuple(sorted(out, key=min))
+            out.append(frozenset(cycle))
+            s = mark.find(1, s + 1)
+        return tuple(out)
     moves = []  # components that never flip are left out
     for i, t in enumerate(stg.tables):
         var = variable_table(i, stg.n)

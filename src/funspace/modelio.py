@@ -369,9 +369,8 @@ def stg_dot_lines(stg: STG, names: Iterable[str] | None = None) -> Iterator[str]
     for s in range(1 << n):
         shape = "doublecircle" if s in stable else "circle"
         yield f'  "{state_to_string(s, n)}" [shape={shape}];\n'
-    for s in range(1 << n):
-        for t in stg.successors[s]:
-            yield f'  "{state_to_string(s, n)}" -> "{state_to_string(t, n)}";\n'
+    for s, t in stg.edges():
+        yield f'  "{state_to_string(s, n)}" -> "{state_to_string(t, n)}";\n'
     yield "}\n"
 
 

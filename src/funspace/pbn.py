@@ -15,7 +15,7 @@ master seed by an integer mix, and exactly one draw is consumed per
 randomized component per step.
 
 A simulation tests no clauses while it steps.  Each component is
-tabulated once per call on the submasks of its regulators (one bit per
+tabulated once per network on the submasks of its regulators (one bit per
 ensemble entry for a randomized component), the fixed components' update
 is memoized per visited state up to ``MEMO_LIMIT`` states, and the
 classifier is called once per distinct final state.
@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property
 from itertools import accumulate
-from operator import or_
 from typing import Callable, Iterable, Sequence
 
-from .dynamics import BooleanNetwork
+from .dynamics import BooleanNetwork, Component
 from .errors import ArityMismatch, InvalidProbability, MissingMarker
 from .modelio import parse_model
 from .neighborhood import HasseSlice, children, count_consistent, hasse_slice, parents
-from .shapes import FunctionShape, compile_clauses, holds, state_to_string
+from .shapes import FunctionShape, shape_table, state_to_string
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,31 @@ class ProbabilisticNetwork:
                 raise ArityMismatch(
                     f"component {comp.name}: ensemble arity differs"
                 )
+
+    @cached_property
+    def _tables(self) -> tuple[tuple, tuple]:
+        """What :func:`simulate` steps with, built on first use.  Fixed components
+        (no ensemble or a one-entry one): (regs, submask -> bit or 0), leaving out
+        constant-false ones; randomized ones: (regs, submask -> one bit or 0 per
+        ensemble entry, cumulative probs)."""
+        fixed, randomized = [], []
+        for i, (c, ens) in enumerate(zip(self.network.components, self.ensembles)):
+            if ens is None:
+                if not c.compiled:
+                    continue
+                shapes = [c.shape]
+            else:
+                shapes = [s for s, _ in ens.entries]
+            regs = sum([1 << r for r in c.regulators])  # distinct bits
+            columns = _lookup(c, shapes, 1 << i)
+            if len(columns) == 1:
+                fixed.append((regs, columns[0]))
+            else:
+                rows = {key: tuple([col[key] for col in columns]) for key in columns[0]}
+                cum = list(accumulate(prob for _, prob in ens.entries))
+                cum[-1] = 1.0
+                randomized.append((regs, rows, tuple(cum)))
+        return tuple(fixed), tuple(randomized)
 
 
 def neighbor_ensemble(
@@ -191,16 +215,16 @@ class SimulationReport:
 MEMO_LIMIT = 1 << 16
 
 
-def _lookup(clauses: tuple[tuple[int, int], ...], regs: int, bit: int) -> dict[int, int]:
-    """``bit`` or 0 for every submask of ``regs``: where the compiled
-    clauses hold at a state masked to the component's regulators."""
-    table = {}
-    key = regs
-    while True:
-        table[key] = bit if holds(clauses, key) else 0
-        if not key:
-            return table
-        key = (key - 1) & regs
+def _lookup(c: Component, shapes: list, bit: int) -> list[dict[int, int]]:
+    """Per shape (None: the constant true), ``bit`` or 0 for every submask
+    of ``c``'s regulator bits: where the shape holds at a state masked to
+    them.  Key j sets bit ``c.regulators[k]`` for each bit k of local state j."""
+    keys = [0]
+    for r in c.regulators:
+        keys += [k | 1 << r for k in keys]
+    width, values = f"0{len(keys)}b", {"0": 0, "1": bit}.__getitem__
+    tables = [1 if s is None else shape_table(s, c.ctx) for s in shapes]
+    return [dict(zip(keys, map(values, format(t, width)[::-1]))) for t in tables]
 
 
 def simulate(
@@ -225,35 +249,16 @@ def simulate(
     Run k draws from ``random.Random(_mix_seed(seed, k))``: one
     ``random()`` r per randomized component per step, in component order,
     picking the first ensemble entry whose cumulative probability is at
-    least r.  Every component is tabulated once per call on the submasks
-    of its regulators, so a step reads ``state & regs`` from a dict
-    instead of testing clauses; the OR of the fixed components is also
-    memoized per visited state, for at most ``MEMO_LIMIT`` states.
+    least r.  Every component is tabulated on the submasks of its
+    regulators once per network, by the first call on it, so a step reads
+    ``state & regs`` from a dict instead of testing clauses; the OR of the
+    fixed components is also memoized per visited state, for at most
+    ``MEMO_LIMIT`` states in one call.
     """
     bn = pnet.network
     n = bn.n
 
-    # Fixed components (no ensemble or a one-entry one): (regs, submask ->
-    # bit or 0), leaving out constant-false ones; randomized ones: (regs,
-    # submask -> one bit or 0 per ensemble entry, cumulative probs).
-    fixed = []
-    randomized = []
-    for i, (c, ens) in enumerate(zip(bn.components, pnet.ensembles)):
-        if ens is None:
-            if not c.compiled:
-                continue
-            compiled = [c.compiled]
-        else:
-            compiled = [compile_clauses(s, c.ctx, c.regulators) for s, _ in ens.entries]
-        regs = reduce(or_, [1 << r for r in c.regulators], 0)
-        columns = [_lookup(clauses, regs, 1 << i) for clauses in compiled]
-        if len(columns) == 1:
-            fixed.append((regs, columns[0]))
-        else:
-            rows = {key: tuple([col[key] for col in columns]) for key in columns[0]}
-            cum = list(accumulate(prob for _, prob in ens.entries))
-            cum[-1] = 1.0
-            randomized.append((regs, rows, tuple(cum)))
+    fixed, randomized = pnet._tables
 
     # With no randomized components every trajectory is deterministic, so
     # a revisited state proves a cycle; under per-step sampling a revisit

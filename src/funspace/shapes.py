@@ -134,8 +134,9 @@ class FunctionShape:
     def _unchecked(cls, arity: int, clauses: tuple[int, ...]) -> "FunctionShape":
         """Fast path for callers that guarantee validity by construction."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "arity", arity)
-        object.__setattr__(obj, "clauses", clauses)
+        attrs = obj.__dict__  # frozen: fields go in without __setattr__
+        attrs["arity"] = arity
+        attrs["clauses"] = clauses
         return obj
 
     def index_sets(self) -> tuple[tuple[int, ...], ...]:

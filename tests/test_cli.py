@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -179,6 +180,39 @@ def test_stg_dot_streams_the_library_text(capsys, mode, toy_bn):
 def test_stg_edges_flag(capsys):
     assert main(["stg", TOY, "--edges"]) == 0
     assert "  010 -> 110" in capsys.readouterr().out
+
+
+# SHA-256 of stdout, recorded when the edges still came from STG.successors
+STG_EDGE_DIGESTS = {
+    ("toy", "async", "--edges"):
+        "4313d22e64f3b32ee8f7b2a2ed8a3cea529cbcc90090c91805f24b514d885d94",
+    ("toy", "async", "--format=dot"):
+        "e26b363158cdc1e4341f8a04a2fe8989390da38b46b59d534558394fb1d744a3",
+    ("toy", "sync", "--edges"):
+        "a7e1e70f000e78bc94afec9cf307b3f80aaddf08e19b470a286ed695319e1f9e",
+    ("toy", "sync", "--format=dot"):
+        "460ee9c909a2500dbc5b98d279b41d0a88b44e0951ab789aa0b924f0bb05cee5",
+    ("ring10", "async", "--edges"):
+        "5b70fc687e43c4ae3e7e977704a403e8687da7565ea15bd921b521686b0a7b3b",
+    ("ring10", "async", "--format=dot"):
+        "66d4264497a5115364c27a1f283d76f2a498dbdd6440023ad1a10bfc652e3a63",
+    ("ring10", "sync", "--edges"):
+        "d164337955023d71d8803297b860b8e7e9faf2daa8136ca1c3f87e5a262ba360",
+    ("ring10", "sync", "--format=dot"):
+        "0e141d258d84789c8c91dc2c4dd956a4e860164e02979ce9f47960569d3273c5",
+}
+
+
+@pytest.mark.parametrize("model, mode, flag", sorted(STG_EDGE_DIGESTS))
+def test_stg_edges_and_dot_are_pinned(tmp_path, capsys, model, mode, flag):
+    path = TOY
+    if model == "ring10":  # x_i copies x_{i-1}, negated at odd i
+        path = tmp_path / "ring10.bnet"
+        path.write_text("targets, factors\n" + "".join(
+            f"x{i}, {'!' if i % 2 else ''}x{(i - 1) % 10}\n" for i in range(10)))
+    assert main(["stg", str(path), "--mode", mode, flag]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == STG_EDGE_DIGESTS[model, mode, flag]
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])

@@ -409,6 +409,39 @@ def test_attractors_past_six_components(bn):
         assert attractors(g) == _reference_attractors(g)
 
 
+def _shift_register(n):
+    # x0 = false, x_i = x_{i-1}: long transients into the one fixed point 0
+    return network_from_functions(
+        [("x0", False)] + [(f"x{i}", ([f"x{i - 1}"], "+", [[1]])) for i in range(1, n)]
+    )
+
+
+def _alternating_ring(n):
+    # x_i copies x_{i-1}, negated at odd i: the sync update is a permutation
+    return network_from_functions(
+        (f"x{i}", ([f"x{(i - 1) % n}"], "+-"[i % 2], [[1]])) for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("build", [_shift_register, _alternating_ring])
+def test_sync_attractors_of_shift_registers_and_rings(build, n):
+    g = stg_sync(build(n))
+    atts = attractors(g)
+    assert atts == _reference_attractors(g)
+    assert [min(a) for a in atts] == sorted(min(a) for a in atts)
+
+
+def test_sync_attractors_of_a_constant_feeding_a_two_cycle():
+    # c = true, a = c AND NOT a, b = a (bit 0 is c): 001 and 111 lead into
+    # the 2-cycle 011 <-> 101, and every state with c off leads to them
+    bn = network_from_functions([
+        ("c", True), ("a", (["c", "a"], "+-", [[1, 2]])), ("b", (["a"], "+", [[1]])),
+    ])
+    g = stg_sync(bn)
+    assert attractors(g) == _reference_attractors(g) == (frozenset({0b011, 0b101}),)
+
+
 def test_zero_component_network():
     bn = parse_model("targets, factors\n")
     assert stable_states(bn) == (0,)

@@ -32,9 +32,11 @@ from funspace import (
     th_initial_state,
     th_neighbor_table,
 )
+from funspace.dynamics import Component
 from funspace.errors import ArityMismatch, InvalidProbability, MissingMarker
+from funspace.shapes import compile_clauses, holds
 
-from conftest import networks
+from conftest import contexts, networks, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,34 @@ def test_simulation_outcomes_are_pinned():
         seq = [(o.run, o.seed, o.steps, o.final_state, o.absorbed, o.label)
                for o in run_experiment(which, runs=200, seed=1).outcomes]
         assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest, which
+
+
+def reference_lookup(comp, shape, bit):
+    """One ``holds`` scan per submask of the regulator bits, on the shape
+    compiled against the regulators' network positions."""
+    compiled = compile_clauses(shape, comp.ctx, comp.regulators)
+    regs = sum(1 << r for r in comp.regulators)
+    table, key = {}, regs
+    while True:
+        table[key] = bit if holds(compiled, key) else 0
+        if not key:
+            return table
+        key = (key - 1) & regs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lookup_matches_a_clause_scan(data):
+    p = data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(p, 12))
+    regs = tuple(data.draw(st.permutations(range(n)))[:p])  # positions in any order
+    ctx = data.draw(contexts(p, None))
+    entries = data.draw(st.lists(shapes(p), min_size=1, max_size=3))
+    bit = 1 << data.draw(st.integers(0, n - 1))
+    comp = Component(name="t", regulators=regs, shape=entries[0], ctx=ctx)
+    assert pbn._lookup(comp, entries, bit) == [
+        reference_lookup(comp, s, bit) for s in entries
+    ]
 
 
 def reference_simulate(pnet, initial, runs, seed, max_steps):

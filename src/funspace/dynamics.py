@@ -46,6 +46,7 @@ from .shapes import (
     true_count,
     truth_table,
     variable_table,
+    variable_tables,
 )
 
 #: Refuse graphs over more than 2**25 states by default (a 2^n-bit table
@@ -359,7 +360,7 @@ def shape_transition_counts(
         t = true_count(shape)
         return t, (1 << p) - t, p + 1
     table = shape_table(shape, ctx)
-    own = variable_table(ctx.self_index - 1, p)
+    own = variable_tables(p)[ctx.self_index - 1]
     return (table & ~own).bit_count(), (own & ~table).bit_count(), p
 
 

@@ -28,7 +28,9 @@ clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
 `_child_tables`).  Candidates stay tables until they pass the cover test:
 `random_path` orders them as tables and builds only the shape it steps to,
-and siblings (the parents' children, the children's parents) are found and
+and that shape carries the up-set T the walk holds, so counts along the
+path read it (`shapes.up_table`) instead of closing the clauses again.
+Siblings (the parents' children, the children's parents) are found and
 deduplicated as tables, whose up-sets each step already knows, so only the
 siblings returned become shapes.
 
@@ -41,10 +43,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cmp_to_key, reduce
+from functools import cache, cmp_to_key
 from itertools import combinations
 from math import comb
-from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -56,8 +57,8 @@ from .errors import (
 from .shapes import (
     FunctionShape,
     RegulatorContext,
+    _carry_up,
     _is_subset,
-    bits_of,
     clause_mask,
     clause_table,
     compile_clauses,
@@ -69,6 +70,7 @@ from .shapes import (
     true_count,
     truth_table,
     up_closure,
+    up_table,
     variable_tables,
 )
 
@@ -141,16 +143,26 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
     return all(not _is_subset(m, c) and not _is_subset(c, m) for c in shape.clauses)
 
 
+@cache
+def _raises(p: int) -> dict[int, int]:
+    """{1 << k: variable_tables(p)[k]}: the states holding bit k, by that bit."""
+    return {1 << k: v for k, v in enumerate(variable_tables(p))}
+
+
 def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int]]:
     """(rule, clause table) of every parent of the shape with clause table
     ``c`` and up-set ``t``, R1/R2 by ascending new clause, then R3 pairs."""
-    var = variable_tables(p)
+    raises = _raises(p)
     full = (1 << (1 << p)) - 1
     failed: list[tuple[int, int]] = []  # (m, U(m)) of absorbing states failing alone
     for m in table_states(_max_outside_table(t, p)):
         if m == 0:
             continue  # only at the one-shape arity-1 order; no parent there
-        above = reduce(and_, [var[j] for j in bits_of(m)], full)  # U(m), states ⊇ m
+        above, rest = full, m  # U(m), states ⊇ m: AND over the bits of m
+        while rest:
+            low = rest & -rest
+            above &= raises[low]
+            rest ^= low
         if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
@@ -294,7 +306,7 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
         raise ArityMismatch("shapes of different arity cannot be neighbors")
     p = lower.arity
     c, want = clause_table(lower), clause_table(upper)
-    for rule, new in _parent_tables(c, up_closure(c, p), p):
+    for rule, new in _parent_tables(c, up_table(lower), p):
         if new == want:
             return NeighborStep(upper, rule, _DELTA[rule])
     raise NotAParent(f"{upper} does not cover {lower}")
@@ -306,15 +318,18 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     At each step one parent is chosen uniformly from the parent tables,
     sorted in the order of ``parents``; only the pick becomes a shape.
     Deterministic for a given seed; every consecutive pair is a covering
-    edge.
+    edge.  Each shape carries its up-set T, which the walk holds anyway, so
+    `true_count`, `shape_table` and `parent_step` on the path read it
+    (`shapes.up_table`): 2^p/8 bytes a shape on a path of about 2^p shapes.
     """
     rng = random.Random(seed)
     path = [inf_shape(p)]
     c = t = clause_table(path[0])  # the bottom's one clause is its up-set
+    _carry_up(path[0], t)
     while options := sorted(_parent_tables(c, t, p), key=_TABLE_ORDER):
         c = options[rng.randrange(len(options))][1]
         t |= c  # a parent's up-set adds exactly its new clauses
-        path.append(_shape_of(c, p))
+        path.append(_carry_up(_shape_of(c, p), t))
     return path
 
 

@@ -243,6 +243,8 @@ class RegulatorContext:
             raise ValueError("signs must be +1 or -1")
         if self.self_index is not None and not 1 <= self.self_index <= len(self.signs):
             raise ValueError(f"self_index {self.self_index} outside 1..{len(self.signs)}")
+        # Not a field, so equality, hashing and repr never read it.
+        self.__dict__["_neg_mask"] = sum(1 << k for k, s in enumerate(self.signs) if s == NEGATIVE)
 
     @property
     def arity(self) -> int:
@@ -250,8 +252,8 @@ class RegulatorContext:
 
     @property
     def neg_mask(self) -> int:
-        """Bitmask of inhibitor positions."""
-        return sum(1 << k for k, s in enumerate(self.signs) if s == NEGATIVE)
+        """Bitmask of inhibitor positions, computed once, on construction."""
+        return self._neg_mask
 
     @property
     def pos_mask(self) -> int:
@@ -423,12 +425,29 @@ def clause_table(shape: FunctionShape) -> int:
     return int(digits, 2)
 
 
+def up_table(shape: FunctionShape) -> int:
+    """T(S), the up-closure of the clause table (the all-positive true set).
+
+    Shapes on a `random_path` carry the table the walk already held
+    (`_carry_up`); for any other shape it is computed here and not kept.
+    """
+    t = shape.__dict__.get("_up")
+    return up_closure(clause_table(shape), shape.arity) if t is None else t
+
+
+def _carry_up(shape: FunctionShape, table: int) -> FunctionShape:
+    """Store ``table`` = T(shape) for `up_table`; equality, hashing and
+    repr read the fields alone, so the shape still equals one without it."""
+    shape.__dict__["_up"] = table
+    return shape
+
+
 def shape_table(shape: FunctionShape, ctx: RegulatorContext) -> int:
     """Bit s set iff the function holds at s: the up-closure of the clause
-    table with the halves swapped across each inhibitor's bit."""
+    table (`up_table`) with the halves swapped across each inhibitor's bit."""
     _require_same_arity(shape, ctx)
     p = shape.arity
-    table = up_closure(clause_table(shape), p)
+    table = up_table(shape)
     var = variable_tables(p)
     for k in bits_of(ctx.neg_mask):
         table = (table & var[k]) >> (1 << k) | (table & ~var[k]) << (1 << k)
@@ -441,8 +460,10 @@ def true_states(shape: FunctionShape, ctx: RegulatorContext) -> frozenset[int]:
 
 
 def true_count(shape: FunctionShape) -> int:
-    """|T(f)| — sign-independent, so counted in the all-positive reading."""
-    return up_closure(clause_table(shape), shape.arity).bit_count()
+    """|T(f)| — sign-independent, so counted in the all-positive reading:
+    `up_table`, the table a walk stored on the shape or one computed for
+    this call and not kept."""
+    return up_table(shape).bit_count()
 
 
 def is_consistent(table: Sequence[bool] | Sequence[int], ctx: RegulatorContext) -> bool:

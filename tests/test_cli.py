@@ -134,6 +134,129 @@ def test_walk_csv(capsys):
     assert rows[1][:4] == ["0", "{{1,2,3}}", "1", "0"]
 
 
+# Recorded before walks kept their up-sets on the path shapes: the order of
+# the options and every count must not move.
+WALK_DIGESTS = {  # sha256 of stdout: (text, --format csv)
+    (5, "none", 1): (
+        "eb58bca83537a2cdf77e47582c2c713c5b32937442bb26e52e42ce1d76febb03",
+        "337a5d49c50888b402d41db30bd1dcbf5689d07955a4f59f752f1891d0f06cc9",
+    ),
+    (5, "none", 2): (
+        "6d42985ef0f527a6229d2841514064e68fb7c182fc5a242dd045df9b9a1eabfb",
+        "2fda945b024434161bd6e0a509c7f4bf3e584127241b8073068c976b71ace69f",
+    ),
+    (5, "none", 3): (
+        "b349907cae11bada4ed1cd1215b7b5bd2c5705bf04293ef494497fa82d5f4be0",
+        "88991e93d06be8593585b982683863e091b7e7b01401ae50df9570d2597e7acd",
+    ),
+    (5, "pos", 1): (
+        "1d25746bb8348399d9dace553e593f7b1103fb9bbd55891fd5a05564aadf86cf",
+        "6a6cfd84606521e6f49dfdfe0e1aed6a6b9e42ba0e14a8864d0f4de84297c36e",
+    ),
+    (5, "pos", 2): (
+        "154fadc8ecfb512ed7a81b9fbd618e59f26c94fecd564146773d412893c4c2a9",
+        "a1a59916942111cbbec8c466bcf9e8b00f0c8e3a19cd9e771d3dce21750c7ec2",
+    ),
+    (5, "pos", 3): (
+        "3551ecf962da0a3e563a2cf7cfaaf2dc3b7ab1495a292a091a12029dcb391943",
+        "6b1dc7275e9deb7aed53e50fd05dcde6a4123d9d47386fad77edfd99ba661814",
+    ),
+    (5, "neg", 1): (
+        "1276cc10a88a490dcbd6aa50c67f6174a1a5221ed4223f3349c417a158da302d",
+        "1cce343a317b30787bd04b12e87a16bb5910ea8ee7e30c39c1678b596ff3850a",
+    ),
+    (5, "neg", 2): (
+        "6ff23f0a8e94ea8844d0efc311d2fd1db5f1d9da6e85120802e7974042ab705a",
+        "626e7596661a693edbfba8e5e979b4d1ad26f6fbfff4d5c764672f7d862ba0a8",
+    ),
+    (5, "neg", 3): (
+        "d8766113771d03b05e084c914b555f77ccb9cc5dd723fe0bfc19df14966b1510",
+        "ddd888a3cc6664758d9d75999d351be4ee86e6c9e8f88a10b04571e9714097cb",
+    ),
+    (6, "none", 1): (
+        "be2736be0cc83efa5aeb75f5de7fcb957e1610593b5bfdbcf92b20ed1f7adb14",
+        "f708de7ab416287e5dbc67656b551da811aba7b6a2d4888bc1ca5e5d2ce4e68d",
+    ),
+    (6, "none", 2): (
+        "da6af9505ab8d18583e3bd51692d3816dda8f73a8690e1362ae9137fa9e57fae",
+        "eda950282eaad303d9f8b218aee4f3ac69d864b3bb13e2df1777132bcb6b7d04",
+    ),
+    (6, "none", 3): (
+        "82e6734ccde27935b46c98592beafe324293f46f45230379ad7d86e5a5a658ec",
+        "610329beaf09aff7c01f6bbb1a9a36aee9a4befe4da217921fce5d6d91d2c4c9",
+    ),
+    (6, "pos", 1): (
+        "1fb4193f67e88c0c65c36d2edf5aa24b4c060c44250f7b9a8a9c096b4bd540f9",
+        "7e6d027b971ec1971e1370aef7493d3dccba8e98f947254002784b5dc851f364",
+    ),
+    (6, "pos", 2): (
+        "34038996147a127516b2f9fafd12a3fc1d14d82cfcb4b3d9bbc0a1cd724ea74c",
+        "2dc1ec7f9e7a0c8b02a542f74f2f7322d83e10dc4c48636b70bbda1dc753fc5d",
+    ),
+    (6, "pos", 3): (
+        "a75ba19bcb357ad35feb5f53ca2c52a3754d960c1ca86d2a8c4ece2a98071615",
+        "4b1d6fd8b03d3522ae6f294c544b192af58c2c5149de5ab8ac5233d6236b720c",
+    ),
+    (6, "neg", 1): (
+        "a5e9ab4f847c2b9955164bb897156e7e199969f5bef4525f9d5a220998da0100",
+        "317eeaaf2814402c8e0f5ec40feb6a2ce69d129293d4bd76b486ed956a047ac3",
+    ),
+    (6, "neg", 2): (
+        "999b866024f54465c09f49f9e24de2bc1931df29019c8dae366a986ffc5358b8",
+        "dedb6398cda60ed6ca8ed72f3afb9e27ebd3bac0f0d56bdd07f4ac820393514c",
+    ),
+    (6, "neg", 3): (
+        "4fb5e0f008ef09e260f4382a85671466318ea8a43c0023ce959ab263d2df897a",
+        "a05d81c795c2644a1a57803f7b2c1b12b988cdc26471bc3931364c0477b0705a",
+    ),
+    (7, "none", 1): (
+        "1460f13201dd0f8041b2318a89ac50746d4dfeaf439ed0e1f1a53af4343e34eb",
+        "5709ec5af62c4d2a3682fc87c2ddc7f972f4660c7e84519cca3df07d43ef47c9",
+    ),
+    (7, "none", 2): (
+        "040fe7d5b7f850a56d015de9a950ade5cfceea96eae0bea507691342955bac7d",
+        "1f7c729ba95271862b339ddf9b1a76ceb3c701bf9d70ed94011f50b6710b7884",
+    ),
+    (7, "none", 3): (
+        "e30a16e7142cc6abce78c6f436cdd4da138b9eb45229e35648de32a51001ca1b",
+        "348766841a75c31840be91d190a51dec86734f5b38f9fa8d2efa24d2f6546175",
+    ),
+    (7, "pos", 1): (
+        "e9baf2b0fe21372f292b197bba15cb40242c5185b37a6fbce62f60060852a38f",
+        "7b578b414fc72a8bbd8dcf875d9c15d622fe71a920e500f5c9300eff07110885",
+    ),
+    (7, "pos", 2): (
+        "715f9c537d433a01181471272b7b6575d57e5032b96efd63e07bd1ccff737f83",
+        "13b5711b574e1b96c55482959bfcb194a7cc2954b723f4150526e84cc779ac7c",
+    ),
+    (7, "pos", 3): (
+        "49fd213a1979f702e4392937c60e6815748b210896bc22160fc2618a709c6dfc",
+        "b42040c328e699a629c2a610398ed1d2712e7a4056665ca25e23c9a149ddfc7e",
+    ),
+    (7, "neg", 1): (
+        "d6a7ca025ad1d7e30a0720aae91c87cc0d42caa3bd88fd0d6065d206d9d4d443",
+        "a57e6f8e637afa9f62f61a2aed27cede7d5fc928851cb006f9a16bc1b9adea3e",
+    ),
+    (7, "neg", 2): (
+        "667fa771d5d8bf60b4db52e171862c3b3cfa04a848a08578ad2571224f93ab08",
+        "d429efde6b1f6d46bb0129bb2483c802eb1a2fde0c1531b874ac5fd6edc6e34c",
+    ),
+    (7, "neg", 3): (
+        "5d6a62599ea9ea8030dfd4510335ba653f42644fc9c130f13a865015e354bd8c",
+        "e1d07aa1579615dea60586c65e663dffb31d7db5d152e2cedb18548c9156bc35",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, autoreg, seed", sorted(WALK_DIGESTS))
+def test_walk_output_is_pinned(capsys, p, autoreg, seed):
+    for fmt, want in zip(("text", "csv"), WALK_DIGESTS[p, autoreg, seed]):
+        assert main(["walk", str(p), "--autoreg", autoreg, "--seed", str(seed),
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == want, fmt
+
+
 # ---------------------------------------------------------------------------
 # stg
 

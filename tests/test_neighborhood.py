@@ -41,7 +41,7 @@ from funspace.neighborhood import (
     _child_tables,
     _compare_tables,
 )
-from funspace.shapes import clause_table, up_closure
+from funspace.shapes import clause_table, shape_table, up_closure
 
 from conftest import shapes
 
@@ -397,6 +397,26 @@ def _reference_walk(p, seed):
 def test_random_path_takes_the_parents_pick(p, seeds):
     for seed in seeds:
         assert random_path(p, seed) == _reference_walk(p, seed)
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_walk_shapes_count_like_fresh_shapes(p):
+    """A walk's shapes carry their up-set; they must read like shapes built
+    from their clauses alone, and equal, hash and print like them."""
+    ctxs = (
+        RegulatorContext.all_positive(p),
+        RegulatorContext.all_positive(p, self_index=p),
+        RegulatorContext.from_str("+" * (p - 1) + "-", self_index=p),
+        RegulatorContext.from_str(("-+" * p)[:p]),
+    )
+    for seed in range(5):
+        for s in random_path(p, seed):
+            fresh = FunctionShape(p, s.clauses)
+            assert true_count(s) == true_count(fresh)
+            for ctx in ctxs:
+                assert shape_table(s, ctx) == shape_table(fresh, ctx)
+            assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+            assert vars(fresh) == {"arity": p, "clauses": s.clauses}  # readers store nothing
 
 
 @hst.composite

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -378,6 +380,21 @@ def test_context_basics():
     assert ctx.all_operative_state() == 0b101
     assert ctx.all_non_operative_state() == 0b010
     assert RegulatorContext.all_positive(3).neg_mask == 0
+
+
+def test_neg_mask_is_stored_without_touching_equality():
+    for p in range(1, 6):
+        for signs in itertools.product("+-", repeat=p):
+            text = "".join(signs)
+            ctx = RegulatorContext.from_str(text, self_index=p)
+            twin = RegulatorContext(tuple(1 - 2 * (ch == "-") for ch in text), p)
+            assert ctx.neg_mask == sum(1 << k for k, ch in enumerate(text) if ch == "-")
+            assert ctx.pos_mask == ((1 << p) - 1) ^ ctx.neg_mask
+            # the stored mask is not a field: only signs and self_index compare
+            assert ctx == twin and hash(ctx) == hash(twin) and repr(ctx) == repr(twin)
+            assert [f.name for f in dataclasses.fields(ctx)] == ["signs", "self_index"]
+            assert RegulatorContext.from_str(str(ctx), ctx.self_index) == ctx
+            assert dataclasses.replace(ctx, signs=(1,) * p).neg_mask == 0
 
 
 def test_context_self_sign():

@@ -155,26 +155,26 @@ def _distribute(node: tuple) -> list[list[tuple]]:
 
 
 def _strict_clauses(node: tuple, line: int | None) -> list[list[tuple]]:
-    """Literal clause lists for an expression required to already be DNF."""
+    """Literal clause lists for an expression required to already be DNF;
+    an or group inside an or, or an and group inside an and, is merged."""
 
     def literal(n: tuple) -> tuple:
-        if n[0] == "var":
-            return n
-        if n[0] == "not" and n[1][0] == "var":
+        if n[0] == "var" or n[0] == "not" and n[1][0] == "var":
             return n
         raise NotDNFAfterNormalization(
-            "negation applies to a whole subexpression; "
-            "pass --normalize to rewrite it",
+            ("a disjunction inside a conjunction" if n[0] == "or"
+             else "negation applies to a whole subexpression")
+            + "; pass --normalize to rewrite it",
             line,
         )
 
     def term(n: tuple) -> list[tuple]:
         if n[0] == "and":
-            return [literal(k) for k in n[1]]
+            return [lit for k in n[1] for lit in term(k)]
         return [literal(n)]
 
     if node[0] == "or":
-        return [term(k) for k in node[1]]
+        return [c for k in node[1] for c in _strict_clauses(k, line)]
     return [term(node)]
 
 

@@ -34,18 +34,20 @@ Siblings (the parents' children, the children's parents) are found and
 deduplicated as tables, whose up-sets each step already knows, so only the
 siblings returned become shapes.
 
-`build_hasse` is the independent oracle: it ranks all shapes by true-set
-containment and extracts covering pairs directly from the definition, so
-the rule-based neighbors can be tested against it (p ≤ 5).
+`build_hasse` is the independent oracle: it reads every shape's true set
+off its compiled clauses and extracts the covering pairs from true-set
+containment alone, as a transitive reduction on bitsets over the shapes,
+so the rule-based neighbors can be tested against it (p ≤ 5).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cmp_to_key
+from functools import cache, cmp_to_key, reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -58,7 +60,7 @@ from .shapes import (
     FunctionShape,
     RegulatorContext,
     _carry_up,
-    _is_subset,
+    _covering,
     clause_mask,
     clause_table,
     compile_clauses,
@@ -117,11 +119,6 @@ def _shape_of(table: int, p: int) -> FunctionShape:
     return FunctionShape._unchecked(p, tuple([states[s] for s in table_states(table)]))
 
 
-def _covering(table: int, p: int) -> bool:
-    """Does a clause table use every regulator?"""
-    return all(map(table.__and__, variable_tables(p)))
-
-
 def max_outside(shape: FunctionShape) -> tuple[int, ...]:
     """Maximal states outside the true set (all-positive reading), ascending.
 
@@ -140,7 +137,7 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
     m = sigma if isinstance(sigma, int) else clause_mask(sigma, shape.arity)
     if m == 0:
         return False
-    return all(not _is_subset(m, c) and not _is_subset(c, m) for c in shape.clauses)
+    return all(m & c not in (m, c) for c in shape.clauses)
 
 
 @cache
@@ -455,10 +452,12 @@ class HasseDiagram:
 def build_hasse(p: int) -> HasseDiagram:
     """Construct the full diagram from the definition of the order (p ≤ 5).
 
-    Ranks every shape by its true set and keeps the covering pairs: b
-    covers a iff T(a) ⊂ T(b) with nothing strictly between.  Quadratic in
-    the number of shapes; deliberately independent of `parents`/`children`
-    so it can serve as their oracle.
+    b covers a iff T(a) ⊂ T(b) with nothing strictly between.  True sets come
+    from the compiled clauses, so this oracle shares no code with the rules.
+    Shapes are ranked by ascending |T|, a linear extension of the order; U(a)
+    is the AND over T(a) of the bitsets of the ranks holding each state.  The
+    lowest rank left in U(a) covers a, and clearing it with its own up-set
+    leaves the rest: a transitive reduction (Aho, Garey & Ullman 1972).
     """
     if not 1 <= p <= 5:
         raise ArityTooLarge(f"diagram construction supports 1 <= p <= 5, got {p}")
@@ -466,18 +465,19 @@ def build_hasse(p: int) -> HasseDiagram:
     ctx = RegulatorContext.all_positive(p)
     tts = [truth_table(compile_clauses(s, ctx), p) for s in shapes]
     order = sorted(range(len(shapes)), key=lambda i: (tts[i].bit_count(), tts[i]))
+    holders = [0] * (1 << p)  # per state, bit r set iff the shape of rank r holds it
+    for r, i in enumerate(order):
+        for x in table_states(tts[i]):
+            holders[x] |= 1 << r
+    # per rank, the ranks of the shapes whose true set contains its own
+    ups = [reduce(and_, [holders[x] for x in table_states(tts[i])]) for i in order]
     edges: set[tuple[int, int]] = set()
-    for a in range(len(shapes)):
-        ta = tts[a]
-        mins: list[int] = []
-        for b in order:  # ascending |T| is a linear extension of the order
-            tb = tts[b]
-            if tb == ta or ta & tb != ta:
-                continue
-            if any(tm & tb == tm for tm in mins):
-                continue
-            mins.append(tb)
-            edges.add((a, b))
+    for r, i in enumerate(order):
+        left = ups[r] & -2 << r  # U(a): of the ranks <= r only a itself contains T(a)
+        while left:
+            b = (left & -left).bit_length() - 1
+            edges.add((i, order[b]))
+            left &= ~ups[b]
     return HasseDiagram(p, shapes, frozenset(edges))
 
 

@@ -104,7 +104,7 @@ class ProbabilisticNetwork:
         fixed, randomized = [], []
         for i, (c, ens) in enumerate(zip(self.network.components, self.ensembles)):
             if ens is None:
-                if not c.compiled:
+                if c.constant is False:
                     continue
                 shapes = [c.shape]
             else:

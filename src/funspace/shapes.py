@@ -9,9 +9,10 @@ clauses — an antichain of nonempty subsets of {1..p} whose union is all of
 
 Shapes are ordered by clause refinement: ``S ⪯ S'`` iff every clause of S
 contains some clause of S', equivalently the true sets satisfy
-``T(S) ⊆ T(S')``.  The unique top is the shape of all singletons (OR of
-all literals), the unique bottom the single full clause (AND of all
-literals).
+``T(S) ⊆ T(S')``, which is how it is tested: on 2^p-bit tables (bit s
+for state s), as are antichain and cover.  The unique top is the shape
+of all singletons (OR of all literals), the unique bottom the single
+full clause (AND of all literals).
 
 Representation conventions used everywhere in this package:
 
@@ -78,18 +79,9 @@ def clause_indices(mask: int) -> tuple[int, ...]:
     return tuple(b + 1 for b in bits_of(mask))
 
 
-def _is_subset(a: int, b: int) -> bool:
-    return a & b == a
-
-
 def _require_arity(p: int) -> None:
     if not 1 <= p <= MAX_ARITY:
         raise ArityTooLarge(f"arity {p} outside 1..{MAX_ARITY}")
-
-
-def _covers(clauses: Iterable[int], p: int) -> bool:
-    """Does every regulator 1..p appear in some clause?"""
-    return reduce(or_, clauses, 0) == (1 << p) - 1
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,8 @@ class FunctionShape:
 
     ``clauses`` holds bitmasks in strictly increasing numeric order, which
     makes equality and hashing structural.  Instances are validated on
-    construction; use :func:`make_shape` / :func:`minimize` for index-set
-    input.
+    construction, on the clause table; use :func:`make_shape` /
+    :func:`minimize` for index-set input.
     """
 
     arity: int
@@ -120,15 +112,18 @@ class FunctionShape:
             if c <= prev:
                 raise ValueError("clauses must be strictly increasing masks")
             prev = c
-        if not _covers(cls, p):
+        if not _covering(c := clause_table(self), p):
             missing = clause_indices(full & ~reduce(or_, cls))
             raise NotCover(f"regulators {missing} appear in no clause")
-        for a, b in combinations(cls, 2):
-            if _is_subset(a, b) or _is_subset(b, a):
-                raise NotAntichain(
-                    f"clauses {set(clause_indices(a))} and "
-                    f"{set(clause_indices(b))} are comparable"
-                )
+        if c & ~minimal_elements(up_closure(c, p), p):
+            # the pair a < b a pairwise scan meets first: bit full ^ s of r is
+            # clause s, so r's non-minimal states are the clauses below another
+            r = int(f"{c:0{1 << p}b}"[::-1], 2)
+            a = full ^ ((r & ~minimal_elements(up_closure(r, p), p)).bit_length() - 1)
+            above = c & up_closure(1 << a, p) & ~(1 << a)
+            b = (above & -above).bit_length() - 1
+            raise NotAntichain(f"clauses {set(clause_indices(a))} and "
+                               f"{set(clause_indices(b))} are comparable")
 
     @classmethod
     def _unchecked(cls, arity: int, clauses: tuple[int, ...]) -> "FunctionShape":
@@ -172,15 +167,17 @@ def make_shape(clauses: Iterable[Iterable[int]], p: int) -> FunctionShape:
 def minimize(clauses: Iterable[Iterable[int]], p: int) -> FunctionShape:
     """Build a shape from arbitrary DNF clause sets, absorbing supersets.
 
-    Keeps the inclusion-minimal clauses, then validates the cover
-    condition (every regulator essential).
+    Keeps the minimal elements of the clauses' up-closure, then validates
+    the cover condition (every regulator essential).
     """
-    masks = sorted({clause_mask(c, p) for c in clauses}, key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in masks:
-        if not any(_is_subset(k, m) for k in kept):
-            kept.append(m)
-    return FunctionShape(p, tuple(sorted(kept)))
+    _require_arity(p)  # before the 2^p-digit table
+    kept = minimal_elements(up_closure(_mask_table([clause_mask(c, p) for c in clauses], p), p), p)
+    if kept <= 1:  # no clause, or the empty one, which absorbs all others
+        raise EmptyClauseSet("empty clause" if kept else "a shape needs at least one clause")
+    if not _covering(kept, p):
+        missing = clause_indices(((1 << p) - 1) & ~reduce(or_, table_states(kept)))
+        raise NotCover(f"regulators {missing} appear in no clause")
+    return FunctionShape._unchecked(p, tuple(table_states(kept)))  # an antichain cover
 
 
 def sup_shape(p: int) -> FunctionShape:
@@ -207,11 +204,11 @@ def majority_rule(p: int, r: int) -> FunctionShape:
 def shape_leq(a: FunctionShape, b: FunctionShape) -> bool:
     """Order test: ``a ⪯ b`` iff every clause of ``a`` contains a clause of ``b``.
 
-    Equivalent to true-set containment T(a) ⊆ T(b).
+    Equivalent to true-set containment T(a) ⊆ T(b), which is what runs.
     """
     if a.arity != b.arity:
         raise ArityMismatch(f"cannot compare arity {a.arity} with {b.arity}")
-    return all(any(_is_subset(cb, ca) for cb in b.clauses) for ca in a.clauses)
+    return not up_table(a) & ~up_table(b)
 
 
 def shape_lt(a: FunctionShape, b: FunctionShape) -> bool:
@@ -416,13 +413,23 @@ def table_states(table: int) -> list[int]:
     return out
 
 
-def clause_table(shape: FunctionShape) -> int:
-    """The 2^p-bit table with bit c set for every clause c, parsed from
+def _mask_table(masks: Iterable[int], p: int) -> int:
+    """The 2^p-bit table with bit c set for every mask c, parsed from
     binary digits (summing ``1 << c`` is quadratic in the table size)."""
-    digits = bytearray(b"0" * (1 << shape.arity))
-    for c in shape.clauses:
+    digits = bytearray(b"0" * (1 << p))
+    for c in masks:
         digits[~c] = 49  # ord("1"); bit c is the c-th digit from the right
     return int(digits, 2)
+
+
+def clause_table(shape: FunctionShape) -> int:
+    """The 2^p-bit table with bit c set for every clause c."""
+    return _mask_table(shape.clauses, shape.arity)
+
+
+def _covering(table: int, p: int) -> bool:
+    """Does a clause table use every regulator?"""
+    return all(map(table.__and__, variable_tables(p)))
 
 
 def up_table(shape: FunctionShape) -> int:
@@ -495,12 +502,12 @@ def shape_from_truth_table(
     for k, v in enumerate(variable_tables(p)):
         if (lits & ~v) << (1 << k) & ~lits:
             raise NotConsistent(f"regulator {k + 1} acts against its declared sign")
-    minimal = table_states(minimal_elements(lits, p))  # the clauses
+    minimal = table_states(clauses := minimal_elements(lits, p))
     if not minimal:
         raise NotConsistent("constant false")
     if minimal == [0]:
         raise NotConsistent("constant true")
-    if not _covers(minimal, p):
+    if not _covering(clauses, p):
         idle = clause_indices((size - 1) & ~reduce(or_, minimal))
         raise NotConsistent(f"regulators {idle} are not essential")
     # minimal elements are an ascending antichain of non-zero states

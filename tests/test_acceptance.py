@@ -9,6 +9,7 @@ pass/fail line per criterion.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from contextlib import redirect_stdout
 from itertools import product
@@ -99,6 +100,24 @@ def test_criterion_01b_optional_p6_enumeration():
 def test_criterion_02_rules_equal_brute_force(diagrams):
     for p in (1, 2, 3, 4, 5):
         assert verify_rules(p, diagrams[p]) == []
+
+
+# sha256 of repr(sorted(edges)), recorded from the pairwise scan that the
+# bitset transitive reduction in `build_hasse` replaced
+HASSE_EDGE_DIGESTS = {
+    1: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    2: (1, "fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963"),
+    3: (12, "a88e8c2f02ea70c49d4b0ef980ac7e44f305168e99a510be424e87d2ece90f34"),
+    4: (292, "8dd68eb177a49cb8af520d8035b5d23145d3950c6a6cca8c77834a99d6e168a0"),
+    5: (31830, "d088e1d679c80d57dd1d74981bca674234b85926d0f0681a5a619c49195dbfc1"),
+}
+
+
+def test_diagram_edges_are_pinned(diagrams):
+    for p, (n_edges, digest) in HASSE_EDGE_DIGESTS.items():
+        edges = sorted(diagrams[p].edges)
+        assert len(edges) == n_edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
 
 def test_criterion_03_arity3_diagram_and_worked_example(diagrams):

@@ -67,6 +67,21 @@ def test_neighbors_error_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_neighbors_accepts_parenthesized_dnf(capsys):
+    for text in ("(a | b) | c", "(a & b) & c"):
+        assert main(["neighbors", text]) == 0
+    capsys.readouterr()
+    for text in ("a & (b | c)", "!(a & b)"):
+        assert main(["neighbors", text]) == 2
+        assert "parse error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [17, 40])
+def test_neighbors_rejects_too_many_regulators_at_once(p, capsys):
+    assert main(["neighbors", " | ".join(f"x{k}" for k in range(p))]) == 3
+    assert "arity" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

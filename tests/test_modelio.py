@@ -86,6 +86,28 @@ def test_normalize_distributes():
     assert str(pf.ctx) == "+++"
 
 
+def test_strict_parser_merges_parenthesized_groups():
+    for text, want in [("(a | b) | c", [[1], [2], [3]]),
+                       ("(a & b) & c", [[1, 2, 3]]),
+                       ("a | ((b & (c & !d)) | e)", [[1], [2, 3, 4], [5]])]:
+        pf = parse_expression(text)
+        assert pf.shape == make_shape(want, len(pf.names))
+        assert pf.names == tuple("abcde"[:len(pf.names)])
+        assert parse_expression(text, normalize=True) == pf
+
+
+def test_strict_parser_names_what_is_not_dnf():
+    for text, cause in [("a & (b | c)", "a disjunction inside a conjunction"),
+                        ("(a | b) & c", "a disjunction inside a conjunction"),
+                        ("!(a & b)", "negation applies to a whole subexpression"),
+                        ("(a | b) | !(c & d)", "negation applies to a whole subexpression")]:
+        with pytest.raises(NotDNFAfterNormalization, match=cause):
+            parse_expression(text)
+    pf = parse_expression("a & (b | c)", normalize=True)
+    assert pf.shape == make_shape([[1, 2], [1, 3]], 3)
+    assert pf.names == ("a", "b", "c")
+
+
 def test_syntax_errors():
     for text in ("", "a |", "a & (b", "a b", "| a", "!"):
         with pytest.raises(ModelSyntaxError):

@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from funspace import (
     FunctionShape,
@@ -20,6 +22,8 @@ from funspace import (
     make_shape,
     minimize,
     no_inhibitors,
+    parse_expression,
+    random_path,
     shape_from_truth_table,
     shape_leq,
     shape_lt,
@@ -32,6 +36,7 @@ from funspace import (
     true_states,
 )
 from funspace.shapes import (
+    MAX_ARITY,
     clause_table,
     compile_clauses,
     holds,
@@ -50,7 +55,7 @@ from funspace.errors import (
     ThresholdOutOfRange,
 )
 
-from conftest import shapes_with_contexts
+from conftest import shapes, shapes_with_contexts
 
 
 def all_contexts(p):
@@ -105,8 +110,145 @@ def test_arity_cap():
 
 def test_minimize_absorbs_and_checks_cover():
     assert minimize([[1], [1, 2], [2, 3]], 3) == make_shape([[1], [2, 3]], 3)
-    with pytest.raises(NotCover):
+    with pytest.raises(NotCover, match=r"regulators \(2,\) appear"):
         minimize([[1], [1, 2]], 2)  # absorption leaves regulator 2 unused
+    with pytest.raises(EmptyClauseSet, match="empty clause"):
+        minimize([[], [1]], 1)
+    with pytest.raises(EmptyClauseSet, match="at least one clause"):
+        minimize([], 3)
+
+
+# The constructor, `minimize` and `shape_leq` test containment on 2^p-bit
+# tables.  The references below keep the clause-against-clause definitions.
+
+
+def _pairwise_verdict(p, cls):
+    """None for a valid antichain cover, else (exception class, message),
+    by pairwise clause comparison; ``cls`` is strictly increasing."""
+    if not cls:
+        return EmptyClauseSet, "a shape needs at least one clause"
+    if cls[0] == 0:
+        return EmptyClauseSet, "empty clause"
+    union = 0
+    for c in cls:
+        union |= c
+    if union != (1 << p) - 1:
+        missing = tuple(k + 1 for k in range(p) if not union >> k & 1)
+        return NotCover, f"regulators {missing} appear in no clause"
+    for a, b in itertools.combinations(cls, 2):
+        if a & b == a:  # a < b, so b cannot lie inside a
+            sa = {k + 1 for k in range(p) if a >> k & 1}
+            sb = {k + 1 for k in range(p) if b >> k & 1}
+            return NotAntichain, f"clauses {sa} and {sb} are comparable"
+    return None
+
+
+def _verdict(build, *args):
+    try:
+        return build(*args)
+    except (EmptyClauseSet, NotCover, NotAntichain) as exc:
+        return type(exc), str(exc)
+
+
+@hst.composite
+def _raw_clauses(draw):
+    """(p, masks) at p = 1..8 with duplicates, supersets, the empty clause
+    and non-covers among them."""
+    p = draw(hst.integers(1, 8))
+    full = (1 << p) - 1
+    masks = draw(hst.lists(hst.integers(0, full), max_size=10))
+    if masks:  # supersets (or copies) of drawn masks
+        grow = draw(hst.lists(hst.tuples(hst.integers(0, 9), hst.integers(0, full)), max_size=3))
+        masks += [masks[i % len(masks)] | m for i, m in grow]
+    return p, masks
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_clauses())
+def test_constructor_matches_the_pairwise_definition(case):
+    p, masks = case
+    cls = tuple(sorted(set(masks)))
+    got = _verdict(FunctionShape, p, cls)
+    want = _pairwise_verdict(p, cls)
+    if want is None:
+        assert isinstance(got, FunctionShape) and got.clauses == cls
+    else:
+        assert got == want
+
+
+def test_not_antichain_names_the_first_pair_a_pairwise_scan_meets():
+    # {2} ⊂ {2, 4} comes first in clause order; {1, 3} ⊃ {3} is the lowest clause holding another
+    with pytest.raises(NotAntichain, match=r"^clauses \{2\} and \{2, 4\} are comparable$"):
+        FunctionShape(4, (0b0010, 0b0100, 0b0101, 0b1010))
+
+
+def _absorbing_minimize(clauses, p):
+    """Keep each clause that contains no clause kept before it, smallest first."""
+    masks = sorted({sum(1 << (i - 1) for i in set(c)) for c in clauses},
+                   key=lambda m: (m.bit_count(), m))
+    kept = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return FunctionShape(p, tuple(sorted(kept)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_clauses())
+def test_minimize_matches_the_absorption_loop(case):
+    p, masks = case
+    sets = [[k + 1 for k in range(p) if m >> k & 1] for m in masks]
+    got = _verdict(minimize, sets, p)
+    assert got == _verdict(_absorbing_minimize, sets, p)
+    if isinstance(got, FunctionShape):
+        assert FunctionShape(p, got.clauses) == got  # minimize builds it unchecked
+
+
+def test_wide_shapes_validate_on_tables():
+    m = majority_rule(MAX_ARITY, MAX_ARITY // 2)
+    start = time.perf_counter()
+    assert FunctionShape(MAX_ARITY, m.clauses) == m
+    assert make_shape(m.index_sets(), MAX_ARITY) == m
+    assert minimize(m.index_sets(), MAX_ARITY) == m
+    assert time.perf_counter() - start < 5  # clause-pair checks: 8-27 s each (2-vCPU VM)
+    superset = tuple(range(1, MAX_ARITY // 2 + 2))  # holds the clause {1..8}
+    with pytest.raises(NotAntichain):
+        make_shape(m.index_sets() + (superset,), MAX_ARITY)
+    with pytest.raises(NotAntichain):
+        FunctionShape(MAX_ARITY, tuple(sorted(m.clauses + ((1 << len(superset)) - 1,))))
+    assert minimize(m.index_sets() + (superset,), MAX_ARITY) == m
+
+
+@pytest.mark.parametrize("p", [MAX_ARITY + 1, 40])
+def test_minimize_checks_the_arity_before_any_table(p):
+    # a 2^40-digit table could not be built: the guard must come first
+    with pytest.raises(ArityTooLarge):
+        minimize([[k] for k in range(1, p + 1)], p)
+    with pytest.raises(ArityTooLarge):
+        parse_expression(" | ".join(f"x{k}" for k in range(p)))
+
+
+def _refines(a, b):
+    """Every clause of a contains a clause of b."""
+    return all(any(cb & ca == cb for cb in b.clauses) for ca in a.clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(1, 10).flatmap(lambda p: hst.tuples(shapes(p), shapes(p))))
+def test_shape_leq_is_clause_refinement(pair):
+    a, b = pair
+    assert shape_leq(a, b) == _refines(a, b)
+    assert shape_leq(b, a) == _refines(b, a)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_shape_leq_on_walk_shapes_that_carry_their_up_sets(p):
+    path = random_path(p, seed=p)
+    fresh = [FunctionShape(p, s.clauses) for s in path]
+    for i in range(len(path)):
+        for j in range(0, len(path), 3):
+            assert shape_leq(path[i], path[j]) == (i <= j) == _refines(path[i], path[j])
+            assert shape_leq(path[i], fresh[j]) == shape_leq(fresh[i], path[j]) == (i <= j)
 
 
 def test_extremal_shapes():

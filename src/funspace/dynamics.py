@@ -22,7 +22,7 @@ and walks those counts along upward paths in the function order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -38,8 +38,7 @@ from .shapes import (
     FunctionShape,
     RegulatorContext,
     bits_of,
-    compile_clauses,
-    holds,
+    evaluate,
     make_shape,
     shape_table,
     table_states,
@@ -61,11 +60,10 @@ class Component:
     ``regulators`` lists regulator positions as indices into the network's
     component tuple, in the same order as ``ctx.signs`` and the shape's
     1-based clause indices.  For constants, ``shape``/``ctx`` are None and
-    ``constant`` holds the value.
-
-    ``compiled`` is the function compiled once against network state bits
-    (see :func:`funspace.shapes.compile_clauses`); a constant compiles to
-    one empty clause (true) or to no clause at all (false).
+    ``constant`` holds the value.  Regulator k of the shape reads network
+    state bit ``regulators[k-1]``: the graphs put the shape on the network's
+    state space with :func:`funspace.shapes.truth_table`, and
+    :meth:`BooleanNetwork.step_sync` projects one state onto the regulators.
     """
 
     name: str
@@ -73,13 +71,11 @@ class Component:
     shape: FunctionShape | None = None
     ctx: RegulatorContext | None = None
     constant: bool | None = None
-    compiled: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shape is None:
             if self.constant is None or self.regulators or self.ctx is not None:
                 raise ValueError(f"component {self.name}: constants take no regulators")
-            object.__setattr__(self, "compiled", ((0, 0),) if self.constant else ())
         else:
             if self.ctx is None or self.constant is not None:
                 raise ValueError(f"component {self.name}: function needs a context")
@@ -92,9 +88,6 @@ class Component:
                 raise ArityMismatch(f"component {self.name}: context arity differs")
             if len(set(self.regulators)) != len(self.regulators):
                 raise ValueError(f"component {self.name}: repeated regulator")
-            object.__setattr__(
-                self, "compiled", compile_clauses(self.shape, self.ctx, self.regulators)
-            )
 
 
 @dataclass(frozen=True)
@@ -132,15 +125,29 @@ class BooleanNetwork:
                 return i
         raise KeyError(name)
 
-    def component_value(self, i: int, state: int) -> bool:
-        return holds(self.components[i].compiled, state)
-
     def step_sync(self, state: int) -> int:
+        """The synchronous update of one state, the reference step: each
+        component's next value is :func:`funspace.shapes.evaluate` on its
+        regulators' projected state, or its constant.  Graphs are built from
+        whole-space tables instead (:func:`stg_async`)."""
         nxt = 0
         for i, c in enumerate(self.components):
-            if holds(c.compiled, state):
-                nxt |= 1 << i
+            if c.shape is None:
+                value = c.constant
+            else:
+                local = 0
+                for k, r in enumerate(c.regulators):
+                    local |= (state >> r & 1) << k
+                value = evaluate(c.shape, c.ctx, local)
+            nxt |= value << i
         return nxt
+
+
+def _table(c: Component, n: int) -> int:
+    """Component c's next value at every network state, as a 2^n-bit table."""
+    if c.shape is None:
+        return (1 << (1 << n)) - 1 if c.constant else 0
+    return truth_table(c.shape, c.ctx, c.regulators, n)
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -173,8 +180,10 @@ _LANE = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 @dataclass(frozen=True)
 class STG:
     """A state-transition graph over the states 0..2^n-1: ``tables[i]`` is
-    component i's 2^n-bit truth table (bit s is its next value at state s).
-    ``successors``, each state's out-edges, is built on first access."""
+    component i's 2^n-bit truth table (bit s is its next value at state s),
+    as :func:`funspace.shapes.truth_table` puts its shape on the network's
+    state bits; a constant's table is all ones or 0.  ``successors``, each
+    state's out-edges, is built on first access."""
 
     mode: str  # 'async' | 'sync'
     n: int
@@ -231,7 +240,7 @@ class STG:
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Asynchronous graph: one transition per component whose value differs."""
     _check_limit(bn.n, limit)
-    return STG("async", bn.n, tuple([truth_table(c.compiled, bn.n) for c in bn.components]))
+    return STG("async", bn.n, tuple([_table(c, bn.n) for c in bn.components]))
 
 
 def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
@@ -331,7 +340,7 @@ def component_transitions(
 ) -> TransitionSet:
     """All states where component i's asynchronous update fires, by direction."""
     _check_limit(bn.n, limit)
-    table = truth_table(bn.components[i].compiled, bn.n)
+    table = _table(bn.components[i], bn.n)
     on = variable_table(i, bn.n)
     return TransitionSet(
         i, bn.n,
@@ -421,7 +430,7 @@ def f_star(ctx: RegulatorContext) -> FunctionShape:
         raise SingleRegulator("self-priming function needs a second regulator")
     self_bit = 1 << (ctx.self_index - 1)
     masks = sorted(self_bit | (1 << k) for k in range(ctx.arity) if (1 << k) != self_bit)
-    return FunctionShape(ctx.arity, tuple(masks))
+    return FunctionShape._unchecked(ctx.arity, tuple(masks))  # an antichain cover
 
 
 @dataclass(frozen=True)

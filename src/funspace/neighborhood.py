@@ -35,7 +35,7 @@ deduplicated as tables, whose up-sets each step already knows, so only the
 siblings returned become shapes.
 
 `build_hasse` is the independent oracle: it reads every shape's true set
-off its compiled clauses and extracts the covering pairs from true-set
+off `shapes.truth_table` and extracts the covering pairs from true-set
 containment alone, as a transitive reduction on bitsets over the shapes,
 so the rule-based neighbors can be tested against it (p ≤ 5).
 """
@@ -63,7 +63,6 @@ from .shapes import (
     _covering,
     clause_mask,
     clause_table,
-    compile_clauses,
     inf_shape,
     level,
     level_leq,
@@ -453,7 +452,7 @@ def build_hasse(p: int) -> HasseDiagram:
     """Construct the full diagram from the definition of the order (p ≤ 5).
 
     b covers a iff T(a) ⊂ T(b) with nothing strictly between.  True sets come
-    from the compiled clauses, so this oracle shares no code with the rules.
+    from :func:`truth_table`, so this oracle shares no code with the rules.
     Shapes are ranked by ascending |T|, a linear extension of the order; U(a)
     is the AND over T(a) of the bitsets of the ranks holding each state.  The
     lowest rank left in U(a) covers a, and clearing it with its own up-set
@@ -463,7 +462,7 @@ def build_hasse(p: int) -> HasseDiagram:
         raise ArityTooLarge(f"diagram construction supports 1 <= p <= 5, got {p}")
     shapes = tuple(enumerate_all(p))
     ctx = RegulatorContext.all_positive(p)
-    tts = [truth_table(compile_clauses(s, ctx), p) for s in shapes]
+    tts = [truth_table(s, ctx, range(p), p) for s in shapes]
     order = sorted(range(len(shapes)), key=lambda i: (tts[i].bit_count(), tts[i]))
     holders = [0] * (1 << p)  # per state, bit r set iff the shape of rank r holds it
     for r, i in enumerate(order):

@@ -159,6 +159,8 @@ def randomized_network(
     ref_prob: float = 0.8,
 ) -> ProbabilisticNetwork:
     """Attach neighbor ensembles to the named components (None = all non-constant)."""
+    if not 0 < ref_prob <= 1:  # also when no component is named
+        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
     if components is None:
         targets = {i for i, c in enumerate(bn.components) if c.shape is not None}
     else:

@@ -306,40 +306,9 @@ def evaluate(shape: FunctionShape, ctx: RegulatorContext, state: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The clause evaluator.  A clause family compiled against a state space is a
-# tuple of (ones, zeros) masks: a clause holds where all of ``ones`` is set
-# and all of ``zeros`` is clear.  ``evaluate`` above stays separate on
-# purpose: it is the independent reference the tests hold these against.
-
-
-def compile_clauses(
-    shape: FunctionShape, ctx: RegulatorContext, positions: Sequence[int] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """The shape's clauses as (must-be-1, must-be-0) masks under ``ctx``.
-
-    Regulator k reads state bit ``positions[k-1]``; by default bit k-1, so
-    the state space is B^p itself.
-    """
-    _require_same_arity(shape, ctx)
-    neg = ctx.neg_mask
-    # Lists, not generators, feed tuple(): on CPython 3.11, tuples grown from
-    # generators call after call ratchet up the resident memory.
-    local = tuple([(c & ~neg, c & neg) for c in shape.clauses])
-    if positions is None:
-        return local
-
-    def place(mask: int) -> int:
-        return reduce(or_, [1 << positions[k] for k in bits_of(mask)], 0)
-
-    return tuple([(place(ones), place(zeros)) for ones, zeros in local])
-
-
-def holds(clauses: tuple[tuple[int, int], ...], state: int) -> bool:
-    """Point test: does some compiled clause hold at ``state``?"""
-    for ones, zeros in clauses:
-        if state & ones == ones and not state & zeros:
-            return True
-    return False
+# Whole-space truth tables.  ``truth_table`` puts a clause family on a state
+# space; ``evaluate`` above stays separate on purpose: it is the independent
+# reference the tests hold tables against.
 
 
 def variable_table(j: int, n: int) -> int:
@@ -358,17 +327,24 @@ def variable_table(j: int, n: int) -> int:
     return v
 
 
-def truth_table(clauses: tuple[tuple[int, int], ...], n: int) -> int:
-    """Whole-space test: bit s is set iff ``holds(clauses, s)``, for s < 2^n."""
+def truth_table(
+    shape: FunctionShape, ctx: RegulatorContext, positions: Sequence[int], n: int
+) -> int:
+    """Bit s is set iff the function holds at state s, for every s < 2^n.
+
+    Regulator k reads state bit ``positions[k-1]``.  Its literal table is
+    that bit's variable table, complemented for an inhibitor; a clause is
+    the AND of its literals' tables and the function the OR of its clauses.
+    """
+    _require_same_arity(shape, ctx)
     full = (1 << (1 << n)) - 1
-    var: dict[int, int] = {}
+    lits = [variable_table(j, n) ^ (full if sign == NEGATIVE else 0)
+            for j, sign in zip(positions, ctx.signs, strict=True)]
     table = 0
-    for ones, zeros in clauses:
+    for c in shape.clauses:
         t = full
-        for j in bits_of(ones | zeros):
-            if j not in var:
-                var[j] = variable_table(j, n)
-            t &= var[j] if ones >> j & 1 else ~var[j]
+        for k in bits_of(c):
+            t &= lits[k]
         table |= t
     return table
 
@@ -498,7 +474,7 @@ def shape_from_truth_table(
         raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
     neg = ctx.neg_mask
     # Work in literal space: lit = state ^ neg must make the function monotone.
-    lits = sum(1 << (s ^ neg) for s in range(size) if table[s])
+    lits = _mask_table([s ^ neg for s in range(size) if table[s]], p)
     for k, v in enumerate(variable_tables(p)):
         if (lits & ~v) << (1 << k) & ~lits:
             raise NotConsistent(f"regulator {k + 1} acts against its declared sign")
@@ -559,10 +535,11 @@ class Signature:
 
     def states(self, ctx: RegulatorContext) -> Iterator[int]:
         """Expand the signature into its regulator states, ascending."""
-        pat = self.pattern(ctx)
-        ones = sum(1 << k for k, ch in enumerate(pat) if ch == "1")
-        zeros = sum(1 << k for k, ch in enumerate(pat) if ch == "0")
-        return iter(table_states(truth_table(((ones, zeros),), self.arity)))
+        cube = (1 << (1 << self.arity)) - 1
+        for ch, v in zip(self.pattern(ctx), variable_tables(self.arity)):
+            if ch != "*":
+                cube &= v if ch == "1" else ~v
+        return iter(table_states(cube))
 
     def render(self, ctx: RegulatorContext | None = None,
                operative: str = "o", inhibitor_operative: str = "ō",
@@ -628,7 +605,7 @@ def no_inhibitors(ctx: RegulatorContext) -> FunctionShape:
         raise NoActivators("no-inhibitors function needs at least one activator")
     neg = ctx.neg_mask
     masks = sorted((1 << a) | neg for a in pos)
-    return FunctionShape(ctx.arity, tuple(masks))
+    return FunctionShape._unchecked(ctx.arity, tuple(masks))  # an antichain cover
 
 
 # ---------------------------------------------------------------------------

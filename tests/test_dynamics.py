@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from funspace import (
+    POSITIVE,
     BooleanNetwork,
     Component,
+    FunctionShape,
     RegulatorContext,
     attractors,
     component_transitions,
@@ -19,6 +21,7 @@ from funspace import (
     inf_shape,
     make_shape,
     network_from_functions,
+    no_inhibitors,
     parse_model,
     path_trace,
     random_path,
@@ -267,6 +270,27 @@ def test_f_star_order_implications():
                 assert gi <= base_inc and gd >= base_dec
 
 
+def test_reference_functions_are_valid_shapes():
+    # f_star and no_inhibitors build their shapes unchecked; the strict
+    # constructor must accept each one as it stands
+    def check(ctx):
+        p = ctx.arity
+        if ctx.self_index is not None:
+            fs = f_star(ctx)
+            assert fs == FunctionShape(p, fs.clauses)
+        if POSITIVE in ctx.signs:
+            ni = no_inhibitors(ctx)
+            assert ni == FunctionShape(p, ni.clauses)
+
+    for p in range(2, 9):
+        for signs in product("+-", repeat=p):
+            for self_index in (None, *range(1, p + 1)):
+                check(RegulatorContext.from_str("".join(signs), self_index))
+    for text in ("+" * 16, "+-" * 8, "+" + "-" * 15, "-" * 15 + "+"):
+        for self_index in (None, 1, 2, 16):
+            check(RegulatorContext.from_str(text, self_index))
+
+
 def test_f_star_errors():
     with pytest.raises(NotAutoregulated):
         f_star(RegulatorContext.from_str("++"))
@@ -488,5 +512,4 @@ def test_local_state_projection(toy_bn):
     # g1 sees (g1, g2, g3); network state 010 projects to regulator
     # state 010 and g1's next value is true there
     x = state_from_string("010")
-    assert toy_bn.component_value(0, x) is True
     assert toy_bn.step_sync(x) == state_from_string("110")

@@ -34,7 +34,6 @@ from funspace import (
 )
 from funspace.dynamics import Component
 from funspace.errors import ArityMismatch, InvalidProbability, MissingMarker
-from funspace.shapes import compile_clauses, holds
 
 from conftest import contexts, networks, shapes
 
@@ -92,6 +91,9 @@ def test_ref_prob_handling(th_bn):
     with pytest.raises(InvalidProbability):
         neighbor_ensemble(th_bn, i, ref_prob=1.2)
     assert len(neighbor_ensemble(th_bn, i, ref_prob=1.0)) == 1
+    for bad in (0.0, 2.0):  # refused even when no component is randomized
+        with pytest.raises(InvalidProbability):
+            randomized_network(th_bn, components=[], ref_prob=bad)
     ens = neighbor_ensemble(th_bn, i, ref_prob=0.5)
     assert sorted(p for _, p in ens.entries) == pytest.approx([0.25, 0.25, 0.5])
 
@@ -301,13 +303,13 @@ def test_simulation_outcomes_are_pinned():
 
 
 def reference_lookup(comp, shape, bit):
-    """One ``holds`` scan per submask of the regulator bits, on the shape
-    compiled against the regulators' network positions."""
-    compiled = compile_clauses(shape, comp.ctx, comp.regulators)
+    """One ``evaluate`` per submask of the regulator bits, on the state it
+    projects to (regulator k reads network bit ``comp.regulators[k-1]``)."""
     regs = sum(1 << r for r in comp.regulators)
     table, key = {}, regs
     while True:
-        table[key] = bit if holds(compiled, key) else 0
+        local = sum(1 << k for k, r in enumerate(comp.regulators) if key >> r & 1)
+        table[key] = bit if evaluate(shape, comp.ctx, local) else 0
         if not key:
             return table
         key = (key - 1) & regs

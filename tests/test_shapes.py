@@ -38,8 +38,6 @@ from funspace import (
 from funspace.shapes import (
     MAX_ARITY,
     clause_table,
-    compile_clauses,
-    holds,
     shape_table,
     table_states,
     truth_table,
@@ -55,7 +53,7 @@ from funspace.errors import (
     ThresholdOutOfRange,
 )
 
-from conftest import shapes, shapes_with_contexts
+from conftest import contexts, shapes, shapes_with_contexts
 
 
 def all_contexts(p):
@@ -348,9 +346,7 @@ def test_clause_evaluator_matches_evaluate(case):
     shape, ctx = case
     p = shape.arity
     truth = {s for s in range(1 << p) if evaluate(shape, ctx, s)}
-    compiled = compile_clauses(shape, ctx)
-    assert truth_table(compiled, p) == sum(1 << s for s in truth)
-    assert all(holds(compiled, s) == (s in truth) for s in range(1 << p))
+    assert truth_table(shape, ctx, range(p), p) == sum(1 << s for s in truth)
     assert true_states(shape, ctx) == truth
     assert true_count(shape) == len(truth)
     assert shape_from_truth_table([s in truth for s in range(1 << p)], ctx) == shape
@@ -364,12 +360,28 @@ def test_clause_evaluator_matches_evaluate(case):
         assert n == p
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_truth_table_reads_regulators_at_their_positions(data):
+    # regulator k reads network bit positions[k-1]: at every state of B^n,
+    # the table equals evaluate() on the regulators' projected state
+    p = data.draw(hst.integers(1, 8))
+    n = data.draw(hst.integers(p, 12))
+    positions = data.draw(hst.permutations(range(n)))[:p]
+    shape = data.draw(shapes(p))
+    ctx = data.draw(contexts(p, None))
+    table = truth_table(shape, ctx, positions, n)
+    for x in range(1 << n):
+        local = sum(1 << k for k, j in enumerate(positions) if x >> j & 1)
+        assert (table >> x & 1) == evaluate(shape, ctx, local)
+
+
 def _compiled_table(shape, ctx):
-    return truth_table(compile_clauses(shape, ctx), shape.arity)
+    return truth_table(shape, ctx, range(shape.arity), shape.arity)
 
 
 def _compiled_transition_counts(shape, ctx):
-    """shape_transition_counts from the compiled clauses' truth table."""
+    """shape_transition_counts from the clauses' literal-table product."""
     p = shape.arity
     table = _compiled_table(shape, ctx)
     if ctx.self_index is None:
@@ -428,7 +440,7 @@ def test_consistency_round_trip():
 
 def test_shape_from_truth_table_round_trips_wide_majorities():
     # the recovered shape is built unchecked; the strict constructor must agree
-    for p in range(10, 15):
+    for p in (*range(10, 15), 16):
         s = majority_rule(p, p // 2)
         ctx = RegulatorContext.from_str("+-" * (p // 2) + "+" * (p % 2))
         true = set(table_states(shape_table(s, ctx)))

@@ -1,0 +1,8 @@
+"""``python -m funspace ...``: the ``funspace`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

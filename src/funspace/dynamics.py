@@ -12,6 +12,10 @@ truth tables: stable states, edge counts and async attractors are bitwise
 operations on whole-space sets, sync attractors are set images of the
 update map, and only sync cycles and the edge list walk states one by one.
 Self-loops are never counted: stable states are the nodes without out-edges.
+A network builds its tables once, on the first graph asked of it, and keeps
+them while it lives (n 2^n-bit ints: 23 MB for the 23-component T-helper
+model), so both graphs and :func:`stable_states` share one build; a graph
+computes its fixed points once.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -22,7 +26,7 @@ and walks those counts along upward paths in the function order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -125,6 +129,13 @@ class BooleanNetwork:
                 return i
         raise KeyError(name)
 
+    @cached_property
+    def _tables(self) -> tuple[int, ...]:
+        """Every component's 2^n-bit table (:func:`_table`), built on first use
+        and kept with the network.  Not a field: ``==``, ``hash`` and ``repr``
+        do not see it.  Callers check the state-space limit first."""
+        return tuple([_table(c, self.n) for c in self.components])
+
     def step_sync(self, state: int) -> int:
         """The synchronous update of one state, the reference step: each
         component's next value is :func:`funspace.shapes.evaluate` on its
@@ -182,13 +193,15 @@ class STG:
     """A state-transition graph over the states 0..2^n-1: ``tables[i]`` is
     component i's 2^n-bit truth table (bit s is its next value at state s),
     as :func:`funspace.shapes.truth_table` puts its shape on the network's
-    state bits; a constant's table is all ones or 0.  ``successors``, each
-    state's out-edges, is built on first access."""
+    state bits; a constant's table is all ones or 0.  Both graphs of a network
+    share its tuple of tables.  The fixed points (``_fixed``) and
+    ``successors``, each state's out-edges, are built on first access."""
 
     mode: str  # 'async' | 'sync'
     n: int
     tables: tuple[int, ...]
 
+    @cached_property
     def _fixed(self) -> int:
         """The fixed points: AND over components of NOT(table XOR variable)."""
         fixed = (1 << (1 << self.n)) - 1
@@ -212,12 +225,12 @@ class STG:
         return memoryview(words).cast("I")
 
     def stable_states(self) -> tuple[int, ...]:
-        return tuple(table_states(self._fixed()))
+        return tuple(table_states(self._fixed))
 
     @property
     def n_edges(self) -> int:
         if self.mode == "sync":
-            return (1 << self.n) - self._fixed().bit_count()
+            return (1 << self.n) - self._fixed.bit_count()
         return sum((t ^ variable_table(i, self.n)).bit_count() for i, t in enumerate(self.tables))
 
     @cached_property
@@ -240,12 +253,13 @@ class STG:
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Asynchronous graph: one transition per component whose value differs."""
     _check_limit(bn.n, limit)
-    return STG("async", bn.n, tuple([_table(c, bn.n) for c in bn.components]))
+    return STG("async", bn.n, bn._tables)
 
 
 def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Synchronous graph: every state maps to its full update (no self-loops)."""
-    return replace(stg_async(bn, limit), mode="sync")
+    _check_limit(bn.n, limit)
+    return STG("sync", bn.n, bn._tables)
 
 
 def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:
@@ -290,7 +304,7 @@ def attractors(stg: STG) -> tuple[frozenset[int], ...]:
         var = variable_table(i, stg.n)
         if t != var:
             moves.append((1 << i, t & ~var, var & ~t))
-    fixed = stg._fixed()
+    fixed = stg._fixed
     out = [frozenset((s,)) for s in table_states(fixed)]
     left = ((1 << (1 << stg.n)) - 1) & ~_closure(fixed, moves, False)
     while left:

@@ -39,32 +39,19 @@ from .shapes import (
     state_to_string,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[|&!()])
-    """,
-    re.VERBOSE,
-)
+#: One token after optional whitespace: a name or an operator, else the one
+#: character that starts neither (an error).  Trailing whitespace matches nothing.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[|&!()])|(\S))")
 
 _KEYWORDS = {"or": "|", "and": "&", "not": "!"}
 
 
 def _tokenize(text: str, line: int | None = None) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        tok = m.group()
-        if m.lastgroup == "ident":
-            tok = _KEYWORDS.get(tok.lower(), tok)
-        tokens.append(tok)
+    for tok, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ModelSyntaxError(f"unexpected character {bad!r}", line)
+        tokens.append(_KEYWORDS.get(tok.lower(), tok))
     return tokens
 
 
@@ -73,51 +60,50 @@ def _tokenize(text: str, line: int | None = None) -> list[str]:
 
 class _Parser:
     """Recursive descent over EXPR := TERM ('|' TERM)*, TERM := FACTOR ('&' FACTOR)*,
-    FACTOR := '!'? (IDENT | '(' EXPR ')')."""
+    FACTOR := '!'? (IDENT | '(' EXPR ')').  The token list ends in "", which
+    no rule consumes."""
 
     def __init__(self, tokens: list[str], line: int | None):
-        self.tokens = tokens
+        self.tokens = tokens + [""]
         self.i = 0
         self.line = line
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ModelSyntaxError("unexpected end of expression", self.line)
-        self.i += 1
-        return tok
-
     def parse(self) -> tuple:
         node = self.expr()
-        if self.peek() is not None:
-            raise ModelSyntaxError(f"trailing input at {self.peek()!r}", self.line)
+        tok = self.tokens[self.i]
+        if tok:
+            raise ModelSyntaxError(f"trailing input at {tok!r}", self.line)
         return node
 
     def expr(self) -> tuple:
         terms = [self.term()]
-        while self.peek() == "|":
-            self.take()
+        while self.tokens[self.i] == "|":
+            self.i += 1
             terms.append(self.term())
         return terms[0] if len(terms) == 1 else ("or", terms)
 
     def term(self) -> tuple:
         factors = [self.factor()]
-        while self.peek() == "&":
-            self.take()
+        while self.tokens[self.i] == "&":
+            self.i += 1
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else ("and", factors)
 
     def factor(self) -> tuple:
-        tok = self.take()
+        tok = self.tokens[self.i]
+        if not tok:
+            raise ModelSyntaxError("unexpected end of expression", self.line)
+        self.i += 1
         if tok == "!":
             return ("not", self.factor())
         if tok == "(":
             node = self.expr()
-            if self.take() != ")":
-                raise ModelSyntaxError("expected ')'", self.line)
+            tok = self.tokens[self.i]
+            if tok != ")":
+                raise ModelSyntaxError(
+                    "expected ')'" if tok else "unexpected end of expression", self.line
+                )
+            self.i += 1
             return node
         if tok in ("|", "&", ")"):
             raise ModelSyntaxError(f"unexpected {tok!r}", self.line)
@@ -207,8 +193,8 @@ def parse_expression(
     else:
         clause_nodes = _strict_clauses(ast, line)
 
-    names: list[str] = []
-    signs: dict[str, int] = {}
+    index: dict[str, int] = {}  # name -> 1-based regulator index
+    signs: list[int] = []
     clause_sets: list[set[int]] = []
     for nodes in clause_nodes:
         idxs: set[int] = set()
@@ -216,19 +202,19 @@ def parse_expression(
             neg = lit[0] == "not"
             name = lit[1][1] if neg else lit[1]
             sign = NEGATIVE if neg else POSITIVE
-            if name not in signs:
-                signs[name] = sign
-                names.append(name)
-            elif signs[name] != sign:
+            k = index.get(name)
+            if k is None:
+                k = index[name] = len(signs) + 1
+                signs.append(sign)
+            elif signs[k - 1] != sign:
                 raise DualRegulation(
                     f"{name} is used both plain and negated", line
                 )
-            idxs.add(names.index(name) + 1)
+            idxs.add(k)
         clause_sets.append(idxs)
-    shape = minimize(clause_sets, len(names))
-    sig = tuple(signs[n] for n in names)
-    self_index = names.index(self_name) + 1 if self_name in names else None
-    return ParsedFunction(shape, RegulatorContext(sig, self_index), tuple(names))
+    shape = minimize(clause_sets, len(signs))
+    ctx = RegulatorContext(tuple(signs), index.get(self_name))
+    return ParsedFunction(shape, ctx, tuple(index))
 
 
 _HEADER_RE = re.compile(r"^\s*targets\s*,\s*factors\s*$", re.IGNORECASE)

@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import funspace
 from funspace import stg_async, stg_sync, stg_to_dot
 from funspace.cli import main
 
@@ -507,6 +512,25 @@ def test_model_parse_error_exit(tmp_path, capsys):
     assert main(["stg", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "parse error:" in err and "line 2" in err
+
+
+def _run_module(*args):
+    """``python -m funspace ARGS`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(funspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "funspace", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = _run_module("--version")
+    assert proc.returncode == 0
+    assert proc.stdout == f"funspace {funspace.__version__}\n"
+    proc = _run_module("stg", TOY)
+    assert main(["stg", TOY]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_unknown_subcommand_exits():

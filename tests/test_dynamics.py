@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+import funspace.dynamics
 from funspace import (
     POSITIVE,
     BooleanNetwork,
@@ -373,6 +374,43 @@ def test_state_space_limit(toy_bn):
         stable_states(toy_bn, limit=2)
     with pytest.raises(StateSpaceTooLarge):
         component_transitions(toy_bn, 0, limit=2)
+
+
+def test_a_network_builds_its_tables_once(monkeypatch):
+    # one truth_table call per regulated component, whichever graph asks
+    bn = parse_model(
+        "targets, factors\na, a | !b\nb, a & c\nc, true\nd, !d\ne, false\n"
+    )
+    calls, original = [], funspace.dynamics.truth_table
+
+    def counting(shape, ctx, positions, n):
+        calls.append(tuple(positions))
+        return original(shape, ctx, positions, n)
+
+    monkeypatch.setattr(funspace.dynamics, "truth_table", counting)
+    g_async, g_sync = stg_async(bn), stg_sync(bn)
+    stable_states(bn)
+    attractors(g_async)
+    attractors(g_sync)
+    assert sorted(calls) == [(0, 1), (0, 2), (3,)]
+    assert stg_sync(bn).tables is stg_async(bn).tables
+
+
+def test_built_tables_leave_equality_hash_and_repr_alone(toy_bn):
+    fresh, built = BooleanNetwork(toy_bn.components), BooleanNetwork(toy_bn.components)
+    stg_sync(built)
+    assert "_tables" in vars(built) and "_tables" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+
+
+def test_the_state_space_limit_holds_after_the_tables_are_built():
+    bn = parse_model("targets, factors\na, a & b\nb, b\nc, true\n")
+    stg_async(bn)
+    for call in (stable_states, stg_async, stg_sync):
+        with pytest.raises(StateSpaceTooLarge):
+            call(bn, limit=bn.n - 1)
+    assert stable_states(bn, limit=bn.n) == (0b100, 0b110, 0b111)
 
 
 def _reference_step(bn, state):

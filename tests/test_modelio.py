@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from funspace import (
     RegulatorContext,
+    attractors,
     enumerate_all,
     hasse_slice,
     load_model,
@@ -16,6 +18,7 @@ from funspace import (
     render_expression,
     render_model,
     slice_to_dot,
+    stable_states,
     stg_async,
     stg_sync,
     stg_to_dot,
@@ -29,7 +32,7 @@ from funspace.errors import (
     UnknownVariable,
 )
 from funspace.modelio import stg_dot_lines
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, networks
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +57,11 @@ def test_keyword_operators_and_precedence():
     pf = parse_expression("s1 OR s2 AND NOT s3")
     assert pf.shape == make_shape([[1], [2, 3]], 3)
     assert parse_expression("s1 or s2 and not s3").shape == pf.shape
+    assert parse_expression("s1 Or s2 And Not s3").shape == pf.shape
+    # a keyword is a whole name; any whitespace separates tokens
+    assert parse_expression("ORs1 | ands2 & Nots3").names == ("ORs1", "ands2", "Nots3")
+    same = parse_expression("  s1\t|\n( s2 &\u00a0!s3 )  ")
+    assert (same.shape, same.ctx, same.names) == (pf.shape, pf.ctx, pf.names)
 
 
 def test_dual_regulation_rejected():
@@ -114,6 +122,39 @@ def test_syntax_errors():
             parse_expression(text)
 
 
+# The exact message a user reads for each malformed expression (line=4).
+PARSER_ERRORS = [
+    ("", ModelSyntaxError, "line 4: empty expression"),
+    ("a |", ModelSyntaxError, "line 4: unexpected end of expression"),
+    ("a & (b", ModelSyntaxError, "line 4: unexpected end of expression"),
+    ("!", ModelSyntaxError, "line 4: unexpected end of expression"),
+    ("(a", ModelSyntaxError, "line 4: unexpected end of expression"),
+    ("(a b", ModelSyntaxError, "line 4: expected ')'"),
+    ("a b", ModelSyntaxError, "line 4: trailing input at 'b'"),
+    ("a )", ModelSyntaxError, "line 4: trailing input at ')'"),
+    ("| a", ModelSyntaxError, "line 4: unexpected '|'"),
+    ("a & )", ModelSyntaxError, "line 4: unexpected ')'"),
+    ("a&&b", ModelSyntaxError, "line 4: unexpected '&'"),
+    ("a $ b", ModelSyntaxError, "line 4: unexpected character '$'"),
+    ("a\u00e9", ModelSyntaxError, "line 4: unexpected character '\u00e9'"),
+    ("1a", ModelSyntaxError, "line 4: unexpected character '1'"),
+    ("a |\t$", ModelSyntaxError, "line 4: unexpected character '$'"),
+    ("a & (b | c)", NotDNFAfterNormalization,
+     "line 4: a disjunction inside a conjunction; pass --normalize to rewrite it"),
+    ("!(a & b)", NotDNFAfterNormalization,
+     "line 4: negation applies to a whole subexpression; pass --normalize to rewrite it"),
+    ("a | !a", DualRegulation, "line 4: a is used both plain and negated"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PARSER_ERRORS)
+def test_parser_error_texts_are_pinned(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_expression(text, line=4)
+    assert type(exc.value) is error
+    assert (str(exc.value), exc.value.line) == (message, 4)
+
+
 def test_render_expression():
     pf = parse_expression("s1 | (s2 & !s3)")
     assert render_expression(pf.shape, pf.ctx, pf.names) == "s1 | (s2 & !s3)"
@@ -166,6 +207,19 @@ def test_model_round_trip(toy_bn):
     for a, b in zip(toy_bn.components, again.components):
         assert (a.name, a.regulators, a.shape, a.ctx, a.constant) == \
             (b.name, b.regulators, b.shape, b.ctx, b.constant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks())
+def test_rendered_networks_parse_back_to_the_same_dynamics(bn):
+    # regulators are renumbered by first appearance in the text, so the
+    # parsed components may differ; their tables on the state space may not
+    again = parse_model(render_model(bn))
+    assert again.names() == bn.names()
+    assert stg_async(again).tables == stg_async(bn).tables
+    assert stable_states(again) == stable_states(bn)
+    for build in (stg_async, stg_sync):
+        assert attractors(build(again)) == attractors(build(bn))
 
 
 def test_th_fixture_matches_builtin(th_bn):

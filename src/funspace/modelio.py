@@ -270,8 +270,17 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
 
 
 def load_model(path: str, normalize: bool = False) -> BooleanNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read(), normalize=normalize)
+    """Parse a model file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # decoded whole, so the offset is the file's
+        raise ModelSyntaxError(
+            f"byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8 text",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse_model(text, normalize=normalize)
 
 
 # ---------------------------------------------------------------------------

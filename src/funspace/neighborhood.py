@@ -114,8 +114,7 @@ def _states(p: int) -> tuple[int, ...]:
 
 
 def _shape_of(table: int, p: int) -> FunctionShape:
-    states = _states(p)
-    return FunctionShape._unchecked(p, tuple([states[s] for s in table_states(table)]))
+    return FunctionShape._unchecked(p, tuple(table_states(table, _states(p))))
 
 
 def max_outside(shape: FunctionShape) -> tuple[int, ...]:
@@ -205,17 +204,44 @@ def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[int, int, int]]:
     """(delta, clause table, up-set) of every child of the shape with clause
     table ``c`` and up-set ``t``: single drops by ascending clause, then pairs.
 
-    Each candidate is a cover by construction.  Dropping a clause c (a
-    minimal element of T) leaves the up-set T∖{c}, one state smaller, so
-    when it still covers every regulator it is a child.  For clauses c1, c2
-    that each fail alone, the only sets strictly between T∖{c1,c2} and T
-    are T∖{c1} and T∖{c2}, both invalid, so a valid T∖{c1,c2} is a child
+    Each candidate is a cover by construction.  Dropping a clause s (a
+    minimal element of T) leaves the up-set T∖{s}, one state smaller, so
+    when it still covers every regulator it is a child.  For clauses s1, s2
+    that each fail alone, the only sets strictly between T∖{s1,s2} and T
+    are T∖{s1} and T∖{s2}, both invalid, so a valid T∖{s1,s2} is a child
     too.  Its clauses are the minimal elements left; an empty rest fails the cover.
+
+    Single drops are local.  One pass over the regulators finds the states
+    of T with exactly one one-bit-lower state in T; the minimal elements of
+    T∖{s} are C less s plus those of them among the one-bit raises of s.
+    Such a raise holds every regulator of s, so the drop covers iff it adds
+    a clause or s holds no regulator that no other clause holds.  Pairs,
+    rare, re-minimize their up-set (`minimal_elements`).
     """
+    one = two = 0  # states of T with at least one / two one-bit-lower states in T
+    for k, v in enumerate(variable_tables(p)):
+        lower = (t & ~v) << (1 << k)  # T is an up-set: these states lie in T
+        two |= one & lower
+        one |= lower
+    two_bytes = two.to_bytes((1 << p >> 3) + 1, "little")  # bit r in byte r >> 3
+    clauses = table_states(c)
+    once = twice = 0  # regulators in at least one / two clauses
+    for s in clauses:
+        twice |= once & s
+        once |= s
+    alone = once & ~twice
+    full = (1 << p) - 1
     failing: list[int] = []
-    for s in table_states(c):
-        if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
-            yield 1, cand, u
+    for s in clauses:
+        new = 0  # raises of s whose only lower state in T is s: clauses of T∖{s}
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not two_bytes[(r := s | low) >> 3] >> (r & 7) & 1:
+                new |= 1 << r
+        if new or not s & alone:
+            yield 1, c ^ 1 << s | new, t ^ 1 << s
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):

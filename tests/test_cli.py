@@ -514,6 +514,19 @@ def test_model_parse_error_exit(tmp_path, capsys):
     assert "parse error:" in err and "line 2" in err
 
 
+@pytest.mark.parametrize("command", [["stg"], ["pbn", "--runs", "1", "--model"]])
+def test_model_not_utf8_exit(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.bnet"
+    # past the first 8 KiB, so a chunked read would misplace the offset
+    head = b"targets, factors\n" + b"# padding\n" * 900 + b"g1, g1\n"
+    bad.write_bytes(head + b"g2, \xff g1\n")
+    assert main([*command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("parse error: line 903:")
+    assert f"byte 0xff at offset {len(head) + 4}" in err
+
+
 def _run_module(*args):
     """``python -m funspace ARGS`` in a fresh interpreter that imports this
     checkout's package."""

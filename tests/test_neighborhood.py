@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -40,8 +41,16 @@ from funspace.neighborhood import (
     NeighborStep,
     _child_tables,
     _compare_tables,
+    _parent_tables,
 )
-from funspace.shapes import clause_table, shape_table, up_closure
+from funspace.shapes import (
+    _covering,
+    clause_table,
+    minimal_elements,
+    shape_table,
+    table_states,
+    up_closure,
+)
 
 from conftest import shapes
 
@@ -504,6 +513,67 @@ def test_child_tables_carry_their_up_sets(s):
     for delta, cand, u in found:
         assert u == up_closure(cand, p)
         assert u & t == u and (t ^ u).bit_count() == delta
+
+
+def _reference_child_tables(c, t, p):
+    """`_child_tables` candidate by candidate: re-minimize every up-set
+    left after a drop and test its cover on the whole table."""
+    found, failing = [], []
+    for s in table_states(c):
+        if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
+            found.append((1, cand, u))
+        else:
+            failing.append(s)
+    for s1, s2 in combinations(failing, 2):
+        if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
+            found.append((2, cand, u))
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_child_tables_match_a_per_candidate_reference(s):
+    # the shape's own up-set, and every parent's, as `siblings` feeds them in
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    for cc, tt in [(c, t)] + [(new, t | new) for _, new in _parent_tables(c, t, p)]:
+        assert list(_child_tables(cc, tt, p)) == _reference_child_tables(cc, tt, p)
+
+
+def _neighbour_digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _readme_random_shape(p):
+    """The README Notes' "random" shape: 4p masks from the two middle
+    layers, drawn with ``random.Random(p)``, absorbed, and the regulators
+    left out added to one kept clause."""
+    rng = random.Random(p)
+    pool = [m for m in range(1, 1 << p) if m.bit_count() in (p // 2, p // 2 + 1)]
+    kept = []
+    for m in sorted(rng.sample(pool, 4 * p), key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    missing = ((1 << p) - 1) ^ reduce(or_, kept)
+    if missing:
+        kept[rng.randrange(len(kept))] |= missing
+    return FunctionShape(p, tuple(sorted(kept)))
+
+
+def test_wide_neighbour_outputs_are_pinned():
+    # recorded before child tables were built from lower-neighbour counts;
+    # this shape has the same siblings through parents, children or both
+    s = _readme_random_shape(12)
+    assert s.n_clauses == 46
+    assert [_neighbour_digest([x.clauses for x in siblings(s, via)]) for via in VIAS] == [
+        "9fcb4054bf592022ca608d97039d84d559fecd1c7519a310dde7340309e34df4"] * 3
+    m = majority_rule(12, 6)
+    assert [_neighbour_digest([(st.rule, st.delta, st.shape.clauses) for st in found(m)])
+            for found in (parents, children)] == [
+        "0e2a27c9a20a7c99766b6258fe792ae438be6f912a3025451e73bf38d3da515c",
+        "2d2cfcc910c3aafbf2a9b3e3ffb68cd22280f7305669ee24f6f3c1140a044942",
+    ]
 
 
 def test_siblings_reject_an_unknown_via():

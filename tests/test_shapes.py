@@ -37,6 +37,7 @@ from funspace import (
 )
 from funspace.shapes import (
     MAX_ARITY,
+    bits_of,
     clause_table,
     shape_table,
     table_states,
@@ -417,6 +418,32 @@ def test_clause_table_equals_the_sum_of_clause_bits():
     for p in range(1, 17):
         for shape in (inf_shape(p), sup_shape(p), majority_rule(p, (p + 1) // 2)):
             assert clause_table(shape) == sum(1 << c for c in shape.clauses)
+
+
+def _assert_reads_like_bits_of(table, pool):
+    # `bits_of` byte by byte: linear, where on the whole int it is quadratic
+    data = table.to_bytes(table.bit_length() // 8 + 1, "little")
+    want = [8 * i + b for i, byte in enumerate(data) for b in bits_of(byte)]
+    assert table_states(table) == want
+    got = table_states(table, pool)
+    assert got == want and all(x is pool[x] for x in got)
+
+
+def test_table_states_reads_both_sides_of_the_density_rule():
+    pool = tuple(range(1 << 20))  # ints above 256 are distinct objects
+    for table in (0, 1, 1 << 1000):
+        _assert_reads_like_bits_of(table, pool)
+    for p in range(1, 17):
+        _assert_reads_like_bits_of((1 << (1 << p)) - 1, pool)
+    # 1024-bit tables around one set bit in 16, where the reader switches
+    rng = random.Random(1)
+    for k in range(56, 73):
+        _assert_reads_like_bits_of(1 << 1023 | sum(1 << x for x in rng.sample(range(1023), k - 1)), pool)
+    dense = sparse = rng.getrandbits(1 << 20)  # about one bit in 2, then in 32
+    for _ in range(4):
+        sparse &= rng.getrandbits(1 << 20)
+    for table in (dense, sparse):
+        _assert_reads_like_bits_of(table, pool)
 
 
 def test_operative_corners():

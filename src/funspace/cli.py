@@ -249,6 +249,11 @@ def cmd_pbn(args) -> int:
         if unknown:
             print(f"unknown component(s): {', '.join(unknown)}", file=sys.stderr)
             return 3
+        constant = [nm for nm in names or [] if bn.components[bn.index(nm)].shape is None]
+        if constant:
+            print(f"constant component(s) cannot be randomized: {', '.join(constant)}",
+                  file=sys.stderr)
+            return 3
         pnet = randomized_network(
             bn, components=names, mode=args.mode, ref_prob=args.ref_prob
         )

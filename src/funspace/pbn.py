@@ -10,15 +10,23 @@ its candidate functions to apply.
 A run stops when a sampled step leaves the state unchanged (a fixed point
 of the functions drawn at that step), when a network with no randomized
 component revisits a state (a proven cycle), or after ``max_steps`` steps.
-Randomness is reproducible: each run derives its own generator from the
-master seed by an integer mix, and exactly one draw is consumed per
-randomized component per step.
+Randomness is reproducible: each run seeds the generator with a seed
+mixed from the master seed and the run number, and exactly one draw is
+consumed per randomized component per step.
 
 A simulation tests no clauses while it steps.  Each component is
 tabulated once per network on the submasks of its regulators (one bit per
-ensemble entry for a randomized component), the fixed components' update
-is memoized per visited state up to ``MEMO_LIMIT`` states, and the
-classifier is called once per distinct final state.
+ensemble entry for a randomized component).  The *reference step*, the
+update with every randomized component applying its ensemble's first
+entry, is memoized per visited state up to ``MEMO_LIMIT`` states, so a
+step reads one memo entry and makes one draw and one compare per
+randomized component; only a draw past the first entry's probability
+looks up the entry drawn and XORs in where its bit differs from the
+first entry's.  The fast path keys on the *first* entry, which is the
+reference function in a :func:`neighbor_ensemble` but not necessarily
+:attr:`FunctionEnsemble.reference` (the most likely entry) in a
+hand-built ensemble; outcomes are the same either way, only the speed
+differs.  The classifier is called once per distinct final state.
 
 The built-in model is a 23-component T-helper-cell differentiation
 network whose stable patterns are read as phenotypes through the Tbet and
@@ -97,11 +105,12 @@ class ProbabilisticNetwork:
 
     @cached_property
     def _tables(self) -> tuple[tuple, tuple]:
-        """What :func:`simulate` steps with, built on first use.  Fixed components
-        (no ensemble or a one-entry one): (regs, submask -> bit or 0), leaving out
-        constant-false ones; randomized ones: (regs, submask -> one bit or 0 per
-        ensemble entry, cumulative probs)."""
-        fixed, randomized = [], []
+        """What :func:`simulate` steps with, built on first use.  The reference
+        step: (regs, submask -> bit or 0) per component, for its fixed function
+        or its ensemble's first entry, leaving out constant-false ones; per
+        randomized component: (regs, submask -> per entry its bit XOR the first
+        entry's, first cumulative prob, cumulative probs)."""
+        reference, randomized = [], []
         for i, (c, ens) in enumerate(zip(self.network.components, self.ensembles)):
             if ens is None:
                 if c.constant is False:
@@ -111,14 +120,15 @@ class ProbabilisticNetwork:
                 shapes = [s for s, _ in ens.entries]
             regs = sum([1 << r for r in c.regulators])  # distinct bits
             columns = _lookup(c, shapes, 1 << i)
-            if len(columns) == 1:
-                fixed.append((regs, columns[0]))
-            else:
-                rows = {key: tuple([col[key] for col in columns]) for key in columns[0]}
+            first = columns[0]
+            reference.append((regs, first))
+            if len(columns) > 1:
+                flips = {key: tuple([col[key] ^ bit for col in columns])
+                         for key, bit in first.items()}
                 cum = list(accumulate(prob for _, prob in ens.entries))
                 cum[-1] = 1.0
-                randomized.append((regs, rows, tuple(cum)))
-        return tuple(fixed), tuple(randomized)
+                randomized.append((regs, flips, cum[0], tuple(cum)))
+        return tuple(reference), tuple(randomized)
 
 
 def neighbor_ensemble(
@@ -211,7 +221,7 @@ class SimulationReport:
         return sum(1 for o in self.outcomes if o.label == label)
 
 
-#: Most states whose fixed-component update one :func:`simulate` call
+#: Most states whose reference step one :func:`simulate` call
 #: remembers (about 6 MB at the cap); past it, new states are computed and
 #: not stored, so long non-absorbing runs keep their memory bounded.
 MEMO_LIMIT = 1 << 16
@@ -248,19 +258,26 @@ def simulate(
     state (default: the state string); it is called once per distinct
     final state, so it must be a pure function of the state.
 
-    Run k draws from ``random.Random(_mix_seed(seed, k))``: one
-    ``random()`` r per randomized component per step, in component order,
-    picking the first ensemble entry whose cumulative probability is at
-    least r.  Every component is tabulated on the submasks of its
-    regulators once per network, by the first call on it, so a step reads
-    ``state & regs`` from a dict instead of testing clauses; the OR of the
-    fixed components is also memoized per visited state, for at most
-    ``MEMO_LIMIT`` states in one call.
+    Run k draws from the stream of ``random.Random(_mix_seed(seed, k))``
+    (one generator per call, re-seeded per run): one ``random()`` r per
+    randomized component per step, in component order, picking the first
+    ensemble entry whose cumulative probability is at least r.  Every
+    component is tabulated on the submasks of its regulators once per
+    network, by the first call on it.  The reference step, the OR of the
+    fixed components and of each randomized component's *first* entry, is
+    memoized per visited state, for at most ``MEMO_LIMIT`` states in one
+    call.  A step reads it, then per randomized component draws r and
+    compares it with the first entry's probability; only when r exceeds
+    it does the step find the entry drawn and XOR in that entry's bit
+    against the first entry's, read from a dict at ``state & regs``.  The
+    first entry need not be the ensemble's most likely one
+    (:attr:`FunctionEnsemble.reference`); when it is not, more draws take
+    the slower branch, with the same outcomes.
     """
     bn = pnet.network
     n = bn.n
 
-    fixed, randomized = pnet._tables
+    reference, randomized = pnet._tables
 
     # With no randomized components every trajectory is deterministic, so
     # a revisited state proves a cycle; under per-step sampling a revisit
@@ -272,10 +289,14 @@ def simulate(
     labels: dict[int, str] = {}
     memo: dict[int, int] = {}
 
+    gen = random.Random()
+    draw = gen.random
+    reseed = super(random.Random, gen).seed  # for an int, Random(x)'s stream
+    new = object.__new__
     outcomes = []
     for run in range(runs):
         run_seed = _mix_seed(seed, run)
-        draw = random.Random(run_seed).random
+        reseed(run_seed)
         state = initial
         steps = 0
         absorbed = False
@@ -284,16 +305,17 @@ def simulate(
             nxt = memo.get(state)
             if nxt is None:
                 nxt = 0
-                for regs, table in fixed:
+                for regs, table in reference:
                     nxt |= table[state & regs]
                 if len(memo) < MEMO_LIMIT:
                     memo[state] = nxt
-            for regs, rows, cum in randomized:
+            for regs, flips, first, cum in randomized:
                 r = draw()
-                pick = 0
-                while cum[pick] < r:
-                    pick += 1
-                nxt |= rows[state & regs][pick]
+                if r > first:  # not the first entry: flip to the one drawn
+                    pick = 1
+                    while cum[pick] < r:
+                        pick += 1
+                    nxt ^= flips[state & regs][pick]
             steps += 1
             if nxt == state:
                 absorbed = True
@@ -305,7 +327,10 @@ def simulate(
                 visited.add(state)
         if state not in labels:
             labels[state] = classifier(state)
-        outcomes.append(RunOutcome(run, run_seed, steps, state, absorbed, labels[state]))
+        outcome = new(RunOutcome)  # frozen: fields go in without __setattr__
+        outcome.__dict__.update(run=run, seed=run_seed, steps=steps, final_state=state,
+                                absorbed=absorbed, label=labels[state])
+        outcomes.append(outcome)
     return SimulationReport(seed, runs, max_steps, tuple(outcomes))
 
 

@@ -486,6 +486,10 @@ def test_pbn_requires_a_source(capsys):
     (["--max-steps", "-3"], 3, "--max-steps must be at least 1"),
     (["--ref-prob", "2"], 3, "ref_prob 2.0 outside (0, 1]"),
     (["--ref-prob", "0", "--randomize", "all"], 3, "ref_prob 0.0 outside (0, 1]"),
+    (["--randomize", "IFNb", "--runs", "1"], 3,
+     "constant component(s) cannot be randomized: IFNb"),
+    (["--randomize", "IL12,GATA3,TCR"], 3,
+     "constant component(s) cannot be randomized: IL12, TCR"),
 ])
 def test_pbn_bad_inputs_exit_with_one_line(capsys, argv, code, message):
     assert main(["pbn", "--th-preset", "--seed", "1", *argv]) == code

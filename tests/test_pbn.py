@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -15,6 +16,7 @@ from funspace import (
     FunctionEnsemble,
     ProbabilisticNetwork,
     classify_phenotype,
+    count_consistent,
     evaluate,
     experiment_network,
     inf_shape,
@@ -373,17 +375,43 @@ def reference_simulate(pnet, initial, runs, seed, max_steps):
     return outcomes
 
 
+@st.composite
+def hand_built_ensembles(draw, bn):
+    """Ensembles of 2-4 distinct shapes with random probabilities on some
+    components of arity 2 or more; in some the first entry is the least
+    likely, so the draws that leave it are the common case."""
+    ensembles = []
+    for comp in bn.components:
+        p = 0 if comp.shape is None else comp.shape.arity
+        if p < 2 or not draw(st.booleans()):
+            ensembles.append(None)
+            continue
+        entries = draw(st.lists(shapes(p), min_size=2, max_size=min(4, count_consistent(p)),
+                                unique=True))
+        weights = draw(st.lists(st.integers(1, 50), min_size=len(entries),
+                                max_size=len(entries)))
+        if draw(st.booleans()):
+            weights.sort()  # the first entry is (one of) the least likely
+        total = sum(weights)
+        ensembles.append(FunctionEnsemble(tuple(
+            (shape, w / total) for shape, w in zip(entries, weights))))
+    return ProbabilisticNetwork(bn, tuple(ensembles))
+
+
 @pytest.mark.parametrize("memo_limit", [pbn.MEMO_LIMIT, 0], ids=["memo", "no-store"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_simulate_follows_the_documented_rule(memo_limit, data):
     bn = data.draw(networks())
-    regulated = [c.name for c in bn.components if c.shape is not None]
-    targets = data.draw(st.none() | st.lists(st.sampled_from(regulated), unique=True)
-                        if regulated else st.just([]))
-    mode = data.draw(st.sampled_from(["parents_children", "with_siblings"]))
-    ref_prob = data.draw(st.sampled_from([0.8, 0.5, 0.3]))
-    pnet = randomized_network(bn, components=targets, mode=mode, ref_prob=ref_prob)
+    if data.draw(st.booleans()):
+        pnet = data.draw(hand_built_ensembles(bn))
+    else:
+        regulated = [c.name for c in bn.components if c.shape is not None]
+        targets = data.draw(st.none() | st.lists(st.sampled_from(regulated), unique=True)
+                            if regulated else st.just([]))
+        mode = data.draw(st.sampled_from(["parents_children", "with_siblings"]))
+        ref_prob = data.draw(st.sampled_from([0.8, 0.5, 0.3]))
+        pnet = randomized_network(bn, components=targets, mode=mode, ref_prob=ref_prob)
     initial = data.draw(st.integers(0, (1 << bn.n) - 1))
     seed = data.draw(st.integers(0, 2**32))
     max_steps = data.draw(st.integers(1, 50))
@@ -400,6 +428,22 @@ def test_simulate_follows_the_documented_rule(memo_limit, data):
         reference_simulate(pnet, initial, 4, seed, max_steps)
     assert [o.label for o in rep.outcomes] == [f"s{o.final_state}" for o in rep.outcomes]
     assert sorted(labelled) == sorted({o.final_state for o in rep.outcomes})
+
+
+def test_simulated_outcomes_match_constructed_ones():
+    # simulate fills RunOutcome fields without the frozen __init__; the
+    # outcomes must compare, hash and print like constructed ones
+    rep = run_experiment("D", runs=20, seed=3)
+    built = tuple(pbn.RunOutcome(o.run, o.seed, o.steps, o.final_state, o.absorbed, o.label)
+                  for o in rep.outcomes)
+    assert rep.outcomes == built
+    assert [hash(o) for o in rep.outcomes] == [hash(o) for o in built]
+    assert [repr(o) for o in rep.outcomes] == [repr(o) for o in built]
+    assert [dataclasses.astuple(o) for o in rep.outcomes] == \
+        [dataclasses.astuple(o) for o in built]
+    assert rep == pbn.SimulationReport(rep.seed, rep.runs, rep.max_steps, built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.outcomes[0].steps = 0
 
 
 def test_draw_picks_entries_with_their_probabilities():

@@ -243,7 +243,7 @@ def cmd_pbn(args) -> int:
                   file=sys.stderr)
             return 2
         names = (None if args.randomize == "all"
-                 else args.randomize.split(",") if args.randomize else [])
+                 else [nm.strip() for nm in args.randomize.split(",")] if args.randomize else [])
         active = [nm.strip() for nm in args.active.split(",")] if args.active else []
         unknown = [nm for nm in (names or []) + active if nm not in bn.names()]
         if unknown:

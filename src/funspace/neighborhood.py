@@ -26,13 +26,12 @@ single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
-`_child_tables`).  Candidates stay tables until they pass the cover test:
-`random_path` orders them as tables and builds only the shape it steps to,
-and that shape carries the up-set T the walk holds, so counts along the
-path read it (`shapes.up_table`) instead of closing the clauses again.
-Siblings (the parents' children, the children's parents) are found and
-deduplicated as tables, whose up-sets each step already knows, so only the
-siblings returned become shapes.
+`_child_tables`).  Every candidate is one record (rule, delta, clause table,
+up-set): a step moves T by delta states, so no up-set needs a closure.
+Records sort by rule and one key on their tables (`_table_key`) before any
+becomes a shape; `random_path` builds only its pick, which keeps its up-set
+for the counts along the path (`shapes.up_table`).  Siblings (neighbours'
+neighbours) are found, deduplicated and sorted as tables too.
 
 `build_hasse` is the independent oracle: it reads every shape's true set
 off `shapes.truth_table` and extracts the covering pairs from true-set
@@ -44,10 +43,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cmp_to_key, reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -79,7 +78,6 @@ PARENT_R1 = "parent-r1"  # independent new clause
 PARENT_R2 = "parent-r2"  # absorbing new clause
 PARENT_R3 = "parent-r3"  # pair of absorbing clauses, covering jointly
 CHILD = "child"
-_DELTA = {PARENT_R1: 1, PARENT_R2: 1, PARENT_R3: 2}
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,10 @@ def _raises(p: int) -> dict[int, int]:
     return {1 << k: v for k, v in enumerate(variable_tables(p))}
 
 
-def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int]]:
-    """(rule, clause table) of every parent of the shape with clause table
-    ``c`` and up-set ``t``, R1/R2 by ascending new clause, then R3 pairs."""
+def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
+    """(rule, delta, clause table, up-set) of every parent of the shape with clause
+    table ``c`` and up-set ``t``, R1/R2 by ascending new clause, then R3 pairs.
+    New clauses are maximal outside T, so T grows by exactly them."""
     raises = _raises(p)
     full = (1 << (1 << p)) - 1
     failed: list[tuple[int, int]] = []  # (m, U(m)) of absorbing states failing alone
@@ -161,47 +160,51 @@ def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int]]:
         if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
-            yield PARENT_R1, c | 1 << m
+            yield PARENT_R1, 1, c | 1 << m, t | 1 << m
         elif _covering(new := c & ~above | 1 << m, p):
-            yield PARENT_R2, new
+            yield PARENT_R2, 1, new, t | 1 << m
         else:
             failed.append((m, above))
     for (m1, u1), (m2, u2) in combinations(failed, 2):
         if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p):
-            yield PARENT_R3, new
+            yield PARENT_R3, 2, new, t | 1 << m1 | 1 << m2
 
 
-def _compare_tables(x: tuple[str, int], y: tuple[str, int]) -> int:
-    """Order (rule, clause table) pairs like ``NeighborStep.sort_key``: by
-    rule, clause count, then the table holding the lowest differing state."""
-    (rx, a), (ry, b) = x, y
-    if rx != ry:
-        return -1 if rx < ry else 1
-    if (na := a.bit_count()) != (nb := b.bit_count()):
-        return na - nb
-    d = a ^ b
-    return -1 if d & -d & a else 1
+# per byte, bits complemented and reversed (its own inverse): held low states first
+_FLIP = bytes(int(f"{~b & 255:08b}"[::-1], 2) for b in range(256))
 
 
-_TABLE_ORDER = cmp_to_key(_compare_tables)
+@cache
+def _table_key(p: int):
+    """The order of ``FunctionShape.sort_key`` on clause tables of arity p:
+    clause count, then the table holding the lowest differing state first."""
+    n = max(1, 1 << p >> 3)
+    return lambda table: (table.bit_count(), table.to_bytes(n, "little").translate(_FLIP))
 
 
-def _steps(found: Iterable[tuple[str, int, int]], p: int) -> tuple[NeighborStep, ...]:
-    """(rule, delta, clause table) triples as sorted steps, each table a shape at once."""
-    steps = [NeighborStep(_shape_of(table, p), rule, delta) for rule, delta, table in found]
-    return tuple(sorted(steps, key=NeighborStep.sort_key))
+def _key_table(key: tuple[int, bytes]) -> int:
+    """The clause table a `_table_key` key was made of."""
+    return int.from_bytes(key[1].translate(_FLIP), "little")
+
+
+def _steps(found: Iterable[tuple[str, int, int, int]], p: int) -> tuple[NeighborStep, ...]:
+    """Neighbour records as steps, sorted as (rule, `_table_key`, delta) before
+    any becomes a shape: the keys stand in for the tables and up-sets."""
+    key = _table_key(p)
+    ordered = sorted([(rule, key(table), delta) for rule, delta, table, _ in found])
+    return tuple([NeighborStep(_shape_of(_key_table(k), p), rule, delta)
+                  for rule, k, delta in ordered])
 
 
 def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from above, tagged by the rule that built them."""
     p = shape.arity
     c = clause_table(shape)
-    found = _parent_tables(c, up_closure(c, p), p)
-    return _steps(((rule, _DELTA[rule], new) for rule, new in found), p)
+    return _steps(_parent_tables(c, up_closure(c, p), p), p)
 
 
-def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[int, int, int]]:
-    """(delta, clause table, up-set) of every child of the shape with clause
+def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
+    """(CHILD, delta, clause table, up-set) of every child of the shape with clause
     table ``c`` and up-set ``t``: single drops by ascending clause, then pairs.
 
     Each candidate is a cover by construction.  Dropping a clause s (a
@@ -241,30 +244,29 @@ def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[int, int, int]]:
             if not two_bytes[(r := s | low) >> 3] >> (r & 7) & 1:
                 new |= 1 << r
         if new or not s & alone:
-            yield 1, c ^ 1 << s | new, t ^ 1 << s
+            yield CHILD, 1, c ^ 1 << s | new, t ^ 1 << s
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
         if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            yield 2, cand, u
+            yield CHILD, 2, cand, u
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from below: the inverse removals of
-    `_child_tables`, each table a shape at once."""
+    `_child_tables`, each table a shape once they are sorted."""
     p = shape.arity
     c = clause_table(shape)
-    found = _child_tables(c, up_closure(c, p), p)
-    return _steps(((CHILD, delta, cand) for delta, cand, _ in found), p)
+    return _steps(_child_tables(c, up_closure(c, p), p), p)
 
 
 def _slice_tables(shape: FunctionShape, via: str) -> tuple[list, list, tuple[FunctionShape, ...]]:
-    """The parent tables, the child tables and the sibling shapes of ``shape``.
+    """The parent records, the child records and the sibling shapes of ``shape``.
 
-    Neighbours of neighbours stay clause tables, deduplicated as ints; their
-    up-sets need no closure (a parent's is ``t | new``, a child's comes with
-    it).  Only the siblings left after dropping ``shape`` and its neighbours
-    become shapes.
+    Neighbours of neighbours are found from the up-sets their records carry
+    and deduplicated as clause tables.  The siblings left after dropping
+    ``shape`` and its neighbours are sorted by `_table_key` before any
+    becomes a shape.
     """
     if via not in ("parents", "children", "both"):
         raise ValueError("via must be 'parents', 'children' or 'both'")
@@ -273,15 +275,18 @@ def _slice_tables(shape: FunctionShape, via: str) -> tuple[list, list, tuple[Fun
     t = up_closure(c, p)
     ups = list(_parent_tables(c, t, p))
     downs = list(_child_tables(c, t, p))
+    table = itemgetter(2)
     found: set[int] = set()
     if via != "children":
-        for _, new in ups:
-            found.update([cand for _, cand, _ in _child_tables(new, t | new, p)])
+        for _, _, new, u in ups:
+            found.update(map(table, _child_tables(new, u, p)))
     if via != "parents":
-        for _, cand, u in downs:
-            found.update([new for _, new in _parent_tables(cand, u, p)])
-    found.difference_update([new for _, new in ups], [cand for _, cand, _ in downs], (c,))
-    return ups, downs, tuple(sorted([_shape_of(x, p) for x in found], key=FunctionShape.sort_key))
+        for _, _, cand, u in downs:
+            found.update(map(table, _parent_tables(cand, u, p)))
+    found.difference_update(map(table, ups), map(table, downs), (c,))
+    key = _table_key(p)  # each table is dropped as its key is made
+    ordered = sorted([key(found.pop()) for _ in range(len(found))])
+    return ups, downs, tuple([_shape_of(_key_table(k), p) for k in ordered])
 
 
 def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape, ...]:
@@ -310,13 +315,7 @@ def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlic
     """``shape``'s parents, children and siblings, from one pass over the
     neighbour tables (`_slice_tables`) that ``siblings`` makes too."""
     ups, downs, sibs = _slice_tables(shape, sibling_via)
-    p = shape.arity
-    return HasseSlice(
-        shape,
-        _steps(((rule, _DELTA[rule], new) for rule, new in ups), p),
-        _steps(((CHILD, delta, cand) for delta, cand, _ in downs), p),
-        sibs,
-    )
+    return HasseSlice(shape, _steps(ups, shape.arity), _steps(downs, shape.arity), sibs)
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
@@ -328,19 +327,19 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
         raise ArityMismatch("shapes of different arity cannot be neighbors")
     p = lower.arity
     c, want = clause_table(lower), clause_table(upper)
-    for rule, new in _parent_tables(c, up_table(lower), p):
+    for rule, delta, new, _ in _parent_tables(c, up_table(lower), p):
         if new == want:
-            return NeighborStep(upper, rule, _DELTA[rule])
+            return NeighborStep(upper, rule, delta)
     raise NotAParent(f"{upper} does not cover {lower}")
 
 
 def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     """Uniform-upward random walk from the bottom shape to the top one.
 
-    At each step one parent is chosen uniformly from the parent tables,
-    sorted in the order of ``parents``; only the pick becomes a shape.
-    Deterministic for a given seed; every consecutive pair is a covering
-    edge.  Each shape carries its up-set T, which the walk holds anyway, so
+    At each step one parent is chosen uniformly from the parent records,
+    sorted by rule and `_table_key` as ``parents`` sorts them; only the pick
+    becomes a shape.  Deterministic for a given seed; every consecutive pair
+    is a covering edge.  Each shape carries the up-set its record holds, so
     `true_count`, `shape_table` and `parent_step` on the path read it
     (`shapes.up_table`): 2^p/8 bytes a shape on a path of about 2^p shapes.
     """
@@ -348,9 +347,10 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     path = [inf_shape(p)]
     c = t = clause_table(path[0])  # the bottom's one clause is its up-set
     _carry_up(path[0], t)
-    while options := sorted(_parent_tables(c, t, p), key=_TABLE_ORDER):
-        c = options[rng.randrange(len(options))][1]
-        t |= c  # a parent's up-set adds exactly its new clauses
+    key = _table_key(p)
+    order = lambda rec: (rec[0], key(rec[2]))  # noqa: E731
+    while options := sorted(_parent_tables(c, t, p), key=order):
+        _, _, c, t = options[rng.randrange(len(options))]
         path.append(_carry_up(_shape_of(c, p), t))
     return path
 

@@ -490,6 +490,7 @@ def test_pbn_requires_a_source(capsys):
      "constant component(s) cannot be randomized: IFNb"),
     (["--randomize", "IL12,GATA3,TCR"], 3,
      "constant component(s) cannot be randomized: IL12, TCR"),
+    (["--randomize", "GATA3, Foo"], 3, "unknown component(s): Foo"),
 ])
 def test_pbn_bad_inputs_exit_with_one_line(capsys, argv, code, message):
     assert main(["pbn", "--th-preset", "--seed", "1", *argv]) == code

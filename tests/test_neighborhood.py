@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import cmp_to_key, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from funspace import (
@@ -35,13 +35,15 @@ from funspace import (
 )
 from funspace.errors import ArityTooLarge, DedekindUnknown, NotAParent
 from funspace.neighborhood import (
+    CHILD,
     PARENT_R1,
     PARENT_R2,
     PARENT_R3,
     NeighborStep,
     _child_tables,
-    _compare_tables,
+    _key_table,
     _parent_tables,
+    _table_key,
 )
 from funspace.shapes import (
     _covering,
@@ -443,14 +445,23 @@ def _ranked_shapes(draw):
     return [(draw(rules), s) for s in sorted(found, key=FunctionShape.sort_key)]
 
 
+def _every_ranked_shape(p):
+    return [(r, s) for r in (PARENT_R1, PARENT_R2, PARENT_R3, CHILD) for s in enumerate_all(p)]
+
+
+# every shape of p = 1..3, whose 2, 4 or 8-state tables are narrower than a byte
+@example(_every_ranked_shape(1), random.Random(1))
+@example(_every_ranked_shape(2), random.Random(2))
+@example(_every_ranked_shape(3), random.Random(3))
 @settings(max_examples=200, deadline=None)
 @given(_ranked_shapes(), hst.randoms())
 def test_table_order_is_the_sort_key_order(ranked, rnd):
     rnd.shuffle(ranked)
     want = sorted(ranked, key=lambda rs: NeighborStep(rs[1], rs[0], 1).sort_key())
     by_table = {clause_table(s): s for _, s in ranked}
-    got = sorted([(r, clause_table(s)) for r, s in ranked], key=cmp_to_key(_compare_tables))
-    assert [(r, by_table[t]) for r, t in got] == want
+    key = _table_key(ranked[0][1].arity)
+    got = sorted([(r, key(clause_table(s))) for r, s in ranked])
+    assert [(r, by_table[_key_table(k)]) for r, k in got] == want  # keys give their tables back
 
 
 def test_random_path_seeds_differ():
@@ -508,11 +519,25 @@ def test_child_tables_carry_their_up_sets(s):
     c = clause_table(s)
     t = up_closure(c, p)
     found = list(_child_tables(c, t, p))
-    assert sorted((delta, cand) for delta, cand, _ in found) == sorted(
-        (st.delta, clause_table(st.shape)) for st in children(s))
-    for delta, cand, u in found:
+    assert sorted((rule, delta, cand) for rule, delta, cand, _ in found) == sorted(
+        (st.rule, st.delta, clause_table(st.shape)) for st in children(s))
+    for _, delta, cand, u in found:
         assert u == up_closure(cand, p)
         assert u & t == u and (t ^ u).bit_count() == delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_parent_tables_carry_their_up_sets(s):
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    found = list(_parent_tables(c, t, p))
+    assert sorted((rule, delta, new) for rule, delta, new, _ in found) == sorted(
+        (st.rule, st.delta, clause_table(st.shape)) for st in parents(s))
+    for _, delta, new, u in found:
+        assert u == up_closure(new, p)
+        assert u & t == t and (u ^ t).bit_count() == delta
 
 
 def _reference_child_tables(c, t, p):
@@ -521,12 +546,12 @@ def _reference_child_tables(c, t, p):
     found, failing = [], []
     for s in table_states(c):
         if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
-            found.append((1, cand, u))
+            found.append((CHILD, 1, cand, u))
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
         if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            found.append((2, cand, u))
+            found.append((CHILD, 2, cand, u))
     return found
 
 
@@ -537,7 +562,7 @@ def test_child_tables_match_a_per_candidate_reference(s):
     p = s.arity
     c = clause_table(s)
     t = up_closure(c, p)
-    for cc, tt in [(c, t)] + [(new, t | new) for _, new in _parent_tables(c, t, p)]:
+    for cc, tt in [(c, t)] + [(new, u) for _, _, new, u in _parent_tables(c, t, p)]:
         assert list(_child_tables(cc, tt, p)) == _reference_child_tables(cc, tt, p)
 
 
@@ -574,6 +599,22 @@ def test_wide_neighbour_outputs_are_pinned():
         "0e2a27c9a20a7c99766b6258fe792ae438be6f912a3025451e73bf38d3da515c",
         "2d2cfcc910c3aafbf2a9b3e3ffb68cd22280f7305669ee24f6f3c1140a044942",
     ]
+
+
+WALK_PATH_DIGESTS = {  # sha256 of repr([s.clauses for s in random_path(p, 1)])
+    1: "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+    2: "43eb7b253d4256ef7035b62895c78b26132937c339a975ae4d6e1f319ccc5084",
+    3: "cc4bdd9eff5366c2d1d3c3e29f81f9ababb1e3c4af44400592038128fdbe3965",
+    9: "417bd1d6b39584e41cba0a0c83ecdc6364e3153f8b7ec0ee67209c56cbe42045",
+    10: "0680a7205e4d8aae1af89d011c2b36cad1a64edf7e6ce0d7943bb4b8a0cca06a",
+}
+
+
+@pytest.mark.parametrize("p", sorted(WALK_PATH_DIGESTS))
+def test_walk_paths_are_pinned(p):
+    # recorded before the parent records were sorted by one table key; the
+    # CLI pins (tests/test_cli.py) cover p = 5 to 7
+    assert _neighbour_digest([s.clauses for s in random_path(p, 1)]) == WALK_PATH_DIGESTS[p]
 
 
 def test_siblings_reject_an_unknown_via():

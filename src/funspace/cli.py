@@ -22,7 +22,7 @@ from .dynamics import (
     stg_sync,
     transition_bounds,
 )
-from .errors import FunspaceError, ModelError
+from .errors import ArityTooLarge, FunspaceError, ModelError
 from .modelio import (
     load_model,
     parse_expression,
@@ -48,6 +48,7 @@ from .pbn import (
     th_model,
 )
 from .shapes import (
+    MAX_ARITY,
     RegulatorContext,
     level,
     state_from_string,
@@ -124,6 +125,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    # P counts the regulators besides the target; --autoreg adds the target itself
+    lo, hi = (1, MAX_ARITY) if args.autoreg == "none" else (0, MAX_ARITY - 1)
+    if not lo <= args.p <= hi:
+        raise ArityTooLarge(f"P = {args.p} outside {lo}..{hi}"
+                            + ("" if args.autoreg == "none" else " with --autoreg"))
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     if args.autoreg == "none":
         arity = args.p

@@ -10,7 +10,10 @@ neighbor computation local.  Everything here revolves around one object:
 Both are read off 2^p-bit tables (bit s stands for state s): the clause
 table C and its up-closure T = T(S), p shift-ORs (`shapes.up_closure`).
 A state outside T is in M(S) iff switching on any one regulator it lacks
-lands in T, which is one AND per regulator over the whole table.
+lands in T, which is one AND per regulator over the whole table.  A walk
+reads M(S) this way once and then moves it along the path by local deltas
+(`_raise_maxima`): a parent step adds one or two states to T, and only the
+states one regulator below them can become maximal.
 
 Parents (covers above S) add one or two elements of M(S) as new clauses:
 
@@ -29,9 +32,12 @@ remaining true set); every such candidate is a cover by construction (see
 `_child_tables`).  Every candidate is one record (rule, delta, clause table,
 up-set): a step moves T by delta states, so no up-set needs a closure.
 Records sort by rule and one key on their tables (`_table_key`) before any
-becomes a shape; `random_path` builds only its pick, which keeps its up-set
-for the counts along the path (`shapes.up_table`).  Siblings (neighbours'
-neighbours) are found, deduplicated and sorted as tables too.
+becomes a shape.  `random_path` draws from the parents grouped by rule
+(`_parent_groups`), sorts only the picked rule's R2 or R3 group (R1 parents
+by new clause are in key order already) and builds only its pick, which
+keeps its up-set for the counts along the path (`shapes.up_table`).
+Siblings (neighbours' neighbours) are found, deduplicated and sorted as
+tables too.
 
 `build_hasse` is the independent oracle: it reads every shape's true set
 off `shapes.truth_table` and extracts the covering pairs from true-set
@@ -142,32 +148,85 @@ def _raises(p: int) -> dict[int, int]:
     return {1 << k: v for k, v in enumerate(variable_tables(p))}
 
 
-def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
-    """(rule, delta, clause table, up-set) of every parent of the shape with clause
-    table ``c`` and up-set ``t``, R1/R2 by ascending new clause, then R3 pairs.
-    New clauses are maximal outside T, so T grows by exactly them."""
+def _maxima(t: int, p: int) -> Iterator[tuple[int, int]]:
+    """(m, U(m)) for every m in M(S), by ascending m: U(m), the states ⊇ m,
+    is the AND of the per-bit tables of m's regulators.  State 0, in M(S)
+    only at the top shape, is left out: it is never a clause."""
     raises = _raises(p)
-    full = (1 << (1 << p)) - 1
-    failed: list[tuple[int, int]] = []  # (m, U(m)) of absorbing states failing alone
     for m in table_states(_max_outside_table(t, p)):
         if m == 0:
-            continue  # only at the one-shape arity-1 order; no parent there
-        above, rest = full, m  # U(m), states ⊇ m: AND over the bits of m
+            continue
+        low = m & -m
+        above, rest = raises[low], m ^ low
         while rest:
             low = rest & -rest
             above &= raises[low]
             rest ^= low
+        yield m, above
+
+
+def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
+    """Move ``maxima``, {m: U(m)} over M(T), to M(T') in place along a parent
+    step: ``t`` is T' = T ∪ ``added``, and ``added`` holds one or two of the m.
+
+    A state maximal outside T' but not outside T has a one-bit raise in
+    ``added``, so it is some a − j with a added and j ∈ a: M(T') ⊆
+    (M(T) ∖ added) ∪ {a − j}.  U(a) holds only states with j, so
+    U(a − j) = U(a) | U(a) >> 2^j, and a − j joins iff it is the one state
+    of that up-set outside T'.  A step costs p·|added| small table
+    operations, not p shift-ORs over the table and an up-set per maximal state.
+    """
+    while added:
+        a = added.bit_length() - 1
+        added ^= 1 << a
+        above = maxima.pop(a)
+        rest = a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = a ^ low
+            if x and x not in maxima:
+                ux = above | above >> low
+                if ux & ~t == 1 << x:
+                    maxima[x] = ux
+
+
+def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
+                   ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """The parents of the shape with clause table ``c`` by rule, from the
+    (m, U(m)) pairs of its maximal states: the added states of each R1
+    parent, then (clause table, added states) of each R2 parent and each R3
+    pair, all as tables, R1 and R2 in the order of ``maxima``.  New clauses
+    are maximal outside T, so T grows by exactly the added states."""
+    r1: list[int] = []
+    r2: list[tuple[int, int]] = []
+    failed: list[tuple[int, int]] = []  # (2^m, U(m)) of absorbing states failing alone
+    for m, above in maxima:
+        a = 1 << m
         if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
-            yield PARENT_R1, 1, c | 1 << m, t | 1 << m
-        elif _covering(new := c & ~above | 1 << m, p):
-            yield PARENT_R2, 1, new, t | 1 << m
+            r1.append(a)
+        elif _covering(new := c & ~above | a, p):
+            r2.append((new, a))
         else:
-            failed.append((m, above))
-    for (m1, u1), (m2, u2) in combinations(failed, 2):
-        if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p):
-            yield PARENT_R3, 2, new, t | 1 << m1 | 1 << m2
+            failed.append((a, above))
+    r3 = [(new, a1 | a2) for (a1, u1), (a2, u2) in combinations(failed, 2)
+          if _covering(new := c & ~(u1 | u2) | a1 | a2, p)]
+    return r1, r2, r3
+
+
+def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
+    """(rule, delta, clause table, up-set) of every parent of the shape with clause
+    table ``c`` and up-set ``t``: `_parent_groups` on M(S) from scratch,
+    R1 and R2 by ascending new clause, then R3 pairs."""
+    r1, r2, r3 = _parent_groups(c, p, _maxima(t, p))
+    for a in r1:
+        yield PARENT_R1, 1, c | a, t | a
+    for new, a in r2:
+        yield PARENT_R2, 1, new, t | a
+    for new, a in r3:
+        yield PARENT_R3, 2, new, t | a
 
 
 # per byte, bits complemented and reversed (its own inverse): held low states first
@@ -336,21 +395,36 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
 def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     """Uniform-upward random walk from the bottom shape to the top one.
 
-    At each step one parent is chosen uniformly from the parent records,
-    sorted by rule and `_table_key` as ``parents`` sorts them; only the pick
-    becomes a shape.  Deterministic for a given seed; every consecutive pair
-    is a covering edge.  Each shape carries the up-set its record holds, so
-    `true_count`, `shape_table` and `parent_step` on the path read it
+    At each step one parent is chosen uniformly from the parent records in
+    the order ``parents`` sorts them, by rule and `_table_key`; only the
+    pick becomes a shape.  The walk keeps M(S) with each up-set U(m) and
+    moves it by local deltas (`_raise_maxima`), so no step recomputes them.
+    The parents come grouped by rule (`_parent_groups`).  The R1 parents by
+    ascending new clause are already in key order (each adds one state to
+    the same clause table), so only a picked R2 or R3 parent sorts its own
+    rule's group.  Deterministic for a given seed; every consecutive pair
+    is a covering edge.  Each shape carries its up-set, so `true_count`,
+    `shape_table` and `parent_step` on the path read it
     (`shapes.up_table`): 2^p/8 bytes a shape on a path of about 2^p shapes.
     """
     rng = random.Random(seed)
     path = [inf_shape(p)]
     c = t = clause_table(path[0])  # the bottom's one clause is its up-set
     _carry_up(path[0], t)
+    maxima = dict(_maxima(t, p))
     key = _table_key(p)
-    order = lambda rec: (rec[0], key(rec[2]))  # noqa: E731
-    while options := sorted(_parent_tables(c, t, p), key=order):
-        _, _, c, t = options[rng.randrange(len(options))]
+    while maxima:  # empty at the top shape only
+        r1, r2, r3 = _parent_groups(c, p, maxima.items())
+        n1, n2 = len(r1), len(r1) + len(r2)
+        i = rng.randrange(n2 + len(r3))
+        if i < n1:
+            added = sorted(r1)[i]
+            c |= added
+        else:
+            group, i = (r2, i - n1) if i < n2 else (r3, i - n2)
+            _, c, added = sorted([(key(new), new, a) for new, a in group])[i]
+        t |= added
+        _raise_maxima(maxima, added, t)
         path.append(_carry_up(_shape_of(c, p), t))
     return path
 

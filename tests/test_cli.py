@@ -154,6 +154,26 @@ def test_walk_csv(capsys):
     assert rows[1][:4] == ["0", "{{1,2,3}}", "1", "0"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["0"], "P = 0 outside 1..16"),
+    (["17"], "P = 17 outside 1..16"),
+    (["-1", "--autoreg", "neg"], "P = -1 outside 0..15 with --autoreg"),
+    (["-3", "--autoreg", "pos"], "P = -3 outside 0..15 with --autoreg"),
+    (["16", "--autoreg", "pos"], "P = 16 outside 0..15 with --autoreg"),
+])
+def test_walk_bad_inputs_exit_with_one_line(capsys, argv, message):
+    assert main(["walk", *argv, "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_walk_autoregulation_alone(capsys):
+    # P = 0 with --autoreg: the target regulates only itself
+    assert main(["walk", "0", "--autoreg", "neg", "--seed", "1"]) == 0
+    assert "# seed=1 autoreg=neg arity=1 n=1" in capsys.readouterr().out
+
+
 # Recorded before walks kept their up-sets on the path shapes: the order of
 # the options and every count must not move.
 WALK_DIGESTS = {  # sha256 of stdout: (text, --format csv)

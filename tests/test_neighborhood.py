@@ -42,7 +42,9 @@ from funspace.neighborhood import (
     NeighborStep,
     _child_tables,
     _key_table,
+    _maxima,
     _parent_tables,
+    _raise_maxima,
     _table_key,
 )
 from funspace.shapes import (
@@ -540,6 +542,37 @@ def test_parent_tables_carry_their_up_sets(s):
         assert u & t == t and (u ^ t).bit_count() == delta
 
 
+# R3 alone (the bottom of p = 4), R1 beside R3, and R1 beside R2
+@example(FunctionShape(4, (15,)))
+@example(FunctionShape(4, (5, 11)))
+@example(FunctionShape(4, (11, 13, 14)))
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_raised_maxima_match_a_fresh_computation(s):
+    # the walk's local update of {m: U(m)} over M(S), applied for every parent
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    start = dict(_maxima(t, p))
+    assert sorted(start) == [m for m in max_outside(s) if m]
+    for _, _, _, u in _parent_tables(c, t, p):
+        maxima = dict(start)
+        _raise_maxima(maxima, u ^ t, u)
+        assert maxima == dict(_maxima(u, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(1, 10).flatmap(shapes))
+def test_r1_parents_by_new_clause_come_in_table_key_order(s):
+    # why a walk picking an R1 parent sorts nothing: each adds one state to
+    # the same clause table, so the lowest added state holds the lower key
+    p = s.arity
+    c = clause_table(s)
+    r1 = [new for rule, _, new, _ in _parent_tables(c, up_closure(c, p), p) if rule == PARENT_R1]
+    assert [new ^ c for new in r1] == sorted(new ^ c for new in r1)
+    assert r1 == sorted(r1, key=_table_key(p))
+
+
 def _reference_child_tables(c, t, p):
     """`_child_tables` candidate by candidate: re-minimize every up-set
     left after a drop and test its cover on the whole table."""
@@ -607,6 +640,7 @@ WALK_PATH_DIGESTS = {  # sha256 of repr([s.clauses for s in random_path(p, 1)])
     3: "cc4bdd9eff5366c2d1d3c3e29f81f9ababb1e3c4af44400592038128fdbe3965",
     9: "417bd1d6b39584e41cba0a0c83ecdc6364e3153f8b7ec0ee67209c56cbe42045",
     10: "0680a7205e4d8aae1af89d011c2b36cad1a64edf7e6ce0d7943bb4b8a0cca06a",
+    11: "a927418948be2fcedadeeed4a724db6389486af6777ef576773746d75bcd82cb",
 }
 
 

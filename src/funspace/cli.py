@@ -42,7 +42,6 @@ from .pbn import (
     EXPERIMENTS,
     classify_phenotype,
     randomized_network,
-    run_experiment,
     simulate,
     th_initial_state,
     th_model,
@@ -108,18 +107,18 @@ def cmd_enumerate(args) -> int:
     p = args.p
     total = count_consistent(p)  # raises DedekindUnknown beyond the table
     if args.count_only or p > 6:
-        print(f"arity {p}: {total} functions")
+        print(json.dumps({"arity": p, "count": total}) if args.format == "json"
+              else f"arity {p}: {total} functions")
         return 0
-    shapes = list(enumerate_all(p))
-    assert len(shapes) == total
+    # streamed: p = 6 yields 7.8M shapes, one line (or JSON element) each
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps(
-            {"arity": p, "count": total,
-             "shapes": [[list(s) for s in sh.index_sets()] for sh in shapes]}
-        ))
+        items = (json.dumps(sh.index_sets()) for sh in enumerate_all(p))
+        out.write(f'{{"arity": {p}, "count": {total}, "shapes": [{next(items)}')
+        out.writelines(", " + item for item in items)
+        out.write("]}\n")
         return 0
-    for sh in shapes:
-        print(sh)
+    out.writelines(f"{sh}\n" for sh in enumerate_all(p))
     print(f"arity {p}: {total} functions")
     return 0
 
@@ -227,16 +226,10 @@ def cmd_pbn(args) -> int:
         print("--max-steps must be at least 1", file=sys.stderr)
         return 3
     seed = args.seed if args.seed is not None else random.randrange(2**32)
-    if args.experiment:
-        report = run_experiment(
-            args.experiment,
-            runs=args.runs,
-            seed=seed,
-            max_steps=args.max_steps,
-            ref_prob=args.ref_prob,
-        )
-        bn = th_model()
+    if args.experiment:  # a preset, which ignores the flags it fixes
         label = f"experiment {args.experiment.upper()}"
+        names, mode = EXPERIMENTS[args.experiment.upper()]
+        bn, initial, phenotypes = th_model(), th_initial_state(), True
     else:
         if args.th_preset:
             bn = th_model()
@@ -250,40 +243,22 @@ def cmd_pbn(args) -> int:
             return 2
         names = (None if args.randomize == "all"
                  else [nm.strip() for nm in args.randomize.split(",")] if args.randomize else [])
+        mode, phenotypes = args.mode, args.phenotypes or args.th_preset
         active = [nm.strip() for nm in args.active.split(",")] if args.active else []
-        unknown = [nm for nm in (names or []) + active if nm not in bn.names()]
-        if unknown:
-            print(f"unknown component(s): {', '.join(unknown)}", file=sys.stderr)
-            return 3
-        constant = [nm for nm in names or [] if bn.components[bn.index(nm)].shape is None]
-        if constant:
-            print(f"constant component(s) cannot be randomized: {', '.join(constant)}",
-                  file=sys.stderr)
-            return 3
-        pnet = randomized_network(
-            bn, components=names, mode=args.mode, ref_prob=args.ref_prob
-        )
+        initial = sum({1 << i for i in bn.indices(active)})
         if args.initial:
             if len(args.initial) != bn.n:
                 print(f"--initial has {len(args.initial)} values for "
                       f"{bn.n} components", file=sys.stderr)
                 return 3
             initial = state_from_string(args.initial)
-        elif active:
-            initial = 0
-            for nm in active:
-                initial |= 1 << bn.index(nm)
-        elif args.th_preset:
+        elif args.th_preset and not active:
             initial = th_initial_state()
-        else:
-            initial = 0
-        phenotypes = args.phenotypes or args.th_preset
-        classifier = (lambda s: classify_phenotype(bn, s)) if phenotypes \
-            else (lambda s: state_to_string(s, bn.n))
-        report = simulate(
-            pnet, initial, runs=args.runs, seed=seed,
-            max_steps=args.max_steps, classifier=classifier,
-        )
+    pnet = randomized_network(bn, components=names, mode=mode, ref_prob=args.ref_prob)
+    classifier = (lambda s: classify_phenotype(bn, s)) if phenotypes \
+        else (lambda s: state_to_string(s, bn.n))
+    report = simulate(pnet, initial, runs=args.runs, seed=seed,
+                      max_steps=args.max_steps, classifier=classifier)
     absorbed = sum(1 for o in report.outcomes if o.absorbed)
     mean_steps = sum(o.steps for o in report.outcomes) / len(report.outcomes)
     print(f"# {label}  seed={seed}  runs={report.runs}  max_steps={report.max_steps}")

@@ -36,6 +36,7 @@ from .errors import (
     NotAutoregulated,
     SingleRegulator,
     StateSpaceTooLarge,
+    UnknownComponent,
 )
 from .neighborhood import parent_step
 from .shapes import (
@@ -124,10 +125,18 @@ class BooleanNetwork:
         return tuple(c.name for c in self.components)
 
     def index(self, name: str) -> int:
-        for i, c in enumerate(self.components):
-            if c.name == name:
-                return i
-        raise KeyError(name)
+        return self.indices([name])[0]
+
+    def indices(self, names: Iterable[str]) -> list[int]:
+        """The positions of the named components, in the order given; every
+        lookup by name goes through here.  Raises UnknownComponent (a
+        ``KeyError``) naming each name the network does not declare."""
+        names = list(names)
+        where = {c.name: i for i, c in enumerate(self.components)}
+        unknown = tuple(nm for nm in names if nm not in where)
+        if unknown:
+            raise UnknownComponent(f"unknown component(s): {', '.join(unknown)}", unknown)
+        return [where[nm] for nm in names]
 
     @cached_property
     def _tables(self) -> tuple[int, ...]:

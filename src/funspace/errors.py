@@ -1,9 +1,11 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`FunspaceError` so callers can catch the
-package's failures with a single except clause.  Model-text problems get
-their own branch (:class:`ModelError`) carrying an optional line number,
-because the CLI maps those to a distinct exit code.
+package's failures with a single except clause.  Each concrete class also
+derives from the builtin a caller would expect: ``ValueError`` for bad
+values, ``KeyError`` for an unknown component name (:class:`UnknownComponent`).
+Model-text problems get their own branch (:class:`ModelError`) carrying an
+optional line number, because the CLI maps those to a distinct exit code.
 """
 
 
@@ -75,7 +77,24 @@ class InvalidProbability(FunspaceError, ValueError):
     """Ensemble probabilities must be positive and sum to one."""
 
 
-class MissingMarker(FunspaceError, KeyError):
+class UnknownComponent(FunspaceError, KeyError):
+    """A component name the network does not declare.
+
+    ``names`` holds the unknown names.  Prints its message unquoted, as
+    every other error does (``str`` of a ``KeyError`` adds quotes)."""
+
+    def __init__(self, message: str, names: tuple[str, ...]):
+        self.names = names
+        super().__init__(message)
+
+    __str__ = Exception.__str__
+
+
+class ConstantComponent(FunspaceError, ValueError):
+    """A constant component was given where a function is needed."""
+
+
+class MissingMarker(UnknownComponent):
     """Phenotype classification referenced a component the network lacks."""
 
 
@@ -99,6 +118,10 @@ class DualRegulation(ModelError):
 
 class NotDNFAfterNormalization(ModelError):
     """Expression structure is not a disjunction of literal conjunctions."""
+
+
+class ExpansionTooLarge(ModelError):
+    """Normalizing an expression to DNF would form too many clauses."""
 
 
 class UnknownVariable(ModelError):

@@ -25,6 +25,7 @@ from .dynamics import BooleanNetwork, Component, STG
 from .errors import (
     DualRegulation,
     DuplicateComponent,
+    ExpansionTooLarge,
     ModelSyntaxError,
     NotDNFAfterNormalization,
     UnknownVariable,
@@ -122,21 +123,42 @@ def _to_nnf(node: tuple, negate: bool = False) -> tuple:
     return ("or", kids)
 
 
-def _distribute(node: tuple) -> list[list[tuple]]:
-    """NNF → list of clauses, each a list of literal nodes."""
+#: Most clauses normalizing one expression may form: an ``and`` whose
+#: operands' clause counts multiply past it is refused before the product
+#: is built.
+MAX_DNF_CLAUSES = 4096
+
+
+def _distinct(clauses: Iterable[tuple]) -> list[tuple]:
+    """The clauses less each one repeating an earlier one as a set."""
+    first: dict[frozenset, tuple] = {}
+    for c in clauses:
+        first.setdefault(frozenset(c), c)
+    return list(first.values())
+
+
+def _distribute(node: tuple, line: int | None) -> list[tuple]:
+    """NNF → list of clauses, each a tuple of literal nodes.
+
+    Repeated literals and repeated clauses are dropped as they are formed,
+    so ``(a | b) & (a | b) & …`` stays at three clauses.  Dropping only
+    later repeats keeps the order in which regulators first appear;
+    absorbing supersets would not, and is left to ``minimize``.
+    """
     kind = node[0]
     if kind in ("var", "not"):
-        return [[node]]
+        return [(node,)]
     if kind == "or":
-        out = []
-        for k in node[1]:
-            out.extend(_distribute(k))
-        return out
+        return _distinct(c for k in node[1] for c in _distribute(k, line))
     # and: cartesian product of the children's clause lists
-    prod: list[list[tuple]] = [[]]
+    prod: list[tuple] = [()]
     for k in node[1]:
-        kid = _distribute(k)
-        prod = [a + b for a in prod for b in kid]
+        kid = _distribute(k, line)
+        if len(prod) * len(kid) > MAX_DNF_CLAUSES:
+            raise ExpansionTooLarge(
+                f"normalizing needs {len(prod)} x {len(kid)} clauses, "
+                f"more than {MAX_DNF_CLAUSES}", line)
+        prod = _distinct(tuple(dict.fromkeys(a + b)) for a in prod for b in kid)
     return prod
 
 
@@ -189,7 +211,7 @@ def parse_expression(
         raise ModelSyntaxError("empty expression", line)
     ast = _Parser(tokens, line).parse()
     if normalize:
-        clause_nodes = _distribute(_to_nnf(ast))
+        clause_nodes = _distribute(_to_nnf(ast), line)
     else:
         clause_nodes = _strict_clauses(ast, line)
 

@@ -319,21 +319,25 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return _steps(_child_tables(c, up_closure(c, p), p), p)
 
 
-def _slice_tables(shape: FunctionShape, via: str) -> tuple[list, list, tuple[FunctionShape, ...]]:
-    """The parent records, the child records and the sibling shapes of ``shape``.
+def _slice_tables(shape: FunctionShape, via: str, both: bool
+                  ) -> tuple[list, list, tuple[FunctionShape, ...]]:
+    """The parent records, the child records and the sibling shapes of
+    ``shape``.  The records ``via`` does not need are built only if ``both``.
 
     Neighbours of neighbours are found from the up-sets their records carry
-    and deduplicated as clause tables.  The siblings left after dropping
-    ``shape`` and its neighbours are sorted by `_table_key` before any
-    becomes a shape.
+    and deduplicated as clause tables, sorted by `_table_key` before any
+    becomes a shape.  Only ``shape`` itself needs dropping: a parent S' of
+    it that were also a child of its parent P would lie strictly between
+    it and P, so P would not cover it, and the other three cases fail the
+    same way.
     """
     if via not in ("parents", "children", "both"):
         raise ValueError("via must be 'parents', 'children' or 'both'")
     p = shape.arity
     c = clause_table(shape)
     t = up_closure(c, p)
-    ups = list(_parent_tables(c, t, p))
-    downs = list(_child_tables(c, t, p))
+    ups = list(_parent_tables(c, t, p)) if both or via != "children" else []
+    downs = list(_child_tables(c, t, p)) if both or via != "parents" else []
     table = itemgetter(2)
     found: set[int] = set()
     if via != "children":
@@ -342,7 +346,7 @@ def _slice_tables(shape: FunctionShape, via: str) -> tuple[list, list, tuple[Fun
     if via != "parents":
         for _, _, cand, u in downs:
             found.update(map(table, _parent_tables(cand, u, p)))
-    found.difference_update(map(table, ups), map(table, downs), (c,))
+    found.discard(c)
     key = _table_key(p)  # each table is dropped as its key is made
     ordered = sorted([key(found.pop()) for _ in range(len(found))])
     return ups, downs, tuple([_shape_of(_key_table(k), p) for k in ordered])
@@ -354,10 +358,11 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.  The
-    search runs on clause tables (`_slice_tables`); only the siblings
-    returned become shapes.
+    search runs on clause tables (`_slice_tables`) and builds only the
+    neighbour records ``via`` needs; only the siblings returned become
+    shapes.
     """
-    return _slice_tables(shape, via)[2]
+    return _slice_tables(shape, via, both=False)[2]
 
 
 @dataclass(frozen=True)
@@ -373,7 +378,7 @@ class HasseSlice:
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
     """``shape``'s parents, children and siblings, from one pass over the
     neighbour tables (`_slice_tables`) that ``siblings`` makes too."""
-    ups, downs, sibs = _slice_tables(shape, sibling_via)
+    ups, downs, sibs = _slice_tables(shape, sibling_via, both=True)
     return HasseSlice(shape, _steps(ups, shape.arity), _steps(downs, shape.arity), sibs)
 
 

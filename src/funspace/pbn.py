@@ -30,7 +30,11 @@ differs.  The classifier is called once per distinct final state.
 
 The built-in model is a 23-component T-helper-cell differentiation
 network whose stable patterns are read as phenotypes through the Tbet and
-GATA3 markers (Th1 = Tbet only, Th2 = GATA3 only, Th0 = neither).
+GATA3 markers (Th1 = Tbet only, Th2 = GATA3 only, Th0 = neither).  Its
+experiments A–F (:data:`EXPERIMENTS`) are presets: the components to
+randomize and the neighbor mode, simulated from the IFNg-pulse state.
+An unknown component name raises UnknownComponent (a ``KeyError``); a
+constant named for an ensemble raises ConstantComponent (a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,13 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import BooleanNetwork, Component
-from .errors import ArityMismatch, InvalidProbability, MissingMarker
+from .errors import (
+    ArityMismatch,
+    ConstantComponent,
+    InvalidProbability,
+    MissingMarker,
+    UnknownComponent,
+)
 from .modelio import parse_model
 from .neighborhood import HasseSlice, children, count_consistent, hasse_slice, parents
 from .shapes import FunctionShape, shape_table, state_to_string
@@ -97,7 +107,7 @@ class ProbabilisticNetwork:
                 continue
             comp = self.network.components[i]
             if comp.shape is None:
-                raise ValueError(f"component {comp.name} is constant")
+                raise ConstantComponent(f"component {comp.name} is constant")
             if ens.entries[0][0].arity != comp.shape.arity:
                 raise ArityMismatch(
                     f"component {comp.name}: ensemble arity differs"
@@ -150,11 +160,12 @@ def neighbor_ensemble(
         raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
     comp = bn.components[i]
     if comp.shape is None:
-        raise ValueError(f"component {comp.name} is constant")
+        raise ConstantComponent(f"component {comp.name} is constant")
     ref = comp.shape
     sl = (hasse_slice(ref, "both") if mode == "with_siblings"
           else HasseSlice(ref, parents(ref), children(ref), ()))
-    others = sorted({st.shape for st in sl.parents + sl.children}.union(sl.siblings),
+    # disjoint: no parent or child of ref is a sibling of it
+    others = sorted([st.shape for st in sl.parents + sl.children] + list(sl.siblings),
                     key=FunctionShape.sort_key)
     if not others or ref_prob == 1:
         return FunctionEnsemble(((ref, 1.0),))
@@ -168,13 +179,25 @@ def randomized_network(
     mode: str = "parents_children",
     ref_prob: float = 0.8,
 ) -> ProbabilisticNetwork:
-    """Attach neighbor ensembles to the named components (None = all non-constant)."""
-    if not 0 < ref_prob <= 1:  # also when no component is named
-        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
+    """Attach neighbor ensembles to the named components (None = all non-constant).
+
+    Raises UnknownComponent (a ``KeyError``) for a name the network lacks
+    and ConstantComponent (a ``ValueError``) for a named constant, each
+    listing every such name.
+    """
     if components is None:
         targets = {i for i, c in enumerate(bn.components) if c.shape is not None}
     else:
-        targets = {bn.index(name) for name in components}
+        names = list(components)
+        positions = bn.indices(names)
+        constant = [nm for nm, i in zip(names, positions)
+                    if bn.components[i].shape is None]
+        targets = set(positions)
+        if constant:
+            raise ConstantComponent(
+                f"constant component(s) cannot be randomized: {', '.join(constant)}")
+    if not 0 < ref_prob <= 1:  # also when no component is named
+        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
     return ProbabilisticNetwork(bn, tuple([
         neighbor_ensemble(bn, i, mode=mode, ref_prob=ref_prob) if i in targets else None
         for i in range(bn.n)
@@ -374,20 +397,16 @@ def th_model() -> BooleanNetwork:
 
 def th_initial_state(active: Sequence[str] = ("IFNg",)) -> int:
     """State with the named components on and everything else off."""
-    bn = th_model()
-    state = 0
-    for name in active:
-        state |= 1 << bn.index(name)
-    return state
+    return sum({1 << i for i in th_model().indices(active)})
 
 
 def classify_phenotype(bn: BooleanNetwork, state: int) -> str:
     """Read the differentiation phenotype off the Tbet/GATA3 markers."""
     try:
-        tbet = bn.index("Tbet")
-        gata3 = bn.index("GATA3")
-    except KeyError as exc:
-        raise MissingMarker(f"network lacks marker component {exc.args[0]}") from None
+        tbet, gata3 = bn.indices(("Tbet", "GATA3"))
+    except UnknownComponent as exc:
+        missing = exc.names[:1]
+        raise MissingMarker(f"network lacks marker component {missing[0]}", missing) from None
     t = bool(state & (1 << tbet))
     g = bool(state & (1 << gata3))
     if t and not g:

@@ -124,8 +124,12 @@ def test_enumerate_zero(capsys):
 
 def test_enumerate_json(capsys):
     assert main(["enumerate", "2", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert doc == {"arity": 2, "count": 2, "shapes": [[[1], [2]], [[1, 2]]]}
+    assert out == json.dumps(doc) + "\n"  # streamed, yet byte for byte json.dumps
+    assert main(["enumerate", "7", "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"arity": 7, "count": 2414627396434}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +484,8 @@ def test_pbn_custom_model_is_deterministic_without_randomize(capsys):
 def test_pbn_phenotypes_need_markers(capsys):
     assert main(["pbn", "--model", TOY, "--runs", "1", "--seed", "1",
                  "--phenotypes"]) == 3
-    assert "error:" in capsys.readouterr().err
+    # one line, unquoted, though the error is also a KeyError
+    assert capsys.readouterr().err == "error: network lacks marker component Tbet\n"
 
 
 def test_pbn_experiment_refuses_unstepped_runs(capsys):
@@ -529,6 +534,16 @@ def test_output_redirect(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     lines = target.read_text().splitlines()
     assert len(lines) == 10 and lines[-1] == "arity 3: 9 functions"
+
+
+def test_normalize_refusal_is_one_line(tmp_path, capsys):
+    # 3^7 clauses after seven factors; the eighth would triple them past 4096
+    wide = tmp_path / "wide.bnet"
+    wide.write_text("targets, factors\nx, x\ny, "
+                    + " & ".join(f"(x | y{k} | z{k})" for k in range(8)) + "\n")
+    assert main(["stg", str(wide), "--normalize"]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: line 3: normalizing needs 2187 x 3 clauses, more than 4096\n"
 
 
 def test_model_parse_error_exit(tmp_path, capsys):

@@ -26,12 +26,13 @@ from funspace import (
 from funspace.errors import (
     DualRegulation,
     DuplicateComponent,
+    ExpansionTooLarge,
     ModelSyntaxError,
     NotCover,
     NotDNFAfterNormalization,
     UnknownVariable,
 )
-from funspace.modelio import stg_dot_lines
+from funspace.modelio import MAX_DNF_CLAUSES, stg_dot_lines
 from tests.conftest import FIXTURES, networks
 
 
@@ -92,6 +93,24 @@ def test_normalize_distributes():
     assert pf.names == ("a", "c", "b")
     assert pf.shape == make_shape([[1, 2], [2, 3]], 3)
     assert str(pf.ctx) == "+++"
+
+
+def test_normalize_drops_repeats_as_it_distributes():
+    # 2^20 clauses if repeats were kept; three, numbered by first appearance
+    pf = parse_expression(" & ".join(["(b | a)"] * 20), normalize=True)
+    assert pf.names == ("b", "a")
+    assert pf.shape == make_shape([[1], [2]], 2)
+
+
+def test_normalize_refuses_a_large_expansion():
+    # 2^12 clauses fit; the thirteenth factor would double them past the bound
+    factors = [f"(a{k} | b{k})" for k in range(13)]
+    assert 2 ** 12 == MAX_DNF_CLAUSES
+    with pytest.raises(ExpansionTooLarge, match="line 3: .* more than 4096"):
+        parse_model("targets, factors\nx, y\ny, " + " & ".join(factors) + "\n",
+                    normalize=True)
+    pf = parse_expression(" & ".join(factors[:6]), normalize=True)
+    assert pf.shape.n_clauses == 2 ** 6
 
 
 def test_strict_parser_merges_parenthesized_groups():

@@ -501,6 +501,24 @@ def test_siblings_match_the_shape_reference(s):
             s, parents(s), children(s), want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 8).flatmap(shapes))
+def test_no_neighbour_is_a_neighbours_neighbour(s):
+    # why the sibling search drops only the shape itself: a parent or child
+    # of s among its parents' children or children's parents would lie
+    # strictly between s and one of its covers
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    ups = list(_parent_tables(c, t, p))
+    downs = list(_child_tables(c, t, p))
+    near = {table for _, _, table, _ in ups + downs}
+    for _, _, new, u in ups:
+        assert near.isdisjoint(table for _, _, table, _ in _child_tables(new, u, p))
+    for _, _, cand, u in downs:
+        assert near.isdisjoint(table for _, _, table, _ in _parent_tables(cand, u, p))
+
+
 def test_siblings_match_the_diagram():
     for p in (1, 2, 3, 4):
         hd = build_hasse(p)

@@ -32,10 +32,18 @@ from funspace import (
     state_to_string,
     sup_shape,
     th_initial_state,
+    th_model,
     th_neighbor_table,
 )
 from funspace.dynamics import Component
-from funspace.errors import ArityMismatch, InvalidProbability, MissingMarker
+from funspace.errors import (
+    ArityMismatch,
+    ConstantComponent,
+    FunspaceError,
+    InvalidProbability,
+    MissingMarker,
+    UnknownComponent,
+)
 
 from conftest import contexts, networks, shapes
 
@@ -199,8 +207,29 @@ def test_initial_state_and_phenotypes(th_bn):
 
 
 def test_phenotype_needs_markers(toy_bn):
-    with pytest.raises(MissingMarker):
+    with pytest.raises(MissingMarker) as err:
         classify_phenotype(toy_bn, 0)
+    assert isinstance(err.value, KeyError) and isinstance(err.value, FunspaceError)
+    assert str(err.value) == "network lacks marker component Tbet"
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda: randomized_network(th_model(), ["Foo"]),
+    lambda: th_initial_state(["IFNg", "Foo"]),
+    lambda: th_model().index("Foo"),
+])
+def test_unknown_component_names_refused(lookup):
+    with pytest.raises(UnknownComponent) as err:
+        lookup()
+    assert isinstance(err.value, KeyError) and isinstance(err.value, FunspaceError)
+    assert str(err.value) == "unknown component(s): Foo"
+
+
+def test_constant_components_cannot_be_randomized():
+    with pytest.raises(ConstantComponent) as err:
+        randomized_network(th_model(), ["IL12", "GATA3", "TCR"])
+    assert isinstance(err.value, ValueError) and isinstance(err.value, FunspaceError)
+    assert str(err.value) == "constant component(s) cannot be randomized: IL12, TCR"
 
 
 def test_deterministic_baseline_reaches_th1(th_bn):

@@ -22,7 +22,7 @@ from .dynamics import (
     stg_sync,
     transition_bounds,
 )
-from .errors import ArityTooLarge, FunspaceError, ModelError
+from .errors import ArityTooLarge, FunspaceError, InvalidArgument, ModelError
 from .modelio import (
     load_model,
     parse_expression,
@@ -220,11 +220,9 @@ def cmd_verify(args) -> int:
 
 def cmd_pbn(args) -> int:
     if args.runs < 1:
-        print("--runs must be at least 1", file=sys.stderr)
-        return 3
+        raise InvalidArgument("--runs must be at least 1")
     if args.max_steps < 1:
-        print("--max-steps must be at least 1", file=sys.stderr)
-        return 3
+        raise InvalidArgument("--max-steps must be at least 1")
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     if args.experiment:  # a preset, which ignores the flags it fixes
         label = f"experiment {args.experiment.upper()}"
@@ -248,48 +246,50 @@ def cmd_pbn(args) -> int:
         initial = sum({1 << i for i in bn.indices(active)})
         if args.initial:
             if len(args.initial) != bn.n:
-                print(f"--initial has {len(args.initial)} values for "
-                      f"{bn.n} components", file=sys.stderr)
-                return 3
+                raise InvalidArgument(f"--initial has {len(args.initial)} values for "
+                                      f"{bn.n} components")
             initial = state_from_string(args.initial)
         elif args.th_preset and not active:
             initial = th_initial_state()
     pnet = randomized_network(bn, components=names, mode=mode, ref_prob=args.ref_prob)
     classifier = (lambda s: classify_phenotype(bn, s)) if phenotypes \
         else (lambda s: state_to_string(s, bn.n))
-    report = simulate(pnet, initial, runs=args.runs, seed=seed,
-                      max_steps=args.max_steps, classifier=classifier)
-    absorbed = sum(1 for o in report.outcomes if o.absorbed)
-    mean_steps = sum(o.steps for o in report.outcomes) / len(report.outcomes)
-    print(f"# {label}  seed={seed}  runs={report.runs}  max_steps={report.max_steps}")
-    print(f"absorbed: {absorbed}/{report.runs}   mean steps: {mean_steps:.1f}")
-    for lab, frac in report.proportions.items():
-        print(f"  {lab:8s} {frac * 100:6.2f}%  ({report.count(lab)})")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
+    with contextlib.ExitStack() as files:  # unwritable paths fail before simulating
+        ledger = files.enter_context(
+            open(args.csv, "w", newline="", encoding="utf-8")) if args.csv else None
+        summary_file = files.enter_context(
+            open(args.json, "w", encoding="utf-8")) if args.json else None
+        report = simulate(pnet, initial, runs=args.runs, seed=seed,
+                          max_steps=args.max_steps, classifier=classifier)
+        absorbed = sum(1 for o in report.outcomes if o.absorbed)
+        mean_steps = sum(o.steps for o in report.outcomes) / len(report.outcomes)
+        print(f"# {label}  seed={seed}  runs={report.runs}  max_steps={report.max_steps}")
+        print(f"absorbed: {absorbed}/{report.runs}   mean steps: {mean_steps:.1f}")
+        for lab, frac in report.proportions.items():
+            print(f"  {lab:8s} {frac * 100:6.2f}%  ({report.count(lab)})")
+        if args.csv:
+            w = csv.writer(ledger)
             w.writerow(["run", "seed", "steps", "absorbed", "final_state", "phenotype"])
             for o in report.outcomes:
                 w.writerow([
                     o.run, o.seed, o.steps, int(o.absorbed),
                     state_to_string(o.final_state, bn.n), o.label,
                 ])
-        print(f"run ledger written to {args.csv}")
-    if args.json:
-        summary = {
-            "seed": seed,
-            "runs": report.runs,
-            "max_steps": report.max_steps,
-            "absorbed": absorbed,
-            "mean_steps": mean_steps,
-            "proportions": report.proportions,
-        }
-        if args.experiment:
-            summary["experiment"] = args.experiment.upper()
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"summary written to {args.json}")
+            print(f"run ledger written to {args.csv}")
+        if args.json:
+            summary = {
+                "seed": seed,
+                "runs": report.runs,
+                "max_steps": report.max_steps,
+                "absorbed": absorbed,
+                "mean_steps": mean_steps,
+                "proportions": report.proportions,
+            }
+            if args.experiment:
+                summary["experiment"] = args.experiment.upper()
+            json.dump(summary, summary_file, indent=2)
+            summary_file.write("\n")
+            print(f"summary written to {args.json}")
     return 0
 
 

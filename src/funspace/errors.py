@@ -77,6 +77,12 @@ class InvalidProbability(FunspaceError, ValueError):
     """Ensemble probabilities must be positive and sum to one."""
 
 
+class InvalidArgument(FunspaceError, ValueError):
+    """An argument outside what the operation accepts: an unknown experiment,
+    neighbor mode or sibling route, a count below one, or a sequence without
+    one entry per component."""
+
+
 class UnknownComponent(FunspaceError, KeyError):
     """A component name the network does not declare.
 

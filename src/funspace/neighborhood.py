@@ -59,6 +59,7 @@ from .errors import (
     ArityMismatch,
     ArityTooLarge,
     DedekindUnknown,
+    InvalidArgument,
     NotAParent,
 )
 from .shapes import (
@@ -332,7 +333,7 @@ def _slice_tables(shape: FunctionShape, via: str, both: bool
     same way.
     """
     if via not in ("parents", "children", "both"):
-        raise ValueError("via must be 'parents', 'children' or 'both'")
+        raise InvalidArgument("via must be 'parents', 'children' or 'both'")
     p = shape.arity
     c = clause_table(shape)
     t = up_closure(c, p)

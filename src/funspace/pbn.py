@@ -14,18 +14,27 @@ Randomness is reproducible: each run seeds the generator with a seed
 mixed from the master seed and the run number, and exactly one draw is
 consumed per randomized component per step.
 
-A simulation tests no clauses while it steps.  Each component is
-tabulated once per network on the submasks of its regulators (one bit per
-ensemble entry for a randomized component).  The *reference step*, the
-update with every randomized component applying its ensemble's first
-entry, is memoized per visited state up to ``MEMO_LIMIT`` states, so a
-step reads one memo entry and makes one draw and one compare per
-randomized component; only a draw past the first entry's probability
-looks up the entry drawn and XORs in where its bit differs from the
-first entry's.  The fast path keys on the *first* entry, which is the
-reference function in a :func:`neighbor_ensemble` but not necessarily
-:attr:`FunctionEnsemble.reference` (the most likely entry) in a
-hand-built ensemble; outcomes are the same either way, only the speed
+A simulation tests no clauses while it steps.  Each component is tabulated
+once per network on the submasks of its regulators (one bit per ensemble
+entry for a randomized component).  The *reference step*, the update with
+every randomized component applying its ensemble's first entry, is read
+from regulator-group tables (:func:`_groups`): components join groups
+first fit, widest first, while a group's regulators number at most w, the
+widest component's count, and its table holds no more entries than its
+members' own tables; a group maps every submask of its regulators to the
+OR of its members' bits.  So a group table holds at most 2^w entries, all
+of them together no more than the per-component tables, and the reference
+step costs one lookup per group: 10 for the T-helper model's 19
+components that are not constant false, where it took 19 (``perfbench``
+``ensemble``: 114.7 -> 124.5 ops/s, medians of 12 pairs,
+``BENCH_reference_groups.json``).  It is memoized per visited state up to
+``MEMO_LIMIT`` states, so a step reads one memo entry and makes one draw
+and one compare per randomized component; only a draw past the first
+entry's probability looks up the entry drawn and XORs in where its bit
+differs from the first entry's.  The fast path keys on the *first* entry,
+which is the reference function in a :func:`neighbor_ensemble` but not
+necessarily :attr:`FunctionEnsemble.reference` (the most likely entry) in
+a hand-built ensemble; outcomes are the same either way, only the speed
 differs.  The classifier is called once per distinct final state.
 
 The built-in model is a 23-component T-helper-cell differentiation
@@ -34,7 +43,9 @@ GATA3 markers (Th1 = Tbet only, Th2 = GATA3 only, Th0 = neither).  Its
 experiments A–F (:data:`EXPERIMENTS`) are presets: the components to
 randomize and the neighbor mode, simulated from the IFNg-pulse state.
 An unknown component name raises UnknownComponent (a ``KeyError``); a
-constant named for an ensemble raises ConstantComponent (a ``ValueError``).
+constant named for an ensemble raises ConstantComponent (a ``ValueError``);
+an unknown experiment or neighbor mode, or a network given the wrong number
+of ensemble slots, raises InvalidArgument (a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -43,12 +54,14 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import BooleanNetwork, Component
 from .errors import (
     ArityMismatch,
     ConstantComponent,
+    InvalidArgument,
     InvalidProbability,
     MissingMarker,
     UnknownComponent,
@@ -101,7 +114,7 @@ class ProbabilisticNetwork:
 
     def __post_init__(self) -> None:
         if len(self.ensembles) != self.network.n:
-            raise ValueError("one ensemble slot per component required")
+            raise InvalidArgument("one ensemble slot per component required")
         for i, ens in enumerate(self.ensembles):
             if ens is None:
                 continue
@@ -116,8 +129,9 @@ class ProbabilisticNetwork:
     @cached_property
     def _tables(self) -> tuple[tuple, tuple]:
         """What :func:`simulate` steps with, built on first use.  The reference
-        step: (regs, submask -> bit or 0) per component, for its fixed function
-        or its ensemble's first entry, leaving out constant-false ones; per
+        step: (regs, submask -> OR of the members' bits) per regulator group
+        (:func:`_groups`) of the components other than constant-false ones,
+        each applying its fixed function or its ensemble's first entry; per
         randomized component: (regs, submask -> per entry its bit XOR the first
         entry's, first cumulative prob, cumulative probs)."""
         reference, randomized = [], []
@@ -138,7 +152,7 @@ class ProbabilisticNetwork:
                 cum = list(accumulate(prob for _, prob in ens.entries))
                 cum[-1] = 1.0
                 randomized.append((regs, flips, cum[0], tuple(cum)))
-        return tuple(reference), tuple(randomized)
+        return _groups(reference), tuple(randomized)
 
 
 def neighbor_ensemble(
@@ -155,7 +169,7 @@ def neighbor_ensemble(
     whose function has no neighbors keep the reference alone.
     """
     if mode not in ("parents_children", "with_siblings"):
-        raise ValueError("mode must be 'parents_children' or 'with_siblings'")
+        raise InvalidArgument("mode must be 'parents_children' or 'with_siblings'")
     if not 0 < ref_prob <= 1:
         raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
     comp = bn.components[i]
@@ -244,9 +258,10 @@ class SimulationReport:
         return sum(1 for o in self.outcomes if o.label == label)
 
 
-#: Most states whose reference step one :func:`simulate` call
-#: remembers (about 6 MB at the cap); past it, new states are computed and
-#: not stored, so long non-absorbing runs keep their memory bounded.
+#: Most states whose reference step one :func:`simulate` call remembers
+#: (about 6.5 MB at the cap for 23-component states); past it, new states
+#: are computed and not stored, so long non-absorbing runs keep their
+#: memory bounded.
 MEMO_LIMIT = 1 << 16
 
 
@@ -260,6 +275,36 @@ def _lookup(c: Component, shapes: list, bit: int) -> list[dict[int, int]]:
     width, values = f"0{len(keys)}b", {"0": 0, "1": bit}.__getitem__
     tables = [1 if s is None else shape_table(s, c.ctx) for s in shapes]
     return [dict(zip(keys, map(values, format(t, width)[::-1]))) for t in tables]
+
+
+def _groups(tables: list[tuple[int, dict[int, int]]]) -> tuple:
+    """Merge (regs, submask -> bits) tables, first fit and widest first, into
+    groups mapping each submask of their regulator bits to the OR of their
+    members' entries.  A table joins a group while the group keeps at most
+    w regulator bits (the widest table's) and no more entries than its
+    members' tables: 16 disjoint one-regulator tables would take 2^16."""
+    width = max([regs.bit_count() for regs, _ in tables], default=0)
+    groups: list[list] = []  # [union of regs, members' entries, members]
+    for regs, table in sorted(tables, key=lambda t: -t[0].bit_count()):
+        for group in groups:
+            union, entries = group[0] | regs, group[1] + len(table)
+            if union.bit_count() <= width and 1 << union.bit_count() <= entries:
+                group[:2] = union, entries
+                group[2].append((regs, table))
+                break
+        else:
+            groups.append([regs, len(table), [(regs, table)]])
+    merged = []
+    for union, _, members in groups:
+        keys = [0]
+        for r in range(union.bit_length()):
+            if union >> r & 1:
+                keys += [k | 1 << r for k in keys]
+        bits = [0] * len(keys)
+        for regs, table in members:
+            bits = list(map(or_, bits, map(table.__getitem__, map(regs.__and__, keys))))
+        merged.append((union, dict(zip(keys, bits))))
+    return tuple(merged)
 
 
 def simulate(
@@ -289,13 +334,19 @@ def simulate(
     network, by the first call on it.  The reference step, the OR of the
     fixed components and of each randomized component's *first* entry, is
     memoized per visited state, for at most ``MEMO_LIMIT`` states in one
-    call.  A step reads it, then per randomized component draws r and
-    compares it with the first entry's probability; only when r exceeds
-    it does the step find the entry drawn and XOR in that entry's bit
-    against the first entry's, read from a dict at ``state & regs``.  The
-    first entry need not be the ensemble's most likely one
-    (:attr:`FunctionEnsemble.reference`); when it is not, more draws take
-    the slower branch, with the same outcomes.
+    call.  A miss ORs one lookup per regulator group: components are
+    merged first fit, widest first, while a group's regulators number at
+    most the widest component's w and its table holds no more entries
+    than its members' tables, so a group table holds at most 2^w entries
+    (T-helper: 10 lookups, where one per component took 19; ``perfbench``
+    ``ensemble`` 114.7 -> 124.5 ops/s).  A step reads the reference step,
+    then per randomized component draws r and compares it with the first
+    entry's probability; only when r exceeds it does the step find the
+    entry drawn and XOR in that entry's bit against the first entry's,
+    read from a dict at ``state & regs``.  The first entry need not be
+    the ensemble's most likely one (:attr:`FunctionEnsemble.reference`);
+    when it is not, more draws take the slower branch, with the same
+    outcomes.
     """
     bn = pnet.network
     n = bn.n
@@ -481,7 +532,7 @@ def experiment_network(which: str, ref_prob: float = 0.8) -> ProbabilisticNetwor
     try:
         components, mode = EXPERIMENTS[which.upper()]
     except KeyError:
-        raise ValueError(f"unknown experiment {which!r}; expected A..F") from None
+        raise InvalidArgument(f"unknown experiment {which!r}; expected A..F") from None
     return randomized_network(
         th_model(), components=components, mode=mode, ref_prob=ref_prob
     )

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -493,6 +494,17 @@ def test_pbn_experiment_refuses_unstepped_runs(capsys):
     assert main(["pbn", "--experiment", "C", "--runs", "5", "--max-steps", "0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "--max-steps must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_pbn_unwritable_file_fails_before_simulating(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "x.csv"
+    with patch("funspace.cli.simulate") as simulate:
+        assert main(["pbn", "--th-preset", "--runs", "2", flag, str(target)]) == 2
+    assert not simulate.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("cannot read/write:")
 
 
 def test_pbn_requires_a_source(capsys):

@@ -33,7 +33,13 @@ from funspace import (
     true_count,
     verify_rules,
 )
-from funspace.errors import ArityTooLarge, DedekindUnknown, NotAParent
+from funspace.errors import (
+    ArityTooLarge,
+    DedekindUnknown,
+    FunspaceError,
+    InvalidArgument,
+    NotAParent,
+)
 from funspace.neighborhood import (
     CHILD,
     PARENT_R1,
@@ -674,6 +680,9 @@ def test_siblings_reject_an_unknown_via():
         siblings(sup_shape(3), via="cousins")
     with pytest.raises(ValueError):
         hasse_slice(sup_shape(3), sibling_via="cousins")
+    with pytest.raises(FunspaceError) as err:
+        siblings(sup_shape(3), via="x")
+    assert isinstance(err.value, InvalidArgument) and isinstance(err.value, ValueError)
 
 
 def test_hasse_slice_bundle():

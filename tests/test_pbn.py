@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import random
+from functools import reduce
+from operator import or_
 from unittest.mock import patch
 
 import pytest
@@ -40,6 +42,7 @@ from funspace.errors import (
     ArityMismatch,
     ConstantComponent,
     FunspaceError,
+    InvalidArgument,
     InvalidProbability,
     MissingMarker,
     UnknownComponent,
@@ -223,6 +226,20 @@ def test_unknown_component_names_refused(lookup):
         lookup()
     assert isinstance(err.value, KeyError) and isinstance(err.value, FunspaceError)
     assert str(err.value) == "unknown component(s): Foo"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: experiment_network("G"), "unknown experiment 'G'; expected A..F"),
+    (lambda: neighbor_ensemble(th_model(), 0, mode="cousins"),
+     "mode must be 'parents_children' or 'with_siblings'"),
+    (lambda: ProbabilisticNetwork(th_model(), (None,)),
+     "one ensemble slot per component required"),
+], ids=["experiment", "mode", "slots"])
+def test_bad_arguments_refused(call, message):
+    with pytest.raises(FunspaceError) as err:
+        call()
+    assert isinstance(err.value, InvalidArgument) and isinstance(err.value, ValueError)
+    assert str(err.value) == message
 
 
 def test_constant_components_cannot_be_randomized():
@@ -425,6 +442,50 @@ def hand_built_ensembles(draw, bn):
         ensembles.append(FunctionEnsemble(tuple(
             (shape, w / total) for shape, w in zip(entries, weights))))
     return ProbabilisticNetwork(bn, tuple(ensembles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reference_groups_match_the_component_tables(data):
+    bn = data.draw(networks())
+    if data.draw(st.booleans()):
+        pnet = data.draw(hand_built_ensembles(bn))
+    else:
+        mode = data.draw(st.sampled_from(["parents_children", "with_siblings"]))
+        pnet = randomized_network(bn, mode=mode)
+    tables, bits = [], 0  # per component that is not constant false
+    for i, (comp, ens) in enumerate(zip(bn.components, pnet.ensembles)):
+        if comp.shape is not None:
+            shape = comp.shape if ens is None else ens.entries[0][0]
+            regs = sum(1 << r for r in comp.regulators)
+            tables.append((regs, reference_lookup(comp, shape, 1 << i)))
+        elif comp.constant:
+            tables.append((0, {0: 1 << i}))
+        bits |= 0 if comp.constant is False else 1 << i
+    groups, _ = pnet._tables
+    for state in range(1 << bn.n):
+        assert reduce(or_, [t[state & regs] for regs, t in groups], 0) == \
+            reduce(or_, [t[state & regs] for regs, t in tables], 0)
+    width = max([regs.bit_count() for regs, _ in tables], default=0)
+    assert all(regs.bit_count() <= width and len(t) == 1 << regs.bit_count()
+               for regs, t in groups)
+    assert sum(len(t) for _, t in groups) <= sum(len(t) for _, t in tables)
+    # every member sets its bit somewhere, so a group's bits name its members
+    members = [reduce(or_, t.values()) for _, t in groups]
+    assert sum(m.bit_count() for m in members) == len(tables)
+    assert reduce(or_, members, 0) == bits
+
+
+def test_reference_groups_never_outgrow_the_component_tables():
+    # a 4-regulator hub on x1..x4 and copies x_i = x_(i-1): x2..x5 read hub
+    # regulators and join its group; the other eight read one regulator each,
+    # so four of them in one 4-regulator group would take 16 entries for 8
+    specs = [("x0", ([f"x{k}" for k in range(1, 5)], "++++", [[1, 2], [3, 4]]))]
+    specs += [(f"x{i}", ([f"x{i - 1}"], "+", [[1]])) for i in range(1, 13)]
+    groups, _ = ProbabilisticNetwork(network_from_functions(specs), (None,) * 13)._tables
+    assert [regs.bit_count() for regs, _ in groups] == [4, 2, 2, 2, 2]
+    assert sum(len(t) for _, t in groups) == 32  # one table each: 16 + 12 * 2 = 40
+    assert len(experiment_network("A")._tables[0]) == 10  # 19 components
 
 
 @pytest.mark.parametrize("memo_limit", [pbn.MEMO_LIMIT, 0], ids=["memo", "no-store"])

@@ -199,8 +199,7 @@ def cmd_stg(args) -> int:
 def cmd_verify(args) -> int:
     top = args.arity if args.arity is not None else args.max_arity
     if not 1 <= top <= 5:
-        print("verify handles arities 1..5", file=sys.stderr)
-        return 3
+        raise InvalidArgument("verify handles arities 1..5")
     failed = False
     for p in range(1, top + 1):
         hd = build_hasse(p)

@@ -12,10 +12,11 @@ truth tables: stable states, edge counts and async attractors are bitwise
 operations on whole-space sets, sync attractors are set images of the
 update map, and only sync cycles and the edge list walk states one by one.
 Self-loops are never counted: stable states are the nodes without out-edges.
-A network builds its tables once, on the first graph asked of it, and keeps
-them while it lives (n 2^n-bit ints: 23 MB for the 23-component T-helper
-model), so both graphs and :func:`stable_states` share one build; a graph
-computes its fixed points once.
+A network keeps two things while it lives, each built on first use: its
+components' tables (n 2^n-bit ints: 23 MB for the 23-component T-helper
+model) and its fixed points (one more 2^n-bit int).  Both graphs and
+:func:`stable_states` share them, so a network builds each once; a graph
+built by hand from tables computes its own fixed points, once.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -32,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
+    InvalidArgument,
     NotAChain,
     NotAutoregulated,
     SingleRegulator,
@@ -80,10 +82,10 @@ class Component:
     def __post_init__(self) -> None:
         if self.shape is None:
             if self.constant is None or self.regulators or self.ctx is not None:
-                raise ValueError(f"component {self.name}: constants take no regulators")
+                raise InvalidArgument(f"component {self.name}: constants take no regulators")
         else:
             if self.ctx is None or self.constant is not None:
-                raise ValueError(f"component {self.name}: function needs a context")
+                raise InvalidArgument(f"component {self.name}: function needs a context")
             if len(self.regulators) != self.shape.arity:
                 raise ArityMismatch(
                     f"component {self.name}: {len(self.regulators)} regulators "
@@ -92,7 +94,17 @@ class Component:
             if self.ctx.arity != self.shape.arity:
                 raise ArityMismatch(f"component {self.name}: context arity differs")
             if len(set(self.regulators)) != len(self.regulators):
-                raise ValueError(f"component {self.name}: repeated regulator")
+                raise InvalidArgument(f"component {self.name}: repeated regulator")
+
+    @classmethod
+    def _unchecked(cls, name: str, regulators: tuple[int, ...],
+                   shape: FunctionShape | None, ctx: RegulatorContext | None,
+                   constant: bool | None) -> "Component":
+        """Fast path for callers that guarantee validity by construction."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(name=name, regulators=regulators, shape=shape, ctx=ctx,
+                            constant=constant)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -102,20 +114,27 @@ class BooleanNetwork:
     def __post_init__(self) -> None:
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate component names")
+            raise InvalidArgument("duplicate component names")
         n = len(self.components)
         for i, c in enumerate(self.components):
             for r in c.regulators:
                 if not 0 <= r < n:
-                    raise ValueError(f"component {c.name}: regulator index {r} out of range")
+                    raise InvalidArgument(f"component {c.name}: regulator index {r} out of range")
             if c.ctx is not None:
                 # self_index must agree with the regulator list.
                 want = c.regulators.index(i) + 1 if i in c.regulators else None
                 if c.ctx.self_index != want:
-                    raise ValueError(
+                    raise InvalidArgument(
                         f"component {c.name}: self_index {c.ctx.self_index} "
                         f"inconsistent with regulators (expected {want})"
                     )
+
+    @classmethod
+    def _unchecked(cls, components: tuple[Component, ...]) -> "BooleanNetwork":
+        """Fast path for callers that guarantee validity by construction."""
+        obj = object.__new__(cls)
+        obj.__dict__["components"] = components
+        return obj
 
     @property
     def n(self) -> int:
@@ -145,6 +164,12 @@ class BooleanNetwork:
         do not see it.  Callers check the state-space limit first."""
         return tuple([_table(c, self.n) for c in self.components])
 
+    @cached_property
+    def _fixed(self) -> int:
+        """The fixed points of :attr:`_tables` (:func:`_fixed_points`), kept
+        like them and handed to both graphs and :func:`stable_states`."""
+        return _fixed_points(self._tables, self.n)
+
     def step_sync(self, state: int) -> int:
         """The synchronous update of one state, the reference step: each
         component's next value is :func:`funspace.shapes.evaluate` on its
@@ -168,6 +193,15 @@ def _table(c: Component, n: int) -> int:
     if c.shape is None:
         return (1 << (1 << n)) - 1 if c.constant else 0
     return truth_table(c.shape, c.ctx, c.regulators, n)
+
+
+def _fixed_points(tables: Sequence[int], n: int) -> int:
+    """The states no component changes, as a 2^n-bit set: the AND over
+    components of NOT(table XOR variable)."""
+    fixed = (1 << (1 << n)) - 1
+    for i, t in enumerate(tables):
+        fixed &= ~(t ^ variable_table(i, n))
+    return fixed
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -203,8 +237,9 @@ class STG:
     component i's 2^n-bit truth table (bit s is its next value at state s),
     as :func:`funspace.shapes.truth_table` puts its shape on the network's
     state bits; a constant's table is all ones or 0.  Both graphs of a network
-    share its tuple of tables.  The fixed points (``_fixed``) and
-    ``successors``, each state's out-edges, are built on first access."""
+    share its tuple of tables and its fixed points (``_fixed``); any other
+    graph builds them on first access, as it does ``successors``, each
+    state's out-edges."""
 
     mode: str  # 'async' | 'sync'
     n: int
@@ -212,11 +247,9 @@ class STG:
 
     @cached_property
     def _fixed(self) -> int:
-        """The fixed points: AND over components of NOT(table XOR variable)."""
-        fixed = (1 << (1 << self.n)) - 1
-        for i, t in enumerate(self.tables):
-            fixed &= ~(t ^ variable_table(i, self.n))
-        return fixed
+        """The fixed points (:func:`_fixed_points`); a network's graphs are
+        handed its own."""
+        return _fixed_points(self.tables, self.n)
 
     def _update(self) -> memoryview:
         """The synchronous update ``F[s]`` of every state s, 4 bytes a state.
@@ -259,16 +292,22 @@ class STG:
                 yield s, t
 
 
+def _graph(mode: str, bn: BooleanNetwork, limit: int) -> STG:
+    """A graph on the network's tables, holding the network's fixed points."""
+    _check_limit(bn.n, limit)
+    graph = STG(mode, bn.n, bn._tables)
+    graph.__dict__["_fixed"] = bn._fixed  # what the cached property would store
+    return graph
+
+
 def stg_async(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Asynchronous graph: one transition per component whose value differs."""
-    _check_limit(bn.n, limit)
-    return STG("async", bn.n, bn._tables)
+    return _graph("async", bn, limit)
 
 
 def stg_sync(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> STG:
     """Synchronous graph: every state maps to its full update (no self-loops)."""
-    _check_limit(bn.n, limit)
-    return STG("sync", bn.n, bn._tables)
+    return _graph("sync", bn, limit)
 
 
 def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ Model files use the two-column ``targets, factors`` format: a header line,
 then one ``NAME, EXPRESSION`` line per component, ``#`` comments and blank
 lines ignored.  Expressions use ``|``/``OR``, ``&``/``AND``, ``!``/``NOT``
 (case-insensitive keywords) and parentheses; the constants ``false`` and
-``true`` declare input components.
+``true`` declare input components, and in any case are refused as a
+component or regulator name.
 
 By default expressions must already be disjunctions of literal
 conjunctions; with ``normalize=True`` arbitrary and/or/not structure is
@@ -36,7 +37,7 @@ from .shapes import (
     NEGATIVE,
     POSITIVE,
     RegulatorContext,
-    minimize,
+    _minimal_shape,
     state_to_string,
 )
 
@@ -45,6 +46,10 @@ from .shapes import (
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[|&!()])|(\S))")
 
 _KEYWORDS = {"or": "|", "and": "&", "not": "!"}
+
+#: Right-hand sides that declare a constant component, in any case; never
+#: a regulator or component name.
+_CONSTANTS = ("false", "true")
 
 
 def _tokenize(text: str, line: int | None = None) -> list[str]:
@@ -143,7 +148,7 @@ def _distribute(node: tuple, line: int | None) -> list[tuple]:
     Repeated literals and repeated clauses are dropped as they are formed,
     so ``(a | b) & (a | b) & …`` stays at three clauses.  Dropping only
     later repeats keeps the order in which regulators first appear;
-    absorbing supersets would not, and is left to ``minimize``.
+    absorbing supersets would not, and is left to the minimization.
     """
     kind = node[0]
     if kind in ("var", "not"):
@@ -204,7 +209,10 @@ def parse_expression(
     Regulators are numbered by first appearance in the text.  Rejects dual
     regulation (a variable both plain and negated) and redundancy (a
     variable whose every clause is absorbed), since either would break
-    consistency.  ``self_name`` marks autoregulation in the context.
+    consistency, and the constant names ``true``/``false`` in any case.
+    ``self_name`` marks autoregulation in the context.  The clause masks are
+    packed as the literals are read, and the shape and context are built
+    without the constructors' checks, which the parse itself guarantees.
     """
     tokens = _tokenize(text, line)
     if not tokens:
@@ -215,27 +223,31 @@ def parse_expression(
     else:
         clause_nodes = _strict_clauses(ast, line)
 
-    index: dict[str, int] = {}  # name -> 1-based regulator index
+    index: dict[str, int] = {}  # name -> regulator bit (0-based)
     signs: list[int] = []
-    clause_sets: list[set[int]] = []
+    neg_mask = 0
+    masks: list[int] = []
     for nodes in clause_nodes:
-        idxs: set[int] = set()
+        mask = 0
         for lit in nodes:
             neg = lit[0] == "not"
             name = lit[1][1] if neg else lit[1]
-            sign = NEGATIVE if neg else POSITIVE
             k = index.get(name)
             if k is None:
-                k = index[name] = len(signs) + 1
-                signs.append(sign)
-            elif signs[k - 1] != sign:
+                if name.lower() in _CONSTANTS:
+                    raise ModelSyntaxError(f"{name} is a constant, not a regulator name", line)
+                k = index[name] = len(signs)
+                signs.append(NEGATIVE if neg else POSITIVE)
+                neg_mask |= neg << k
+            elif neg_mask >> k & 1 != neg:
                 raise DualRegulation(
                     f"{name} is used both plain and negated", line
                 )
-            idxs.add(k)
-        clause_sets.append(idxs)
-    shape = minimize(clause_sets, len(signs))
-    ctx = RegulatorContext(tuple(signs), index.get(self_name))
+            mask |= 1 << k
+        masks.append(mask)
+    shape = _minimal_shape(masks, len(signs))
+    self_index = index[self_name] + 1 if self_name in index else None
+    ctx = RegulatorContext._unchecked(tuple(signs), self_index, neg_mask)
     return ParsedFunction(shape, ctx, tuple(index))
 
 
@@ -244,7 +256,12 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
-    """Parse a whole ``targets, factors`` model into a network."""
+    """Parse a whole ``targets, factors`` model into a network.
+
+    The parse refuses all that the constructors would: names are unique
+    and declared, and each function is minimized and checked as a cover.
+    So the components and the network are built without those checks.
+    """
     entries: list[tuple[int, str, str]] = []  # (line number, name, rhs)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,6 +279,8 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
         name = name.strip()
         if not _NAME_RE.match(name):
             raise ModelSyntaxError(f"bad component name {name!r}", lineno)
+        if name.lower() in _CONSTANTS:
+            raise ModelSyntaxError(f"{name} is a constant, not a component name", lineno)
         entries.append((lineno, name, rhs.strip()))
     if not header_seen:
         raise ModelSyntaxError("empty model: no 'targets, factors' header")
@@ -275,8 +294,8 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
     comps: list[Component] = []
     for lineno, name, rhs in entries:
         lowered = rhs.lower()
-        if lowered in ("false", "true"):
-            comps.append(Component(name=name, constant=lowered == "true"))
+        if lowered in _CONSTANTS:
+            comps.append(Component._unchecked(name, (), None, None, lowered == "true"))
             continue
         pf = parse_expression(rhs, normalize=normalize, line=lineno, self_name=name)
         try:
@@ -285,10 +304,8 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
             raise UnknownVariable(
                 f"{exc.args[0]} is not a declared component", lineno
             ) from None
-        comps.append(
-            Component(name=name, regulators=regs, shape=pf.shape, ctx=pf.ctx)
-        )
-    return BooleanNetwork(tuple(comps))
+        comps.append(Component._unchecked(name, regs, pf.shape, pf.ctx, None))
+    return BooleanNetwork._unchecked(tuple(comps))
 
 
 def load_model(path: str, normalize: bool = False) -> BooleanNetwork:

@@ -33,6 +33,7 @@ from .errors import (
     ArityMismatch,
     ArityTooLarge,
     EmptyClauseSet,
+    InvalidArgument,
     ModelSyntaxError,
     NoActivators,
     NotAntichain,
@@ -170,8 +171,14 @@ def minimize(clauses: Iterable[Iterable[int]], p: int) -> FunctionShape:
     Keeps the minimal elements of the clauses' up-closure, then validates
     the cover condition (every regulator essential).
     """
-    _require_arity(p)  # before the 2^p-digit table
-    kept = minimal_elements(up_closure(_mask_table([clause_mask(c, p) for c in clauses], p), p), p)
+    return _minimal_shape((clause_mask(c, p) for c in clauses), p)
+
+
+def _minimal_shape(masks: Iterable[int], p: int) -> FunctionShape:
+    """:func:`minimize` on clause bitmasks: the arity check, then the
+    minimal elements of their up-closure, refused unless they cover 1..p."""
+    _require_arity(p)  # before the masks and the 2^p-digit table
+    kept = minimal_elements(up_closure(_mask_table(masks, p), p), p)
     if kept <= 1:  # no clause, or the empty one, which absorbs all others
         raise EmptyClauseSet("empty clause" if kept else "a shape needs at least one clause")
     if not _covering(kept, p):
@@ -237,11 +244,20 @@ class RegulatorContext:
         if len(self.signs) > MAX_ARITY:
             raise ArityTooLarge(f"arity {len(self.signs)} outside 1..{MAX_ARITY}")
         if any(s not in (POSITIVE, NEGATIVE) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
+            raise InvalidArgument("signs must be +1 or -1")
         if self.self_index is not None and not 1 <= self.self_index <= len(self.signs):
-            raise ValueError(f"self_index {self.self_index} outside 1..{len(self.signs)}")
+            raise InvalidArgument(f"self_index {self.self_index} outside 1..{len(self.signs)}")
         # Not a field, so equality, hashing and repr never read it.
         self.__dict__["_neg_mask"] = sum(1 << k for k, s in enumerate(self.signs) if s == NEGATIVE)
+
+    @classmethod
+    def _unchecked(cls, signs: tuple[int, ...], self_index: int | None,
+                   neg_mask: int) -> "RegulatorContext":
+        """Fast path for callers that guarantee validity by construction and
+        hand in the inhibitor mask of ``signs``."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(signs=signs, self_index=self_index, _neg_mask=neg_mask)
+        return obj
 
     @property
     def arity(self) -> int:
@@ -314,10 +330,22 @@ def evaluate(shape: FunctionShape, ctx: RegulatorContext, state: int) -> bool:
 def variable_table(j: int, n: int) -> int:
     """Bit s is set iff state s has bit j set, for every s < 2^n.
 
-    Built by doubling one period (2^j zeros, then 2^j ones), which stays
-    linear in 2^n; big-int division is quadratic in CPython and takes over
-    a minute at n = 23.
+    Up to ``MAX_ARITY`` regulators or components the table comes from
+    :func:`variable_tables`, built once per n (at most 8 KB a table, about
+    245 KB for every n up to 16).  Larger n are built per call and not
+    kept: caching the 23 tables of the 23-component T-helper model raised
+    the peak RSS of ``funspace stg`` on it from 92.5 to 116 MB (async) and
+    from 114 to 138 MB (sync; 2-vCPU VM, Python 3.11).
     """
+    if n <= MAX_ARITY:
+        return variable_tables(n)[j]
+    return _doubled_variable_table(j, n)
+
+
+def _doubled_variable_table(j: int, n: int) -> int:
+    """:func:`variable_table` built by doubling one period (2^j zeros, then
+    2^j ones), which stays linear in 2^n; big-int division is quadratic in
+    CPython and takes over a minute at n = 23."""
     half = 1 << j
     v = ((1 << half) - 1) << half
     w = half << 1
@@ -351,10 +379,11 @@ def truth_table(
 
 @cache
 def variable_tables(p: int) -> tuple[int, ...]:
-    """``variable_table(k, p)`` for every k < p, built once per shape arity
-    (networks call :func:`variable_table`: their tables reach 2^23 bits)."""
+    """The variable table of every k < p, built once per size p up to
+    ``MAX_ARITY``: shape tables over 2^p regulator states, and
+    :func:`variable_table` for network state spaces of up to 16 components."""
     _require_arity(p)
-    return tuple([variable_table(k, p) for k in range(p)])
+    return tuple([_doubled_variable_table(k, p) for k in range(p)])
 
 
 def up_closure(table: int, p: int) -> int:

@@ -73,6 +73,14 @@ def test_neighbors_error_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["true", "a | TRUE", "False & b"])
+def test_neighbors_refuses_constant_names(text, capsys):
+    assert main(["neighbors", text]) == 2
+    name = next(w for w in text.split() if w.lower() in ("true", "false"))
+    assert capsys.readouterr() == (
+        "", f"parse error: {name} is a constant, not a regulator name\n")
+
+
 def test_neighbors_accepts_parenthesized_dnf(capsys):
     for text in ("(a | b) | c", "(a & b) & c"):
         assert main(["neighbors", text]) == 0
@@ -425,7 +433,7 @@ def test_verify(capsys):
 
 def test_verify_range_guard(capsys):
     assert main(["verify", "6"]) == 3
-    assert "1..5" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: verify handles arities 1..5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +572,10 @@ def test_model_parse_error_exit(tmp_path, capsys):
     assert main(["stg", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "parse error:" in err and "line 2" in err
+    bad.write_text("targets, factors\ng1, g1\nTrue, g1\n")
+    assert main(["stg", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: line 3: True is a constant, not a component name\n")
 
 
 @pytest.mark.parametrize("command", [["stg"], ["pbn", "--runs", "1", "--model"]])

@@ -14,6 +14,7 @@ from funspace import (
     Component,
     FunctionShape,
     RegulatorContext,
+    STG,
     attractors,
     component_transitions,
     enumerate_all,
@@ -39,6 +40,7 @@ from funspace import (
 )
 from funspace.errors import (
     ArityMismatch,
+    InvalidArgument,
     NotAChain,
     NotAParent,
     NotAutoregulated,
@@ -377,23 +379,68 @@ def test_state_space_limit(toy_bn):
 
 
 def test_a_network_builds_its_tables_once(monkeypatch):
-    # one truth_table call per regulated component, whichever graph asks
+    # one truth_table call per regulated component and one fixed-point set
+    # per network, whichever graph asks
     bn = parse_model(
         "targets, factors\na, a | !b\nb, a & c\nc, true\nd, !d\ne, false\n"
     )
     calls, original = [], funspace.dynamics.truth_table
+    fixed_calls, fixed_points = [], funspace.dynamics._fixed_points
 
     def counting(shape, ctx, positions, n):
         calls.append(tuple(positions))
         return original(shape, ctx, positions, n)
 
+    def counting_fixed(tables, n):
+        fixed_calls.append(n)
+        return fixed_points(tables, n)
+
     monkeypatch.setattr(funspace.dynamics, "truth_table", counting)
+    monkeypatch.setattr(funspace.dynamics, "_fixed_points", counting_fixed)
     g_async, g_sync = stg_async(bn), stg_sync(bn)
-    stable_states(bn)
+    stable = stable_states(bn)
     attractors(g_async)
     attractors(g_sync)
+    assert g_async.n_edges and g_sync.n_edges
+    assert g_async.stable_states() == g_sync.stable_states() == stable
     assert sorted(calls) == [(0, 1), (0, 2), (3,)]
+    assert fixed_calls == [bn.n]
     assert stg_sync(bn).tables is stg_async(bn).tables
+    # a graph built by hand computes its own fixed points, once
+    by_hand = STG("sync", bn.n, bn._tables)
+    assert by_hand.stable_states() == stable and attractors(by_hand) == attractors(g_sync)
+    assert fixed_calls == [bn.n, bn.n]
+
+
+def _component(name, regulators=(), shape=None, ctx=None, constant=None):
+    return Component(name=name, regulators=regulators, shape=shape, ctx=ctx,
+                     constant=constant)
+
+
+# Hand-built input each constructor refuses (the parser never builds it).
+CONSTRUCTOR_REFUSALS = [
+    (lambda: _component("x", (1,), constant=True),
+     "component x: constants take no regulators"),
+    (lambda: _component("x", (0,), shape=sup_shape(1)),
+     "component x: function needs a context"),
+    (lambda: _component("x", (0, 0), sup_shape(2), RegulatorContext.from_str("++")),
+     "component x: repeated regulator"),
+    (lambda: BooleanNetwork((_component("a", constant=True), _component("a", constant=False))),
+     "duplicate component names"),
+    (lambda: BooleanNetwork((_component("a", (1,), sup_shape(1), RegulatorContext.from_str("+")),)),
+     "component a: regulator index 1 out of range"),
+    (lambda: BooleanNetwork((_component("a", (0,), sup_shape(1), RegulatorContext.from_str("+")),)),
+     "component a: self_index None inconsistent with regulators (expected 1)"),
+    (lambda: RegulatorContext((1, 0)), "signs must be +1 or -1"),
+    (lambda: RegulatorContext((1, -1), 3), "self_index 3 outside 1..2"),
+]
+
+
+@pytest.mark.parametrize("build, message", CONSTRUCTOR_REFUSALS)
+def test_constructors_refuse_hand_built_input(build, message):
+    with pytest.raises(InvalidArgument) as err:
+        build()
+    assert isinstance(err.value, ValueError) and str(err.value) == message
 
 
 def test_built_tables_leave_equality_hash_and_repr_alone(toy_bn):

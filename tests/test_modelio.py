@@ -4,8 +4,12 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funspace import (
+    BooleanNetwork,
+    Component,
+    FunctionShape,
     RegulatorContext,
     attractors,
     enumerate_all,
@@ -33,6 +37,7 @@ from funspace.errors import (
     UnknownVariable,
 )
 from funspace.modelio import MAX_DNF_CLAUSES, stg_dot_lines
+from funspace.shapes import bits_of
 from tests.conftest import FIXTURES, networks
 
 
@@ -275,6 +280,83 @@ def test_model_errors_carry_line_numbers():
     with pytest.raises(DuplicateComponent) as err:
         parse_model("targets, factors\na, b\na, !b\nb, a\n")
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, name", [("true", "true"), ("a | TRUE", "TRUE"),
+                                        ("False & !c", "False"), ("!x | (y & fAlSe)", "fAlSe")])
+def test_constant_names_are_not_regulators(text, name):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_expression(text, line=4)
+    assert str(err.value) == f"line 4: {name} is a constant, not a regulator name"
+    with pytest.raises(ModelSyntaxError, match=f"^line 2: {name} is a constant, not a regulator"):
+        parse_model(f"targets, factors\nx, b | {text}\na, x\nb, a\nc, b\ny, b\n")
+
+
+@pytest.mark.parametrize("name", ["true", "FALSE", "True"])
+def test_constant_names_are_not_components(name):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"targets, factors\na, b\n{name}, a\nb, TRUE\n")
+    assert str(err.value) == f"line 3: {name} is a constant, not a component name"
+
+
+@st.composite
+def model_texts(draw):
+    """A strict-DNF model of a random network with constant inputs: clauses
+    and literals in any order, some clauses repeated or absorbed, names of
+    constants in any case."""
+    bn = draw(networks(max_n=7))
+    inputs = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+    bn = BooleanNetwork(bn.components + tuple(
+        Component(name=f"k{j}", constant=v) for j, v in enumerate(inputs)))
+    lines = ["targets, factors"]
+    for c in bn.components:
+        if c.shape is None:
+            word = "true" if c.constant else "false"
+            lines.append(f"{c.name}, {draw(st.sampled_from([word, word.upper(), word.title()]))}")
+            continue
+        names = [bn.components[r].name for r in c.regulators]
+        masks = list(c.shape.clauses)
+        masks += draw(st.lists(st.sampled_from(masks), max_size=2))  # repeated
+        extra = draw(st.integers(0, (1 << c.shape.arity) - 1))
+        masks += [m | extra for m in draw(st.lists(st.sampled_from(masks), max_size=2))]
+        terms = []
+        for m in draw(st.permutations(masks)):
+            lits = [("!" if c.ctx.neg_mask >> k & 1 else "") + names[k] for k in bits_of(m)]
+            term = " & ".join(draw(st.permutations(lits)))
+            terms.append(f"({term})" if len(lits) > 1 and draw(st.booleans()) else term)
+        lines.append(f"{c.name}, {' | '.join(terms)}")
+    return "\n".join(lines) + "\n", bn
+
+
+def _validated_copy(bn):
+    """The network rebuilt field by field through the checking constructors."""
+    comps = []
+    for c in bn.components:
+        if c.shape is None:
+            comps.append(Component(name=c.name, constant=c.constant))
+            continue
+        comps.append(Component(
+            name=c.name, regulators=c.regulators,
+            shape=FunctionShape(c.shape.arity, c.shape.clauses),
+            ctx=RegulatorContext(c.ctx.signs, c.ctx.self_index)))
+    return BooleanNetwork(tuple(comps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_texts())
+def test_parsed_networks_equal_their_validated_copies(case):
+    # the parser builds without the constructors' checks; what it builds
+    # must pass them and equal, hash and mask as the checked build does
+    text, source = case
+    parsed = parse_model(text)
+    copy = _validated_copy(parsed)
+    assert parsed == copy and hash(parsed) == hash(copy)
+    for a, b, c in zip(parsed.components, copy.components, source.components):
+        assert hash(a) == hash(b) and a.constant is c.constant
+        if a.ctx is not None:
+            assert a.ctx.neg_mask == b.ctx.neg_mask
+            assert (a.ctx, hash(a.ctx), a.shape) == (b.ctx, hash(b.ctx), b.shape)
+    assert stg_async(parsed).tables == stg_async(source).tables
 
 
 def test_model_normalize_flag():

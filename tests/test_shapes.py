@@ -43,6 +43,7 @@ from funspace.shapes import (
     table_states,
     truth_table,
     variable_table,
+    variable_tables,
 )
 from funspace.errors import (
     ArityTooLarge,
@@ -375,6 +376,18 @@ def test_truth_table_reads_regulators_at_their_positions(data):
     for x in range(1 << n):
         local = sum(1 << k for k, j in enumerate(positions) if x >> j & 1)
         assert (table >> x & 1) == evaluate(shape, ctx, local)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_variable_tables_come_from_the_per_size_cache(n):
+    # bit s of table j is bit j of s: from the high state down, each period
+    # of 2^(j+1) states reads 2^j ones, then 2^j zeros
+    for j in range(n):
+        half = 1 << j
+        want = int(("1" * half + "0" * half) * (1 << (n - j - 1)), 2)
+        assert variable_table(j, n) == want
+        if n <= MAX_ARITY:
+            assert variable_table(j, n) is variable_tables(n)[j]
 
 
 def _compiled_table(shape, ctx):

@@ -66,7 +66,7 @@ def _print_steps(title: str, steps, ctx, names) -> None:
 def cmd_neighbors(args) -> int:
     sources = [s for s in (args.expression, args.expression_opt) if s is not None]
     if len(sources) != 1:
-        print("give exactly one expression (positionally or via -e)", file=sys.stderr)
+        print("error: give exactly one expression (positionally or via -e)", file=sys.stderr)
         return 2
     pf = parse_expression(sources[0], normalize=args.normalize)
     sl = hasse_slice(pf.shape, sibling_via=args.siblings_via)
@@ -235,7 +235,7 @@ def cmd_pbn(args) -> int:
             bn = load_model(args.model, normalize=args.normalize)
             label = f"model {args.model}"
         else:
-            print("one of --experiment, --th-preset, --model is required",
+            print("error: one of --experiment, --th-preset, --model is required",
                   file=sys.stderr)
             return 2
         names = (None if args.randomize == "all"

@@ -79,8 +79,9 @@ class InvalidProbability(FunspaceError, ValueError):
 
 class InvalidArgument(FunspaceError, ValueError):
     """An argument outside what the operation accepts: an unknown experiment,
-    neighbor mode or sibling route, a count below one, or a sequence without
-    one entry per component."""
+    neighbor mode or sibling route, a count below one, a sequence without
+    one entry per component or regulator, a clause mask out of range or out
+    of order, or a bad sign character or signature symbol."""
 
 
 class UnknownComponent(FunspaceError, KeyError):

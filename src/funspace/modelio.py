@@ -7,9 +7,11 @@ lines ignored.  Expressions use ``|``/``OR``, ``&``/``AND``, ``!``/``NOT``
 ``true`` declare input components, and in any case are refused as a
 component or regulator name.
 
-By default expressions must already be disjunctions of literal
-conjunctions; with ``normalize=True`` arbitrary and/or/not structure is
-accepted and pushed into DNF first.  Either way the resulting clause family
+One walk of the parse tree reads the clauses in both modes.  By default
+expressions must already be disjunctions of literal conjunctions, and the
+walk refuses any other structure; with ``normalize=True`` it accepts
+arbitrary and/or/not structure, pushing negations down to the variables and
+distributing ``and`` over ``or``.  Either way the resulting clause family
 is minimized and validated: a variable mentioned only redundantly (or with
 both polarities) is rejected, because the functions this package deals in
 have every regulator essential with a fixed sign.
@@ -27,6 +29,7 @@ from .errors import (
     DualRegulation,
     DuplicateComponent,
     ExpansionTooLarge,
+    InvalidArgument,
     ModelSyntaxError,
     NotDNFAfterNormalization,
     UnknownVariable,
@@ -116,18 +119,6 @@ class _Parser:
         return ("var", tok)
 
 
-def _to_nnf(node: tuple, negate: bool = False) -> tuple:
-    kind = node[0]
-    if kind == "var":
-        return ("not", node) if negate else node
-    if kind == "not":
-        return _to_nnf(node[1], not negate)
-    kids = [_to_nnf(k, negate) for k in node[1]]
-    if (kind == "and") != negate:
-        return ("and", kids)
-    return ("or", kids)
-
-
 #: Most clauses normalizing one expression may form: an ``and`` whose
 #: operands' clause counts multiply past it is refused before the product
 #: is built.
@@ -142,53 +133,49 @@ def _distinct(clauses: Iterable[tuple]) -> list[tuple]:
     return list(first.values())
 
 
-def _distribute(node: tuple, line: int | None) -> list[tuple]:
-    """NNF → list of clauses, each a tuple of literal nodes.
+def _clauses(node: tuple, line: int | None, normalize: bool,
+             negate: bool = False) -> list[tuple]:
+    """The clauses of a parse tree, each a tuple of ``(name, negated)`` literals.
 
-    Repeated literals and repeated clauses are dropped as they are formed,
-    so ``(a | b) & (a | b) & …`` stays at three clauses.  Dropping only
-    later repeats keeps the order in which regulators first appear;
-    absorbing supersets would not, and is left to the minimization.
+    ``negate`` is pushed down to the variables, swapping and/or on the way;
+    a disjunction joins its operands' clauses and a conjunction multiplies
+    them.  Without ``normalize`` the tree must already be DNF, so a ``not``
+    over anything but a variable, or an ``or`` operand of an ``and``, is
+    refused where the walk meets it, operands left to right.
+
+    With ``normalize`` repeated literals and clauses are dropped as they are
+    formed, so ``(a | b) & (a | b) & …`` stays at three clauses; dropping only
+    later repeats keeps the order in which regulators first appear.  A strict
+    read skips this (it would cost about a fifth of a parse): its product is
+    one clause, and the clause masks absorb repeats anyway.
     """
     kind = node[0]
-    if kind in ("var", "not"):
-        return [(node,)]
-    if kind == "or":
-        return _distinct(c for k in node[1] for c in _distribute(k, line))
-    # and: cartesian product of the children's clause lists
+    if kind == "var":
+        return [((node[1], negate),)]
+    if kind == "not":
+        if not normalize and node[1][0] != "var":
+            raise NotDNFAfterNormalization(
+                "negation applies to a whole subexpression; pass --normalize to rewrite it",
+                line)
+        return _clauses(node[1], line, normalize, not negate)
+    if (kind == "or") != negate:
+        joined = [c for k in node[1] for c in _clauses(k, line, normalize, negate)]
+        return _distinct(joined) if normalize else joined
     prod: list[tuple] = [()]
     for k in node[1]:
-        kid = _distribute(k, line)
+        if not normalize and k[0] == "or":
+            raise NotDNFAfterNormalization(
+                "a disjunction inside a conjunction; pass --normalize to rewrite it", line)
+        kid = _clauses(k, line, normalize, negate)
+        if not normalize:
+            prod = [a + b for a in prod for b in kid]
+            continue
         if len(prod) * len(kid) > MAX_DNF_CLAUSES:
             raise ExpansionTooLarge(
                 f"normalizing needs {len(prod)} x {len(kid)} clauses, "
                 f"more than {MAX_DNF_CLAUSES}", line)
         prod = _distinct(tuple(dict.fromkeys(a + b)) for a in prod for b in kid)
     return prod
-
-
-def _strict_clauses(node: tuple, line: int | None) -> list[list[tuple]]:
-    """Literal clause lists for an expression required to already be DNF;
-    an or group inside an or, or an and group inside an and, is merged."""
-
-    def literal(n: tuple) -> tuple:
-        if n[0] == "var" or n[0] == "not" and n[1][0] == "var":
-            return n
-        raise NotDNFAfterNormalization(
-            ("a disjunction inside a conjunction" if n[0] == "or"
-             else "negation applies to a whole subexpression")
-            + "; pass --normalize to rewrite it",
-            line,
-        )
-
-    def term(n: tuple) -> list[tuple]:
-        if n[0] == "and":
-            return [lit for k in n[1] for lit in term(k)]
-        return [literal(n)]
-
-    if node[0] == "or":
-        return [c for k in node[1] for c in _strict_clauses(k, line)]
-    return [term(node)]
 
 
 @dataclass(frozen=True)
@@ -217,21 +204,15 @@ def parse_expression(
     tokens = _tokenize(text, line)
     if not tokens:
         raise ModelSyntaxError("empty expression", line)
-    ast = _Parser(tokens, line).parse()
-    if normalize:
-        clause_nodes = _distribute(_to_nnf(ast), line)
-    else:
-        clause_nodes = _strict_clauses(ast, line)
+    clauses = _clauses(_Parser(tokens, line).parse(), line, normalize)
 
     index: dict[str, int] = {}  # name -> regulator bit (0-based)
     signs: list[int] = []
     neg_mask = 0
     masks: list[int] = []
-    for nodes in clause_nodes:
+    for clause in clauses:
         mask = 0
-        for lit in nodes:
-            neg = lit[0] == "not"
-            name = lit[1][1] if neg else lit[1]
+        for name, neg in clause:
             k = index.get(name)
             if k is None:
                 if name.lower() in _CONSTANTS:
@@ -337,7 +318,7 @@ def render_expression(
     if names is None:
         names = tuple(f"s{k + 1}" for k in range(shape.arity))
     if len(names) != shape.arity:
-        raise ValueError("one name per regulator required")
+        raise InvalidArgument("one name per regulator required")
     parts = []
     many = len(shape.clauses) > 1
     for idxs in shape.index_sets():

@@ -3,39 +3,10 @@
 Instead of perturbing a network's wiring, each component gets a small
 *ensemble* of candidate functions: its reference function with most of the
 probability mass and the reference's order neighbors (parents/children,
-optionally siblings) sharing the remainder uniformly.  Updates are
-synchronous; at every step each component independently samples which of
-its candidate functions to apply.
-
-A run stops when a sampled step leaves the state unchanged (a fixed point
-of the functions drawn at that step), when a network with no randomized
-component revisits a state (a proven cycle), or after ``max_steps`` steps.
-Randomness is reproducible: each run seeds the generator with a seed
-mixed from the master seed and the run number, and exactly one draw is
-consumed per randomized component per step.
-
-A simulation tests no clauses while it steps.  Each component is tabulated
-once per network on the submasks of its regulators (one bit per ensemble
-entry for a randomized component).  The *reference step*, the update with
-every randomized component applying its ensemble's first entry, is read
-from regulator-group tables (:func:`_groups`): components join groups
-first fit, widest first, while a group's regulators number at most w, the
-widest component's count, and its table holds no more entries than its
-members' own tables; a group maps every submask of its regulators to the
-OR of its members' bits.  So a group table holds at most 2^w entries, all
-of them together no more than the per-component tables, and the reference
-step costs one lookup per group: 10 for the T-helper model's 19
-components that are not constant false, where it took 19 (``perfbench``
-``ensemble``: 114.7 -> 124.5 ops/s, medians of 12 pairs,
-``BENCH_reference_groups.json``).  It is memoized per visited state up to
-``MEMO_LIMIT`` states, so a step reads one memo entry and makes one draw
-and one compare per randomized component; only a draw past the first
-entry's probability looks up the entry drawn and XORs in where its bit
-differs from the first entry's.  The fast path keys on the *first* entry,
-which is the reference function in a :func:`neighbor_ensemble` but not
-necessarily :attr:`FunctionEnsemble.reference` (the most likely entry) in
-a hand-built ensemble; outcomes are the same either way, only the speed
-differs.  The classifier is called once per distinct final state.
+optionally siblings) sharing the remainder uniformly.  :func:`simulate`
+runs the ensemble dynamics; its docstring states the step rule, when a run
+stops, how runs are seeded, and how a step is read from tables without
+testing a clause.
 
 The built-in model is a 23-component T-helper-cell differentiation
 network whose stable patterns are read as phenotypes through the Tbet and
@@ -317,36 +288,39 @@ def simulate(
 ) -> SimulationReport:
     """Run the ensemble dynamics ``runs`` times from ``initial``.
 
-    Each run updates synchronously, drawing one function per randomized
-    component per step.  A run ends when a sampled step leaves the state
-    unchanged (a length-1 cycle under the functions drawn that step), when
-    a fully deterministic network revisits a state (a provable cycle), or
-    after ``max_steps``.  ``absorbed`` on the outcome records whether the
-    run ended at such a fixed point.  ``classifier`` labels the final
-    state (default: the state string); it is called once per distinct
-    final state, so it must be a pure function of the state.
+    A step updates every component synchronously; each randomized
+    component first draws, independently, which of its ensemble's
+    functions to apply.  A run ends when a sampled step leaves the state
+    unchanged (a fixed point of the functions drawn that step), when a
+    network with no randomized component revisits a state (a provable
+    cycle), or after ``max_steps``.  ``absorbed`` on the outcome records
+    whether the run ended at such a fixed point.  ``classifier`` labels
+    the final state (default: the state string); it is called once per
+    distinct final state, so it must be a pure function of the state.
 
     Run k draws from the stream of ``random.Random(_mix_seed(seed, k))``
     (one generator per call, re-seeded per run): one ``random()`` r per
     randomized component per step, in component order, picking the first
-    ensemble entry whose cumulative probability is at least r.  Every
-    component is tabulated on the submasks of its regulators once per
-    network, by the first call on it.  The reference step, the OR of the
-    fixed components and of each randomized component's *first* entry, is
-    memoized per visited state, for at most ``MEMO_LIMIT`` states in one
-    call.  A miss ORs one lookup per regulator group: components are
-    merged first fit, widest first, while a group's regulators number at
-    most the widest component's w and its table holds no more entries
-    than its members' tables, so a group table holds at most 2^w entries
-    (T-helper: 10 lookups, where one per component took 19; ``perfbench``
-    ``ensemble`` 114.7 -> 124.5 ops/s).  A step reads the reference step,
-    then per randomized component draws r and compares it with the first
-    entry's probability; only when r exceeds it does the step find the
-    entry drawn and XOR in that entry's bit against the first entry's,
-    read from a dict at ``state & regs``.  The first entry need not be
-    the ensemble's most likely one (:attr:`FunctionEnsemble.reference`);
-    when it is not, more draws take the slower branch, with the same
-    outcomes.
+    ensemble entry whose cumulative probability is at least r.
+
+    No step tests a clause.  Every component is tabulated on the submasks
+    of its regulators once per network, by the first call on it.  The
+    reference step, the OR of the fixed components and of each randomized
+    component's *first* entry, is memoized per visited state, for at most
+    ``MEMO_LIMIT`` states in one call.  A miss ORs one lookup per
+    regulator group (:func:`_groups`): components join groups first fit,
+    widest first, while a group's regulators number at most the widest
+    component's w and its table holds no more entries than its members'
+    tables, so a group table holds at most 2^w entries (10 lookups for
+    the T-helper model's 19 components that are not constant false).  A
+    step reads the reference step, then per randomized component compares
+    its draw r with the first entry's probability; only when r exceeds it
+    does the step find the entry drawn and XOR in that entry's bit against
+    the first entry's, read from a dict at ``state & regs``.  The first
+    entry is the reference function in a :func:`neighbor_ensemble` but
+    need not be the most likely one (:attr:`FunctionEnsemble.reference`)
+    in a hand-built ensemble; then more draws take the slower branch,
+    with the same outcomes.
     """
     bn = pnet.network
     n = bn.n

@@ -70,7 +70,7 @@ def clause_mask(indices: Iterable[int], p: int) -> int:
     mask = 0
     for i in indices:
         if not 1 <= i <= p:
-            raise ValueError(f"regulator index {i} outside 1..{p}")
+            raise InvalidArgument(f"regulator index {i} outside 1..{p}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -109,20 +109,18 @@ class FunctionShape:
             if c == 0:
                 raise EmptyClauseSet("empty clause")
             if c > full:
-                raise ValueError(f"clause {c:#x} uses regulators beyond {p}")
+                raise InvalidArgument(f"clause {c:#x} uses regulators beyond {p}")
             if c <= prev:
-                raise ValueError("clauses must be strictly increasing masks")
+                raise InvalidArgument("clauses must be strictly increasing masks")
             prev = c
         if not _covering(c := clause_table(self), p):
             missing = clause_indices(full & ~reduce(or_, cls))
             raise NotCover(f"regulators {missing} appear in no clause")
-        if c & ~minimal_elements(up_closure(c, p), p):
-            # the pair a < b a pairwise scan meets first: bit full ^ s of r is
-            # clause s, so r's non-minimal states are the clauses below another
-            r = int(f"{c:0{1 << p}b}"[::-1], 2)
-            a = full ^ ((r & ~minimal_elements(up_closure(r, p), p)).bit_length() - 1)
-            above = c & up_closure(1 << a, p) & ~(1 << a)
-            b = (above & -above).bit_length() - 1
+        if upper := c & ~minimal_elements(up_closure(c, p), p):
+            # the pair a < b a pairwise scan meets first: the lowest clause
+            # under a non-minimal one, and the lowest non-minimal one over it
+            upper = table_states(upper)
+            a, b = next((a, b) for a in cls for b in upper if a != b and a & b == a)
             raise NotAntichain(f"clauses {set(clause_indices(a))} and "
                                f"{set(clause_indices(b))} are comparable")
 
@@ -292,7 +290,7 @@ class RegulatorContext:
         try:
             signs = tuple(table[ch] for ch in text)
         except KeyError as exc:
-            raise ValueError(f"bad sign character {exc.args[0]!r}") from None
+            raise InvalidArgument(f"bad sign character {exc.args[0]!r}") from None
         return cls(signs, self_index)
 
     @classmethod
@@ -555,7 +553,7 @@ class Signature:
 
     def __post_init__(self) -> None:
         if any(s not in (OPERATIVE, NON_OPERATIVE, FREE) for s in self.symbols):
-            raise ValueError("signature symbols must be OPERATIVE/NON_OPERATIVE/FREE")
+            raise InvalidArgument("signature symbols must be OPERATIVE/NON_OPERATIVE/FREE")
 
     @property
     def arity(self) -> int:

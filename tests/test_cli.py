@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funspace
 from funspace import stg_async, stg_sync, stg_to_dot
@@ -42,9 +47,11 @@ def test_neighbors_dash_e_equivalent(capsys):
 
 
 def test_neighbors_argument_errors(capsys):
+    line = "error: give exactly one expression (positionally or via -e)\n"
     assert main(["neighbors", "a | b", "-e", "a | b"]) == 2
-    assert "exactly one expression" in capsys.readouterr().err
+    assert capsys.readouterr().err == line
     assert main(["neighbors"]) == 2
+    assert capsys.readouterr().err == line
 
 
 def test_neighbors_json(capsys):
@@ -517,7 +524,8 @@ def test_pbn_unwritable_file_fails_before_simulating(tmp_path, capsys, flag):
 
 def test_pbn_requires_a_source(capsys):
     assert main(["pbn", "--runs", "1"]) == 2
-    assert "one of --experiment, --th-preset, --model" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: one of --experiment, --th-preset, --model is required\n"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -613,3 +621,99 @@ def test_python_dash_m_runs_the_cli(capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# Fuzz gate: whatever the argv, an exit code of 0-3 and at most one refusal
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths the fuzzed argv names by key: the toy model, bad model files,
+    and output paths with and without their directory."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {"toy": TOY, "th": str(FIXTURES / "th_cell.bnet"), "dir": str(d),
+             "missing": str(d / "missing.bnet"), "out": str(d / "out.txt"),
+             "no-dir": str(d / "nowhere" / "out.txt")}
+    for name, data in [("latin1", b"targets, factors\ng1, \xff g1\n"), ("empty", b""),
+                       ("header", b"targets, factors\n"),
+                       ("broken", b"targets, factors\ng1, g2 &\n")]:
+        (d / f"{name}.bnet").write_bytes(data)
+        files[name] = str(d / f"{name}.bnet")
+    return files
+
+
+BAD_MODELS = ["@dir", "@missing", "@latin1", "@empty", "@header", "@broken"]
+OUTPUTS = ["@out", "@no-dir", "@dir"]
+EXPRESSIONS = ["a | (b & !c)", "!(a & b)", "(a | b) & c", "a |", "a | !a", "",
+               "true", "x $ y", "a | (a & b)", "a & (b | c) & (c | d)"]
+REFUSAL = re.compile(r"(error|parse error|cannot read/write): [^\n]*\n")
+
+
+@st.composite
+def argvs(draw, command):
+    """An argv for one subcommand, good and bad values mixed; ``@key`` names
+    a path of `fuzz_files`.  Sizes stay small: enumerate lists p <= 5,
+    walk P <= 8, verify p <= 3 and pbn at most 5 runs.  An option is left
+    out half the time, so refusals later in a command are reached too."""
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    def opt(name, values):
+        return [name, str(draw(st.sampled_from(values)))] if draw(st.booleans()) else []
+
+    argv = opt("-o", OUTPUTS) + [command]
+    if command == "neighbors":
+        argv += draw(st.lists(st.sampled_from(EXPRESSIONS), max_size=1))
+        argv += opt("-e", EXPRESSIONS) + flag("--normalize")
+        argv += opt("--format", ["text", "json", "dot", "xml"])
+        argv += opt("--siblings-via", ["parents", "children", "both", "none"])
+    elif command == "enumerate":
+        argv += [str(draw(st.one_of(st.integers(-2, 5), st.integers(7, 40))))]
+        argv += flag("--count-only") + opt("--format", ["text", "json", "csv"])
+    elif command == "walk":
+        argv += [str(draw(st.integers(-2, 8)))]
+        argv += opt("--autoreg", ["none", "pos", "neg", "both"])
+        argv += opt("--seed", [0, -1, 2 ** 40, "x"]) + opt("--format", ["text", "csv"])
+    elif command == "stg":
+        argv += [draw(st.sampled_from(["@toy", *BAD_MODELS]))]
+        argv += opt("--mode", ["async", "sync", "both"])
+        argv += opt("--format", ["text", "dot", "json"]) + flag("--edges")
+        argv += flag("--normalize") + opt("--limit", [-1, 0, 2, 3, 25])
+    elif command == "verify":
+        argv += draw(st.lists(st.integers(-1, 3).map(str), max_size=1))
+        argv += opt("--max-arity", [-1, 0, 3]) + opt("--show", [-1, 0, 2])
+    elif command == "pbn":
+        argv += draw(st.sampled_from([
+            lambda: [], lambda: ["--th-preset"],
+            lambda: ["--experiment", draw(st.sampled_from(["A", "f", "G"]))],
+            lambda: ["--model", draw(st.sampled_from(["@toy", "@th", *BAD_MODELS]))]]))()
+        argv += ["--runs", str(draw(st.integers(-1, 5)))]
+        argv += opt("--max-steps", [-1, 0, 1, 50]) + opt("--ref-prob", [0, 0.5, 1, 2, "nan"])
+        argv += opt("--randomize", ["all", "GATA3", "Foo", "IFNb", "g1, g2", ""])
+        argv += opt("--initial", ["0" * 23, "001", "01x", ""])
+        argv += opt("--active", ["GATA3", "g2", "Foo", ""]) + flag("--phenotypes")
+        argv += opt("--mode", ["parents_children", "with_siblings"]) + flag("--normalize")
+        argv += opt("--seed", [0, -1, 2 ** 40]) + opt("--csv", OUTPUTS) + opt("--json", OUTPUTS)
+    return argv
+
+
+@pytest.mark.parametrize("command",
+                         ["neighbors", "enumerate", "walk", "stg", "verify", "pbn", "nope"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_code_and_at_most_one_refusal_line(fuzz_files, command, data):
+    argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in data.draw(argvs(command))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # an exception escaping here is the traceback
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert REFUSAL.fullmatch(err) or err.startswith("usage:"), err

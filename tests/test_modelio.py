@@ -13,6 +13,7 @@ from funspace import (
     RegulatorContext,
     attractors,
     enumerate_all,
+    evaluate,
     hasse_slice,
     load_model,
     make_shape,
@@ -144,6 +145,69 @@ def test_syntax_errors():
     for text in ("", "a |", "a & (b", "a b", "| a", "!"):
         with pytest.raises(ModelSyntaxError):
             parse_expression(text)
+
+
+# Random and/or/not trees over at most five names, and their text.
+READER_NAMES = "abcde"
+
+
+def _tree_value(tree, values) -> bool:
+    kind = tree[0]
+    if kind == "var":
+        return values[tree[1]]
+    if kind == "not":
+        return not _tree_value(tree[1], values)
+    kids = (_tree_value(k, values) for k in tree[1])
+    return all(kids) if kind == "and" else any(kids)
+
+
+@st.composite
+def expression_trees(draw):
+    """(tree, text): at most 12 leaves, so no product nears MAX_DNF_CLAUSES;
+    operators as symbols or keywords, optional parentheses wherever the
+    precedence allows them."""
+    names = READER_NAMES[:draw(st.integers(1, len(READER_NAMES)))]
+    leaf = st.sampled_from(names).map(lambda n: ("var", n))
+    tree = draw(st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            kids.map(lambda k: ("not", k)),
+            st.tuples(st.sampled_from(["and", "or"]), st.lists(kids, min_size=2, max_size=3))),
+        max_leaves=12))
+
+    def text(node, parent=None) -> str:
+        kind = node[0]
+        if kind == "var":
+            return node[1]
+        if kind == "not":
+            return draw(st.sampled_from(["!", "NOT ", "not "])) + text(node[1], "not")
+        op = draw(st.sampled_from({"and": [" & ", " AND ", "&"], "or": [" | ", " or ", "|"]}[kind]))
+        body = op.join(text(k, kind) for k in node[1])
+        needed = parent == "not" or parent == "and" and kind == "or"
+        return f"({body})" if needed or parent and draw(st.booleans()) else body
+
+    return tree, text(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees())
+def test_the_reader_keeps_each_trees_value(case):
+    tree, text = case
+    try:
+        strict = parse_expression(text)
+    except (NotDNFAfterNormalization, NotCover, DualRegulation):
+        strict = None
+    try:
+        pf = parse_expression(text, normalize=True)
+    except (NotCover, DualRegulation):  # not a consistent function
+        assert strict is None, text
+        return
+    # what the strict reading accepts, normalizing reads the same
+    assert strict is None or strict == pf, text
+    for bits in range(1 << len(READER_NAMES)):
+        values = {n: bool(bits >> k & 1) for k, n in enumerate(READER_NAMES)}
+        state = sum(values[n] << k for k, n in enumerate(pf.names))
+        assert evaluate(pf.shape, pf.ctx, state) == _tree_value(tree, values), text
 
 
 # The exact message a user reads for each malformed expression (line=4).

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from funspace import (
     no_inhibitors,
     parse_expression,
     random_path,
+    render_expression,
     shape_from_truth_table,
     shape_leq,
     shape_lt,
@@ -37,7 +39,9 @@ from funspace import (
 )
 from funspace.shapes import (
     MAX_ARITY,
+    Signature,
     bits_of,
+    clause_mask,
     clause_table,
     shape_table,
     table_states,
@@ -48,6 +52,8 @@ from funspace.shapes import (
 from funspace.errors import (
     ArityTooLarge,
     EmptyClauseSet,
+    FunspaceError,
+    InvalidArgument,
     NoActivators,
     NotAntichain,
     NotConsistent,
@@ -99,6 +105,22 @@ def test_make_shape_index_range():
         make_shape([[0, 1]], 2)
     with pytest.raises(ValueError):
         make_shape([[1, 4]], 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: clause_mask([1, 4], 3), "regulator index 4 outside 1..3"),
+    (lambda: FunctionShape(2, (0b1, 0b100)), "clause 0x4 uses regulators beyond 2"),
+    (lambda: FunctionShape(2, (0b10, 0b1)), "clauses must be strictly increasing masks"),
+    (lambda: RegulatorContext.from_str("+x"), "bad sign character 'x'"),
+    (lambda: Signature(("o", "?")), "signature symbols must be OPERATIVE/NON_OPERATIVE/FREE"),
+    (lambda: render_expression(sup_shape(2), RegulatorContext.from_str("++"), ("a",)),
+     "one name per regulator required"),
+])
+def test_bad_arguments_raise_the_package_error(call, message):
+    # a FunspaceError and still a ValueError, so callers catching that keep working
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert isinstance(info.value, FunspaceError) and isinstance(info.value, ValueError)
 
 
 def test_arity_cap():

@@ -197,11 +197,10 @@ def cmd_stg(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    top = args.arity if args.arity is not None else args.max_arity
-    if not 1 <= top <= 5:
+    if not 1 <= args.arity <= 5:
         raise InvalidArgument("verify handles arities 1..5")
     failed = False
-    for p in range(1, top + 1):
+    for p in range(1, args.arity + 1):
         hd = build_hasse(p)
         problems = verify_rules(p, hd)
         nodes, edges = len(hd.shapes), len(hd.edges)
@@ -224,8 +223,8 @@ def cmd_pbn(args) -> int:
         raise InvalidArgument("--max-steps must be at least 1")
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     if args.experiment:  # a preset, which ignores the flags it fixes
-        label = f"experiment {args.experiment.upper()}"
-        names, mode = EXPERIMENTS[args.experiment.upper()]
+        label = f"experiment {args.experiment}"
+        names, mode = EXPERIMENTS[args.experiment]
         bn, initial, phenotypes = th_model(), th_initial_state(), True
     else:
         if args.th_preset:
@@ -285,7 +284,7 @@ def cmd_pbn(args) -> int:
                 "proportions": report.proportions,
             }
             if args.experiment:
-                summary["experiment"] = args.experiment.upper()
+                summary["experiment"] = args.experiment
             json.dump(summary, summary_file, indent=2)
             summary_file.write("\n")
             print(f"summary written to {args.json}")
@@ -339,17 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stg)
 
     p = sub.add_parser("verify", help="check neighbor rules against brute force")
-    p.add_argument("arity", nargs="?", type=int,
+    p.add_argument("arity", nargs="?", type=int, default=4,
                    help="verify arities 1..ARITY (default 4, max 5)")
-    p.add_argument("--max-arity", type=int, default=4,
-                   metavar="P", help="same as the positional arity")
     p.add_argument("--show", type=int, default=10,
                    help="discrepancies to print per arity")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pbn", help="probabilistic ensemble simulation")
-    p.add_argument("--experiment", choices=sorted(EXPERIMENTS) + [c.lower() for c in sorted(EXPERIMENTS)],
-                   help="built-in T-helper experiment")
+    p.add_argument("--experiment", type=str.upper, choices=sorted(EXPERIMENTS),
+                   help="built-in T-helper experiment (any case)")
     p.add_argument("--th-preset", action="store_true",
                    help="use the built-in T-helper model (implied by --experiment)")
     p.add_argument("--model", help="custom model file")

@@ -10,7 +10,8 @@ union over components gives the transition graph) and synchronous (all
 components update together).  A graph is held as the components' 2^n-bit
 truth tables: stable states, edge counts and async attractors are bitwise
 operations on whole-space sets, sync attractors are set images of the
-update map, and only sync cycles and the edge list walk states one by one.
+update map, and only sync cycles and the edge list walk states one by one
+(``STG.successors`` is that list grouped by source).
 Self-loops are never counted: stable states are the nodes without out-edges.
 A network keeps two things while it lives, each built on first use: its
 components' tables (n 2^n-bit ints: 23 MB for the 23-component T-helper
@@ -205,6 +206,8 @@ def _fixed_points(tables: Sequence[int], n: int) -> int:
 
 
 def _check_limit(n: int, limit: int) -> None:
+    if limit < 0:
+        raise InvalidArgument(f"the state-space limit must be at least 0, got {limit}")
     if n > limit:
         raise StateSpaceTooLarge(
             f"{n} components exceed the {limit}-component state-space limit"
@@ -239,11 +242,15 @@ class STG:
     state bits; a constant's table is all ones or 0.  Both graphs of a network
     share its tuple of tables and its fixed points (``_fixed``); any other
     graph builds them on first access, as it does ``successors``, each
-    state's out-edges."""
+    state's out-edges (:meth:`edges` grouped by source)."""
 
     mode: str  # 'async' | 'sync'
     n: int
     tables: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("async", "sync"):
+            raise InvalidArgument(f"mode must be 'async' or 'sync', got {self.mode!r}")
 
     @cached_property
     def _fixed(self) -> int:
@@ -277,19 +284,19 @@ class STG:
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        pairs = enumerate(self._update())
-        if self.mode == "sync":
-            return tuple([(t,) if t != s else () for s, t in pairs])
-        return tuple([tuple([s ^ (1 << i) for i in bits_of(s ^ t)]) for s, t in pairs])
+        """Each state's out-edges: :meth:`edges` grouped by source."""
+        out: list[tuple[int, ...]] = [()] * (1 << self.n)
+        for s, t in self.edges():
+            out[s] += (t,)
+        return tuple(out)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Every transition (s, t) in ``successors`` order, streamed from the
-        update map without building ``successors``."""
-        for s, t in enumerate(self._update()):
-            if self.mode == "async":
-                yield from [(s, s ^ 1 << i) for i in bits_of(s ^ t)]
-            elif t != s:
-                yield s, t
+        """Every transition (s, t), by source state and then ascending
+        flipped component, streamed from the update map."""
+        pairs = enumerate(self._update())
+        if self.mode == "sync":
+            return ((s, t) for s, t in pairs if t != s)
+        return ((s, s ^ 1 << i) for s, t in pairs for i in bits_of(s ^ t))
 
 
 def _graph(mode: str, bn: BooleanNetwork, limit: int) -> STG:

@@ -79,9 +79,10 @@ class InvalidProbability(FunspaceError, ValueError):
 
 class InvalidArgument(FunspaceError, ValueError):
     """An argument outside what the operation accepts: an unknown experiment,
-    neighbor mode or sibling route, a count below one, a sequence without
-    one entry per component or regulator, a clause mask out of range or out
-    of order, or a bad sign character or signature symbol."""
+    neighbor mode, graph mode or sibling route, a count below one, a
+    negative state-space limit, a sequence without one entry per component
+    or regulator, a clause mask out of range or out of order, or a bad sign
+    character or signature symbol."""
 
 
 class UnknownComponent(FunspaceError, KeyError):

@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .dynamics import BooleanNetwork, Component, STG
@@ -31,6 +33,7 @@ from .errors import (
     ExpansionTooLarge,
     InvalidArgument,
     ModelSyntaxError,
+    NotCover,
     NotDNFAfterNormalization,
     UnknownVariable,
 )
@@ -226,7 +229,13 @@ def parse_expression(
                 )
             mask |= 1 << k
         masks.append(mask)
-    shape = _minimal_shape(masks, len(signs))
+    try:
+        shape = _minimal_shape(masks, len(signs))
+    except NotCover:  # name, as typed, each regulator held by no unabsorbed clause
+        held = reduce(or_, [m for m in masks if not any(o & m == o != m for o in masks)])
+        names = ", ".join(nm for k, nm in enumerate(index) if not held >> k & 1)
+        where = "" if line is None else f"line {line}: "
+        raise NotCover(f"{where}regulator(s) {names} appear only in absorbed clauses") from None
     self_index = index[self_name] + 1 if self_name in index else None
     ctx = RegulatorContext._unchecked(tuple(signs), self_index, neg_mask)
     return ParsedFunction(shape, ctx, tuple(index))
@@ -353,18 +362,12 @@ def network_to_json(bn: BooleanNetwork) -> str:
                 {"name": c.name, "regulators": [], "function": str(bool(c.constant)).lower()}
             )
             continue
-        regs = [
-            {
-                "name": bn.components[r].name,
-                "sign": "+" if c.ctx.signs[k] == POSITIVE else "-",
-            }
-            for k, r in enumerate(c.regulators)
-        ]
         names = tuple(bn.components[r].name for r in c.regulators)
         comps.append(
             {
                 "name": c.name,
-                "regulators": regs,
+                "regulators": [{"name": nm, "sign": sign}
+                               for nm, sign in zip(names, str(c.ctx))],
                 "function": render_expression(c.shape, c.ctx, names),
                 "clauses": [list(s) for s in c.shape.index_sets()],
             }

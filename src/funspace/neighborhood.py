@@ -320,10 +320,10 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return _steps(_child_tables(c, up_closure(c, p), p), p)
 
 
-def _slice_tables(shape: FunctionShape, via: str, both: bool
+def _slice_tables(shape: FunctionShape, via: str
                   ) -> tuple[list, list, tuple[FunctionShape, ...]]:
     """The parent records, the child records and the sibling shapes of
-    ``shape``.  The records ``via`` does not need are built only if ``both``.
+    ``shape``; the siblings come through the records ``via`` names.
 
     Neighbours of neighbours are found from the up-sets their records carry
     and deduplicated as clause tables, sorted by `_table_key` before any
@@ -337,8 +337,7 @@ def _slice_tables(shape: FunctionShape, via: str, both: bool
     p = shape.arity
     c = clause_table(shape)
     t = up_closure(c, p)
-    ups = list(_parent_tables(c, t, p)) if both or via != "children" else []
-    downs = list(_child_tables(c, t, p)) if both or via != "parents" else []
+    ups, downs = list(_parent_tables(c, t, p)), list(_child_tables(c, t, p))
     table = itemgetter(2)
     found: set[int] = set()
     if via != "children":
@@ -359,11 +358,10 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.  The
-    search runs on clause tables (`_slice_tables`) and builds only the
-    neighbour records ``via`` needs; only the siblings returned become
-    shapes.
+    search runs on clause tables (`_slice_tables`, the pass `hasse_slice`
+    makes); only the siblings returned become shapes.
     """
-    return _slice_tables(shape, via, both=False)[2]
+    return _slice_tables(shape, via)[2]
 
 
 @dataclass(frozen=True)
@@ -379,7 +377,7 @@ class HasseSlice:
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
     """``shape``'s parents, children and siblings, from one pass over the
     neighbour tables (`_slice_tables`) that ``siblings`` makes too."""
-    ups, downs, sibs = _slice_tables(shape, sibling_via, both=True)
+    ups, downs, sibs = _slice_tables(shape, sibling_via)
     return HasseSlice(shape, _steps(ups, shape.arity), _steps(downs, shape.arity), sibs)
 
 
@@ -596,26 +594,14 @@ def verify_rules(p: int, diagram: HasseDiagram | None = None) -> list[str]:
     """
     hd = build_hasse(p) if diagram is None else diagram
     problems: list[str] = []
-    for i, s in enumerate(hd.shapes):
+    for s in hd.shapes:
         ups = parents(s)
-        want_up = hd.parents_of(s)
-        got_up = {st.shape for st in ups}
-        if got_up != want_up:
-            extra = got_up - want_up
-            missing = want_up - got_up
-            problems.append(
-                f"parents({s}): extra={sorted(map(str, extra))} "
-                f"missing={sorted(map(str, missing))}"
-            )
-        want_down = hd.children_of(s)
-        got_down = {st.shape for st in children(s)}
-        if got_down != want_down:
-            extra = got_down - want_down
-            missing = want_down - got_down
-            problems.append(
-                f"children({s}): extra={sorted(map(str, extra))} "
-                f"missing={sorted(map(str, missing))}"
-            )
+        for name, steps, want in (("parents", ups, hd.parents_of(s)),
+                                  ("children", children(s), hd.children_of(s))):
+            got = {st.shape for st in steps}
+            if got != want:
+                problems.append(f"{name}({s}): extra={sorted(map(str, got - want))} "
+                                f"missing={sorted(map(str, want - got))}")
         for st in ups:
             d = true_count(st.shape) - true_count(s)
             if d != st.delta or d not in (1, 2):

@@ -126,6 +126,14 @@ class ProbabilisticNetwork:
         return _groups(reference), tuple(randomized)
 
 
+def _check_ensemble(mode: str, ref_prob: float) -> None:
+    """Refuse an unknown neighbour mode or a reference weight outside (0, 1]."""
+    if mode not in ("parents_children", "with_siblings"):
+        raise InvalidArgument("mode must be 'parents_children' or 'with_siblings'")
+    if not 0 < ref_prob <= 1:
+        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
+
+
 def neighbor_ensemble(
     bn: BooleanNetwork,
     i: int,
@@ -139,10 +147,7 @@ def neighbor_ensemble(
     children.  The remainder 1 − ref_prob is split uniformly.  Components
     whose function has no neighbors keep the reference alone.
     """
-    if mode not in ("parents_children", "with_siblings"):
-        raise InvalidArgument("mode must be 'parents_children' or 'with_siblings'")
-    if not 0 < ref_prob <= 1:
-        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
+    _check_ensemble(mode, ref_prob)
     comp = bn.components[i]
     if comp.shape is None:
         raise ConstantComponent(f"component {comp.name} is constant")
@@ -181,8 +186,7 @@ def randomized_network(
         if constant:
             raise ConstantComponent(
                 f"constant component(s) cannot be randomized: {', '.join(constant)}")
-    if not 0 < ref_prob <= 1:  # also when no component is named
-        raise InvalidProbability(f"ref_prob {ref_prob} outside (0, 1]")
+    _check_ensemble(mode, ref_prob)  # also when no component is named
     return ProbabilisticNetwork(bn, tuple([
         neighbor_ensemble(bn, i, mode=mode, ref_prob=ref_prob) if i in targets else None
         for i in range(bn.n)

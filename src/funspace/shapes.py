@@ -657,16 +657,12 @@ def no_inhibitors(ctx: RegulatorContext) -> FunctionShape:
 
 
 def state_to_string(state: int, n: int) -> str:
-    """Render a state mask with component 1 leftmost."""
-    return "".join("1" if state & (1 << k) else "0" for k in range(n))
+    """Render a state mask with component 1 leftmost; bits past n are dropped."""
+    return format(state, f"0{n}b")[::-1][:n]
 
 
 def state_from_string(text: str) -> int:
     """Parse a component-1-leftmost 0/1 string into a state mask."""
-    state = 0
-    for k, ch in enumerate(text):
-        if ch == "1":
-            state |= 1 << k
-        elif ch != "0":
-            raise ModelSyntaxError(f"bad state character {ch!r}")
-    return state
+    if bad := text.strip("01"):
+        raise ModelSyntaxError(f"bad state character {bad[0]!r}")
+    return int(text[::-1] or "0", 2)

@@ -10,6 +10,7 @@ from funspace import (
     Component,
     FunctionShape,
     RegulatorContext,
+    evaluate,
     load_model,
     th_model,
 )
@@ -25,6 +26,20 @@ def toy_bn():
 @pytest.fixture(scope="session")
 def th_bn():
     return th_model()
+
+
+def reference_step(bn, state):
+    """The synchronous update of one state: ``evaluate`` on each component's
+    projected state, or its constant."""
+    nxt = 0
+    for i, c in enumerate(bn.components):
+        if c.shape is None:
+            value = c.constant
+        else:
+            local = sum(1 << k for k, r in enumerate(c.regulators) if state >> r & 1)
+            value = evaluate(c.shape, c.ctx, local)
+        nxt |= value << i
+    return nxt
 
 
 @st.composite

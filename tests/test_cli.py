@@ -426,6 +426,19 @@ def test_stg_limit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("targets, factors\n", ["--limit", "-1"],
+     "the state-space limit must be at least 0, got -1"),
+    ("targets, factors\na, a | (a & b)\nb, a\n", [],
+     "line 2: regulator(s) b appear only in absorbed clauses"),
+])
+def test_stg_bad_inputs_exit_with_one_line(tmp_path, capsys, text, argv, message):
+    model = tmp_path / "model.bnet"
+    model.write_text(text)
+    assert main(["stg", str(model), *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -682,7 +695,7 @@ def argvs(draw, command):
         argv += flag("--normalize") + opt("--limit", [-1, 0, 2, 3, 25])
     elif command == "verify":
         argv += draw(st.lists(st.integers(-1, 3).map(str), max_size=1))
-        argv += opt("--max-arity", [-1, 0, 3]) + opt("--show", [-1, 0, 2])
+        argv += opt("--show", [-1, 0, 2])
     elif command == "pbn":
         argv += draw(st.sampled_from([
             lambda: [], lambda: ["--th-preset"],

@@ -18,7 +18,6 @@ from funspace import (
     attractors,
     component_transitions,
     enumerate_all,
-    evaluate,
     f_star,
     inf_shape,
     make_shape,
@@ -48,7 +47,7 @@ from funspace.errors import (
     StateSpaceTooLarge,
 )
 
-from conftest import networks
+from conftest import networks, reference_step
 
 
 def all_sign_ctx(p):
@@ -74,10 +73,7 @@ def test_toy_async_graph(toy_bn):
     g = stg_async(toy_bn)
     assert g.mode == "async"
     assert g.n_edges == 9
-    got = {
-        (state_to_string(s, 3), state_to_string(t, 3))
-        for s in range(8) for t in g.successors[s]
-    }
+    got = {(state_to_string(s, 3), state_to_string(t, 3)) for s, t in g.edges()}
     assert got == TOY_ASYNC_EDGES
     assert [state_to_string(s, 3) for s in g.stable_states()] == \
         ["110", "001", "101"]
@@ -108,13 +104,11 @@ def test_stable_states_mode_independent(toy_bn):
 
 def test_async_sync_bit_consistency(toy_bn):
     # the sync successor flips exactly the bits that label async out-edges
-    a, s = stg_async(toy_bn), stg_sync(toy_bn)
-    for x in range(8):
-        flip = 0
-        for t in a.successors[x]:
-            flip |= x ^ t
-        sync_t = s.successors[x][0] if s.successors[x] else x
-        assert sync_t == x ^ flip
+    flips = [0] * 8
+    for x, t in stg_async(toy_bn).edges():
+        flips[x] |= x ^ t
+    sync = dict(stg_sync(toy_bn).edges())
+    assert [sync.get(x, x) for x in range(8)] == [x ^ f for x, f in enumerate(flips)]
 
 
 def test_toy_component_transitions(toy_bn):
@@ -343,7 +337,7 @@ def test_network_from_functions():
     assert bn.names() == ("a", "b", "c")
     assert bn.components[2].constant is True
     # negative loop: a copies b, b negates a
-    assert bn.step_sync(0b000) == 0b110
+    assert reference_step(bn, 0b000) == 0b110
     with pytest.raises(ValueError):
         network_from_functions([
             ("a", (("b",), "+", [[1]])),
@@ -433,6 +427,7 @@ CONSTRUCTOR_REFUSALS = [
      "component a: self_index None inconsistent with regulators (expected 1)"),
     (lambda: RegulatorContext((1, 0)), "signs must be +1 or -1"),
     (lambda: RegulatorContext((1, -1), 3), "self_index 3 outside 1..2"),
+    (lambda: STG("bogus", 1, (0,)), "mode must be 'async' or 'sync', got 'bogus'"),
 ]
 
 
@@ -460,26 +455,25 @@ def test_the_state_space_limit_holds_after_the_tables_are_built():
     assert stable_states(bn, limit=bn.n) == (0b100, 0b110, 0b111)
 
 
-def _reference_step(bn, state):
-    """step_sync through evaluate() on each component's projected state."""
-    nxt = 0
-    for i, c in enumerate(bn.components):
-        if c.shape is None:
-            value = c.constant
-        else:
-            local = sum(1 << k for k, r in enumerate(c.regulators) if state >> r & 1)
-            value = evaluate(c.shape, c.ctx, local)
-        nxt |= value << i
-    return nxt
+def test_a_negative_state_space_limit_is_refused():
+    bn = parse_model("targets, factors\n")  # no component exceeds any limit
+    for call in (stable_states, stg_async, stg_sync,
+                 lambda bn, limit: component_transitions(bn, 0, limit)):
+        with pytest.raises(InvalidArgument) as err:
+            call(bn, limit=-1)
+        assert str(err.value) == "the state-space limit must be at least 0, got -1"
 
 
 def _reference_attractors(stg):
     """Each state's reachable set, kept when every state in it reaches back."""
+    succ = [[] for _ in range(1 << stg.n)]
+    for s, t in stg.edges():
+        succ[s].append(t)
     reach = []
     for s in range(1 << stg.n):
         seen, todo = {s}, [s]
         while todo:
-            for w in stg.successors[todo.pop()]:
+            for w in succ[todo.pop()]:
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
@@ -491,7 +485,7 @@ def _reference_attractors(stg):
 @settings(max_examples=150, deadline=None)
 @given(networks())
 def test_network_evaluation_matches_evaluate(bn):
-    steps = [_reference_step(bn, s) for s in range(1 << bn.n)]
+    steps = [reference_step(bn, s) for s in range(1 << bn.n)]
     assert [bn.step_sync(s) for s in range(1 << bn.n)] == steps
     g_async, g_sync = stg_async(bn), stg_sync(bn)
     assert g_async.successors == tuple(
@@ -555,7 +549,7 @@ def test_zero_component_network():
     bn = parse_model("targets, factors\n")
     assert stable_states(bn) == (0,)
     for g in (stg_async(bn), stg_sync(bn)):
-        assert (g.n, g.n_edges, g.successors) == (0, 0, ((),))
+        assert (g.n, g.n_edges, list(g.edges())) == (0, 0, [])
         assert g.stable_states() == (0,)
         assert attractors(g) == (frozenset({0}),)
 
@@ -597,4 +591,4 @@ def test_local_state_projection(toy_bn):
     # g1 sees (g1, g2, g3); network state 010 projects to regulator
     # state 010 and g1's next value is true there
     x = state_from_string("010")
-    assert toy_bn.step_sync(x) == state_from_string("110")
+    assert reference_step(toy_bn, x) == state_from_string("110")

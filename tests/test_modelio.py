@@ -84,6 +84,18 @@ def test_redundant_clause_rejected():
         parse_expression("a | (a & b)")
 
 
+def test_redundant_regulators_are_named_as_typed():
+    with pytest.raises(NotCover) as err:
+        parse_expression("a | (a & b)")
+    assert str(err.value) == "regulator(s) b appear only in absorbed clauses"
+    with pytest.raises(NotCover) as err:  # in the order they first appear
+        parse_expression("(c & a) | a | (a & b & !d)")
+    assert str(err.value) == "regulator(s) c, b, d appear only in absorbed clauses"
+    with pytest.raises(NotCover) as err:
+        parse_model("targets, factors\na, a | (a & b)\nb, a\n")
+    assert str(err.value) == "line 2: regulator(s) b appear only in absorbed clauses"
+
+
 def test_non_dnf_needs_normalize():
     with pytest.raises(NotDNFAfterNormalization):
         parse_expression("!(a & b)")

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 
 from funspace import (
     FunctionShape,
+    HasseDiagram,
     RegulatorContext,
     build_hasse,
     children,
@@ -152,6 +153,21 @@ def test_diagram_helpers_match_rules():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_rules_match_oracle(p):
     assert verify_rules(p) == []
+
+
+def test_verify_rules_reports_a_tampered_diagram():
+    # edges are (lower, upper): drop majority -> {{1},{2,3}}, add a bogus top -> majority
+    hd = build_hasse(3)
+    index = {str(s): i for i, s in enumerate(hd.shapes)}
+    majority, above = index["{{1,2},{1,3},{2,3}}"], index["{{1},{2,3}}"]
+    top = index["{{1},{2},{3}}"]
+    tampered = HasseDiagram(3, hd.shapes, hd.edges - {(majority, above)} | {(top, majority)})
+    assert verify_rules(3, tampered) == [
+        "parents({{1},{2},{3}}): extra=[] missing=['{{1,2},{1,3},{2,3}}']",
+        "children({{1},{2,3}}): extra=['{{1,2},{1,3},{2,3}}'] missing=[]",
+        "parents({{1,2},{1,3},{2,3}}): extra=['{{1},{2,3}}'] missing=[]",
+        "children({{1,2},{1,3},{2,3}}): extra=[] missing=['{{1},{2},{3}}']",
+    ]
 
 
 def test_duality():

@@ -48,7 +48,7 @@ from funspace.errors import (
     UnknownComponent,
 )
 
-from conftest import contexts, networks, shapes
+from conftest import contexts, networks, reference_step, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,11 @@ def test_unknown_component_names_refused(lookup):
     (lambda: experiment_network("G"), "unknown experiment 'G'; expected A..F"),
     (lambda: neighbor_ensemble(th_model(), 0, mode="cousins"),
      "mode must be 'parents_children' or 'with_siblings'"),
+    (lambda: randomized_network(th_model(), components=[], mode="cousins"),
+     "mode must be 'parents_children' or 'with_siblings'"),
     (lambda: ProbabilisticNetwork(th_model(), (None,)),
      "one ensemble slot per component required"),
-], ids=["experiment", "mode", "slots"])
+], ids=["experiment", "mode", "mode-no-component", "slots"])
 def test_bad_arguments_refused(call, message):
     with pytest.raises(FunspaceError) as err:
         call()
@@ -254,7 +256,7 @@ def test_deterministic_baseline_reaches_th1(th_bn):
     state = th_initial_state()
     seen = [state]
     while True:
-        nxt = th_bn.step_sync(state)
+        nxt = reference_step(th_bn, state)
         if nxt == state:
             break
         state = nxt
@@ -296,7 +298,8 @@ def test_simulation_reads_constant_inputs():
     rep = simulate(ProbabilisticNetwork(bn, (None,) * 3), 0, runs=1, seed=1)
     out = rep.outcomes[0]
     assert out.absorbed and out.steps == 3
-    assert out.final_state == bn.step_sync(bn.step_sync(0)) == state_from_string("101")
+    assert out.final_state == reference_step(bn, reference_step(bn, 0)) == \
+        state_from_string("101")
 
 
 def test_seed_determinism():

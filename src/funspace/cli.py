@@ -191,8 +191,9 @@ def cmd_stg(args) -> int:
         print(f"attractor [{kind}]: "
               + " ".join(sorted(state_to_string(s, graph.n) for s in a)))
     if args.edges:
-        for s, t in graph.edges():
-            print(f"  {state_to_string(s, graph.n)} -> {state_to_string(t, graph.n)}")
+        n = graph.n
+        sys.stdout.writelines(f"  {state_to_string(s, n)} -> {state_to_string(t, n)}\n"
+                              for s, t in graph.edges())
     return 0
 
 

@@ -31,13 +31,13 @@ clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
 `_child_tables`).  Every candidate is one record (rule, delta, clause table,
 up-set): a step moves T by delta states, so no up-set needs a closure.
-Records sort by rule and one key on their tables (`_table_key`) before any
-becomes a shape.  `random_path` draws from the parents grouped by rule
-(`_parent_groups`), sorts only the picked rule's R2 or R3 group (R1 parents
-by new clause are in key order already) and builds only its pick, which
-keeps its up-set for the counts along the path (`shapes.up_table`).
-Siblings (neighbours' neighbours) are found, deduplicated and sorted as
-tables too.
+Each table is read once into its clause tuple, and records sort on (rule,
+clause count, clauses), `NeighborStep.sort_key`'s order.  `random_path`
+draws from the parents grouped by rule (`_parent_groups`), sorts only a
+picked R2 or R3 group by `_table_key` (R1 parents by new clause are in key
+order already) and builds only its pick, which keeps its up-set for the
+counts along the path (`shapes.up_table`).  Siblings are deduplicated as
+tables; children's parents start from the shape's maxima (`_drop_maxima`).
 
 `build_hasse` is the independent oracle: it reads every shape's true set
 off `shapes.truth_table` and extracts the covering pairs from true-set
@@ -118,10 +118,6 @@ def _states(p: int) -> tuple[int, ...]:
     return tuple(range(1 << p))
 
 
-def _shape_of(table: int, p: int) -> FunctionShape:
-    return FunctionShape._unchecked(p, tuple(table_states(table, _states(p))))
-
-
 def max_outside(shape: FunctionShape) -> tuple[int, ...]:
     """Maximal states outside the true set (all-positive reading), ascending.
 
@@ -149,21 +145,22 @@ def _raises(p: int) -> dict[int, int]:
     return {1 << k: v for k, v in enumerate(variable_tables(p))}
 
 
+def _above(m: int, raises: dict[int, int]) -> int:
+    """U(m), the states ⊇ m > 0: the AND of `_raises` over m's regulators."""
+    low = m & -m
+    above, rest = raises[low], m ^ low
+    while rest:
+        low = rest & -rest
+        above &= raises[low]
+        rest ^= low
+    return above
+
+
 def _maxima(t: int, p: int) -> Iterator[tuple[int, int]]:
-    """(m, U(m)) for every m in M(S), by ascending m: U(m), the states ⊇ m,
-    is the AND of the per-bit tables of m's regulators.  State 0, in M(S)
+    """(m, U(m)) for every m in M(S), by ascending m.  State 0, in M(S)
     only at the top shape, is left out: it is never a clause."""
     raises = _raises(p)
-    for m in table_states(_max_outside_table(t, p)):
-        if m == 0:
-            continue
-        low = m & -m
-        above, rest = raises[low], m ^ low
-        while rest:
-            low = rest & -rest
-            above &= raises[low]
-            rest ^= low
-        yield m, above
+    return ((m, _above(m, raises)) for m in table_states(_max_outside_table(t, p)) if m)
 
 
 def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
@@ -192,6 +189,24 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
                     maxima[x] = ux
 
 
+def _drop_maxima(maxima: dict[int, int], dropped: int, p: int) -> list[tuple[int, int]]:
+    """(m, U(m)) over M(T ∖ ``dropped``) from ``maxima``, {m: U(m)} over
+    M(T), along a child step: ``dropped`` holds one or two clauses s of T.
+
+    The downward twin of `_raise_maxima`: M(T∖{s}) = M(T) ∖ {m ⊂ s} ∪ {s}.
+    An m of M(T) under s lies one regulator below it (m ∪ {j} for j in s∖m
+    is in T, and nothing in T lies under s), so m leaves as s joins: one
+    mask test per maximal state and one U(s), no pass over the table.
+    """
+    out = list(maxima.items())
+    while dropped:
+        s = dropped.bit_length() - 1
+        dropped ^= 1 << s
+        out = [(m, above) for m, above in out if m & s != m]
+        out.append((s, _above(s, _raises(p))))
+    return out
+
+
 def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
                    ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
     """The parents of the shape with clause table ``c`` by rule, from the
@@ -217,11 +232,12 @@ def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
     return r1, r2, r3
 
 
-def _parent_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
+def _parent_tables(c: int, t: int, p: int, maxima: Iterable[tuple[int, int]] | None = None
+                   ) -> Iterator[tuple[str, int, int, int]]:
     """(rule, delta, clause table, up-set) of every parent of the shape with clause
-    table ``c`` and up-set ``t``: `_parent_groups` on M(S) from scratch,
-    R1 and R2 by ascending new clause, then R3 pairs."""
-    r1, r2, r3 = _parent_groups(c, p, _maxima(t, p))
+    table ``c`` and up-set ``t``: `_parent_groups` on ``maxima``, M(S) from
+    scratch unless given, R1 and R2 in its order, then R3 pairs."""
+    r1, r2, r3 = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
     for a in r1:
         yield PARENT_R1, 1, c | a, t | a
     for new, a in r2:
@@ -242,18 +258,15 @@ def _table_key(p: int):
     return lambda table: (table.bit_count(), table.to_bytes(n, "little").translate(_FLIP))
 
 
-def _key_table(key: tuple[int, bytes]) -> int:
-    """The clause table a `_table_key` key was made of."""
-    return int.from_bytes(key[1].translate(_FLIP), "little")
-
-
 def _steps(found: Iterable[tuple[str, int, int, int]], p: int) -> tuple[NeighborStep, ...]:
-    """Neighbour records as steps, sorted as (rule, `_table_key`, delta) before
-    any becomes a shape: the keys stand in for the tables and up-sets."""
-    key = _table_key(p)
-    ordered = sorted([(rule, key(table), delta) for rule, delta, table, _ in found])
-    return tuple([NeighborStep(_shape_of(_key_table(k), p), rule, delta)
-                  for rule, k, delta in ordered])
+    """Neighbour records as steps: each table is read once into its clause
+    tuple, and the steps sort on (rule, clause count, clauses), which is
+    ``NeighborStep.sort_key``'s order."""
+    states = _states(p)
+    ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, table, _ in found
+                      for cls in [tuple(table_states(table, states))]])
+    return tuple([NeighborStep(FunctionShape._unchecked(p, cls), rule, delta)
+                  for rule, _, cls, delta in ordered])
 
 
 def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
@@ -320,36 +333,40 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return _steps(_child_tables(c, up_closure(c, p), p), p)
 
 
-def _slice_tables(shape: FunctionShape, via: str
-                  ) -> tuple[list, list, tuple[FunctionShape, ...]]:
-    """The parent records, the child records and the sibling shapes of
-    ``shape``; the siblings come through the records ``via`` names.
+def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
+              ) -> tuple[FunctionShape, ...]:
+    """The siblings of the shape with clause table ``c`` and up-set ``t``
+    through its parent records ``ups`` and child records ``downs``; only
+    those ``via`` names are read, so generators for the others never run.
 
-    Neighbours of neighbours are found from the up-sets their records carry
-    and deduplicated as clause tables, sorted by `_table_key` before any
-    becomes a shape.  Only ``shape`` itself needs dropping: a parent S' of
-    it that were also a child of its parent P would lie strictly between
-    it and P, so P would not cover it, and the other three cases fail the
-    same way.
+    Neighbours of neighbours are deduplicated as clause tables.  Only the
+    shape itself needs dropping: a parent S' of it that were also a child
+    of its parent P would lie strictly between it and P, so P would not
+    cover it, and the other three cases fail the same way.
     """
-    if via not in ("parents", "children", "both"):
-        raise InvalidArgument("via must be 'parents', 'children' or 'both'")
-    p = shape.arity
-    c = clause_table(shape)
-    t = up_closure(c, p)
-    ups, downs = list(_parent_tables(c, t, p)), list(_child_tables(c, t, p))
     table = itemgetter(2)
     found: set[int] = set()
     if via != "children":
         for _, _, new, u in ups:
             found.update(map(table, _child_tables(new, u, p)))
     if via != "parents":
+        maxima = dict(_maxima(t, p))
         for _, _, cand, u in downs:
-            found.update(map(table, _parent_tables(cand, u, p)))
+            found.update(map(table, _parent_tables(cand, u, p, _drop_maxima(maxima, t ^ u, p))))
     found.discard(c)
-    key = _table_key(p)  # each table is dropped as its key is made
-    ordered = sorted([key(found.pop()) for _ in range(len(found))])
-    return ups, downs, tuple([_shape_of(_key_table(k), p) for k in ordered])
+    states = _states(p)
+    ordered = sorted([tuple(table_states(found.pop(), states)) for _ in range(len(found))])
+    ordered.sort(key=len)  # stable: by clause count, then clauses
+    return tuple([FunctionShape._unchecked(p, cls) for cls in ordered])
+
+
+def _centre(shape: FunctionShape, via: str) -> tuple[int, int, int]:
+    """(p, clause table, up-set) of a slice's centre, once ``via`` is valid."""
+    if via not in ("parents", "children", "both"):
+        raise InvalidArgument("via must be 'parents', 'children' or 'both'")
+    p = shape.arity
+    c = clause_table(shape)
+    return p, c, up_closure(c, p)
 
 
 def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape, ...]:
@@ -358,10 +375,11 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.  The
-    search runs on clause tables (`_slice_tables`, the pass `hasse_slice`
-    makes); only the siblings returned become shapes.
+    search runs on clause tables (`_siblings`) and builds only the
+    neighbour records ``via`` reads.
     """
-    return _slice_tables(shape, via)[2]
+    p, c, t = _centre(shape, via)
+    return _siblings(c, t, p, via, _parent_tables(c, t, p), _child_tables(c, t, p))
 
 
 @dataclass(frozen=True)
@@ -375,10 +393,12 @@ class HasseSlice:
 
 
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
-    """``shape``'s parents, children and siblings, from one pass over the
-    neighbour tables (`_slice_tables`) that ``siblings`` makes too."""
-    ups, downs, sibs = _slice_tables(shape, sibling_via)
-    return HasseSlice(shape, _steps(ups, shape.arity), _steps(downs, shape.arity), sibs)
+    """``shape``'s parents, children and siblings, from one build of its
+    parent and child records (`_siblings` reads those ``sibling_via`` names)."""
+    p, c, t = _centre(shape, sibling_via)
+    ups, downs = list(_parent_tables(c, t, p)), list(_child_tables(c, t, p))
+    return HasseSlice(shape, _steps(ups, p), _steps(downs, p),
+                      _siblings(c, t, p, sibling_via, ups, downs))
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
@@ -416,7 +436,7 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     c = t = clause_table(path[0])  # the bottom's one clause is its up-set
     _carry_up(path[0], t)
     maxima = dict(_maxima(t, p))
-    key = _table_key(p)
+    key, states = _table_key(p), _states(p)
     while maxima:  # empty at the top shape only
         r1, r2, r3 = _parent_groups(c, p, maxima.items())
         n1, n2 = len(r1), len(r1) + len(r2)
@@ -429,7 +449,7 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
             _, c, added = sorted([(key(new), new, a) for new, a in group])[i]
         t |= added
         _raise_maxima(maxima, added, t)
-        path.append(_carry_up(_shape_of(c, p), t))
+        path.append(_carry_up(FunctionShape._unchecked(p, tuple(table_states(c, states))), t))
     return path
 
 

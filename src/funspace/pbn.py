@@ -278,6 +278,9 @@ def _groups(tables: list[tuple[int, dict[int, int]]]) -> tuple:
         bits = [0] * len(keys)
         for regs, table in members:
             bits = list(map(or_, bits, map(table.__getitem__, map(regs.__and__, keys))))
+        if 1 << len(members) < len(keys):  # repeated entries: one int object per value
+            seen: dict[int, int] = {}
+            bits = list(map(seen.setdefault, bits, bits))
         merged.append((union, dict(zip(keys, bits))))
     return tuple(merged)
 

@@ -48,7 +48,7 @@ from funspace.neighborhood import (
     PARENT_R3,
     NeighborStep,
     _child_tables,
-    _key_table,
+    _drop_maxima,
     _maxima,
     _parent_tables,
     _raise_maxima,
@@ -484,8 +484,9 @@ def test_table_order_is_the_sort_key_order(ranked, rnd):
     want = sorted(ranked, key=lambda rs: NeighborStep(rs[1], rs[0], 1).sort_key())
     by_table = {clause_table(s): s for _, s in ranked}
     key = _table_key(ranked[0][1].arity)
-    got = sorted([(r, key(clause_table(s))) for r, s in ranked])
-    assert [(r, by_table[_key_table(k)]) for r, k in got] == want  # keys give their tables back
+    tables = [(r, clause_table(s)) for r, s in ranked]
+    got = sorted([(r, key(t), t) for r, t in tables])
+    assert [(r, by_table[t]) for r, _, t in got] == want
 
 
 def test_random_path_seeds_differ():
@@ -539,6 +540,34 @@ def test_no_neighbour_is_a_neighbours_neighbour(s):
         assert near.isdisjoint(table for _, _, table, _ in _child_tables(new, u, p))
     for _, _, cand, u in downs:
         assert near.isdisjoint(table for _, _, table, _ in _parent_tables(cand, u, p))
+
+
+def test_siblings_build_only_the_records_via_reads(monkeypatch):
+    # siblings through the parents never build the shape's own child
+    # records, nor through the children its parent records; a slice
+    # builds both whatever its siblings read
+    import funspace.neighborhood as nb
+
+    s = shp("{{1},{2,3},{2,4}}", 4)
+    c = clause_table(s)
+    want = {via: siblings(s, via) for via in VIAS}
+    ups, downs = parents(s), children(s)
+    built = []
+    for name in ("_parent_tables", "_child_tables"):
+        def counting(cc, t, p, *maxima, real=getattr(nb, name), name=name):
+            if cc == c:
+                built.append(name)
+            yield from real(cc, t, p, *maxima)
+        monkeypatch.setattr(nb, name, counting)
+    for via, reads in (("parents", ["_parent_tables"]), ("children", ["_child_tables"]),
+                       ("both", ["_parent_tables", "_child_tables"])):
+        built.clear()
+        assert siblings(s, via) == want[via]
+        assert built == reads
+        built.clear()
+        sl = hasse_slice(s, via)
+        assert (sl.parents, sl.children, sl.siblings) == (ups, downs, want[via])
+        assert built == ["_parent_tables", "_child_tables"]
 
 
 def test_siblings_match_the_diagram():
@@ -599,6 +628,24 @@ def test_raised_maxima_match_a_fresh_computation(s):
         maxima = dict(start)
         _raise_maxima(maxima, u ^ t, u)
         assert maxima == dict(_maxima(u, p))
+
+
+# two-clause drops: to the bottom of p = 3, from the top of p = 3 (whose
+# one maximal state, 0, is left out) and beside a kept clause at p = 4
+@example(FunctionShape(3, (3, 5)))
+@example(FunctionShape(3, (1, 2, 4)))
+@example(FunctionShape(4, (1, 6, 10)))
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_dropped_maxima_match_a_fresh_computation(s):
+    # the sibling search's local update of {m: U(m)} over M(S), applied for every child
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    start = dict(_maxima(t, p))
+    for _, _, _, u in _child_tables(c, t, p):
+        assert dict(_drop_maxima(start, t ^ u, p)) == dict(_maxima(u, p))
+    assert start == dict(_maxima(t, p))
 
 
 @settings(max_examples=100, deadline=None)

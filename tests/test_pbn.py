@@ -491,6 +491,18 @@ def test_reference_groups_never_outgrow_the_component_tables():
     assert len(experiment_network("A")._tables[0]) == 10  # 19 components
 
 
+def test_reference_groups_share_repeated_entries():
+    # x10, a 4-regulator hub on x0..x3, alone in its group: its 16 entries
+    # are 0 or its bit 1 << 10, one int object as in its own table
+    specs = [(f"x{i}", (["x9"], "+", [[1]])) for i in (0, 1, 2, 3, 4)]
+    specs += [(f"x{i}", ([f"x{i - 1}"], "+", [[1]])) for i in range(5, 10)]
+    specs += [("x10", ([f"x{k}" for k in range(4)], "++++", [[1, 2], [3, 4]]))]
+    groups, _ = ProbabilisticNetwork(network_from_functions(specs), (None,) * 11)._tables
+    hub = dict(groups)[0b1111]
+    assert sorted(set(hub.values())) == [0, 1 << 10]
+    assert len({id(v) for v in hub.values()}) == 2
+
+
 @pytest.mark.parametrize("memo_limit", [pbn.MEMO_LIMIT, 0], ids=["memo", "no-store"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())

@@ -32,22 +32,28 @@ remaining true set); every such candidate is a cover by construction (see
 `_child_tables`).  Every candidate is one record (rule, delta, clause table,
 up-set): a step moves T by delta states, so no up-set needs a closure.
 Each table is read once into its clause tuple, and records sort on (rule,
-clause count, clauses), `NeighborStep.sort_key`'s order.  `random_path`
-draws from the parents grouped by rule (`_parent_groups`), sorts only a
-picked R2 or R3 group by `_table_key` (R1 parents by new clause are in key
-order already) and builds only its pick, which keeps its up-set for the
-counts along the path (`shapes.up_table`).  Siblings are deduplicated as
-tables; children's parents start from the shape's maxima (`_drop_maxima`).
+clause count, clauses), `NeighborStep.sort_key`'s order.  The rule test
+is written once (`_parent_groups`: R1, R2, or failing alone, R3's
+candidates) and serves `parents`, `siblings` and `random_path`.  A walk
+carries each maximal state's rule along the path and tests again only
+the states whose rule a step can change (`_take_parent`); its clause list
+moves by the step's delta, and only its pick becomes a shape, which keeps
+its up-set for the counts along the path (`shapes.up_table`).  Siblings
+are deduplicated as tables; children's parents start from the shape's
+maxima (`_drop_maxima`).
 
-`build_hasse` is the independent oracle: it reads every shape's true set
-off `shapes.truth_table` and extracts the covering pairs from true-set
-containment alone, as a transitive reduction on bitsets over the shapes,
-so the rule-based neighbors can be tested against it (p ≤ 5).
+Two checks share no code with the rules.  `build_hasse` is the oracle:
+it reads every shape's true set off `shapes.truth_table` and extracts the
+covering pairs from true-set containment alone, as a transitive reduction
+on bitsets over the shapes, so the rule-based neighbors can be tested
+against it (p ≤ 5).  `parent_step` reads one step off the two up-sets by
+the order's definition, so `dynamics.path_trace` checks a walk at any arity.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
@@ -140,32 +146,36 @@ def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
 
 
 @cache
-def _raises(p: int) -> dict[int, int]:
-    """{1 << k: variable_tables(p)[k]}: the states holding bit k, by that bit."""
-    return {1 << k: v for k, v in enumerate(variable_tables(p))}
+def _up_sets(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """U(b) for every b < 2^min(p, 8), then U(h << 8) for every h < 2^(p − 8)
+    (only the full table when p ≤ 8): U(m), the states ⊇ m, is the AND of
+    one of each.  Built once per arity; 512 tables, 4 MB, at p = 16."""
+    var, full = variable_tables(p), (1 << (1 << p)) - 1
+
+    def ups(ks: range) -> tuple[int, ...]:
+        return tuple([reduce(and_, [var[k] for k in ks if b >> (k - ks.start) & 1], full)
+                      for b in range(1 << len(ks))])
+
+    return ups(range(min(p, 8))), ups(range(8, max(p, 8)))
 
 
-def _above(m: int, raises: dict[int, int]) -> int:
-    """U(m), the states ⊇ m > 0: the AND of `_raises` over m's regulators."""
-    low = m & -m
-    above, rest = raises[low], m ^ low
-    while rest:
-        low = rest & -rest
-        above &= raises[low]
-        rest ^= low
-    return above
+def _above(m: int, p: int) -> int:
+    """U(m), the states ⊇ m: two lookups in `_up_sets`."""
+    low, high = _up_sets(p)
+    return low[m & 255] & high[m >> 8]
 
 
-def _maxima(t: int, p: int) -> Iterator[tuple[int, int]]:
+def _maxima(t: int, p: int) -> list[tuple[int, int]]:
     """(m, U(m)) for every m in M(S), by ascending m.  State 0, in M(S)
     only at the top shape, is left out: it is never a clause."""
-    raises = _raises(p)
-    return ((m, _above(m, raises)) for m in table_states(_max_outside_table(t, p)) if m)
+    low, high = _up_sets(p)
+    return [(m, low[m & 255] & high[m >> 8]) for m in table_states(_max_outside_table(t, p)) if m]
 
 
-def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
+def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> list[tuple[int, int]]:
     """Move ``maxima``, {m: U(m)} over M(T), to M(T') in place along a parent
     step: ``t`` is T' = T ∪ ``added``, and ``added`` holds one or two of the m.
+    Returns the (m, U(m)) pairs of the states it adds.
 
     A state maximal outside T' but not outside T has a one-bit raise in
     ``added``, so it is some a − j with a added and j ∈ a: M(T') ⊆
@@ -174,6 +184,7 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
     of that up-set outside T'.  A step costs p·|added| small table
     operations, not p shift-ORs over the table and an up-set per maximal state.
     """
+    fresh = []
     while added:
         a = added.bit_length() - 1
         added ^= 1 << a
@@ -187,6 +198,8 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> None:
                 ux = above | above >> low
                 if ux & ~t == 1 << x:
                     maxima[x] = ux
+                    fresh.append((x, ux))
+    return fresh
 
 
 def _drop_maxima(maxima: dict[int, int], dropped: int, p: int) -> list[tuple[int, int]]:
@@ -203,33 +216,37 @@ def _drop_maxima(maxima: dict[int, int], dropped: int, p: int) -> list[tuple[int
         s = dropped.bit_length() - 1
         dropped ^= 1 << s
         out = [(m, above) for m, above in out if m & s != m]
-        out.append((s, _above(s, _raises(p))))
+        out.append((s, _above(s, p)))
     return out
 
 
 def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
-                   ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
-    """The parents of the shape with clause table ``c`` by rule, from the
-    (m, U(m)) pairs of its maximal states: the added states of each R1
-    parent, then (clause table, added states) of each R2 parent and each R3
-    pair, all as tables, R1 and R2 in the order of ``maxima``.  New clauses
-    are maximal outside T, so T grows by exactly the added states."""
+                   ) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """The rule test: sort the (m, U(m)) pairs of maximal states by the rule
+    that adds m to the shape with clause table ``c``.  Returns the R1 states
+    in the order of ``maxima``, then the R2 states and the absorbing states
+    that fail alone (R3's candidates), both as {m: U(m)}.  New clauses are
+    maximal outside T, so T grows by exactly the added states."""
     r1: list[int] = []
-    r2: list[tuple[int, int]] = []
-    failed: list[tuple[int, int]] = []  # (2^m, U(m)) of absorbing states failing alone
+    r2: dict[int, int] = {}
+    failed: dict[int, int] = {}
     for m, above in maxima:
-        a = 1 << m
         if not c & above:
             # Nothing absorbed, so m is independent: m is maximal outside,
             # so no clause fits inside it either, and S ∪ {m} still covers.
-            r1.append(a)
-        elif _covering(new := c & ~above | a, p):
-            r2.append((new, a))
+            r1.append(m)
+        elif _covering(c & ~above | 1 << m, p):
+            r2[m] = above
         else:
-            failed.append((a, above))
-    r3 = [(new, a1 | a2) for (a1, u1), (a2, u2) in combinations(failed, 2)
-          if _covering(new := c & ~(u1 | u2) | a1 | a2, p)]
-    return r1, r2, r3
+            failed[m] = above
+    return r1, r2, failed
+
+
+def _pairs(c: int, p: int, failed: dict[int, int]) -> list[tuple[int, int, int]]:
+    """(clause table, m, m') of every R3 parent: the pairs of ``failed``
+    states, {m: U(m)}, whose joint addition covers."""
+    return [(new, m1, m2) for (m1, u1), (m2, u2) in combinations(failed.items(), 2)
+            if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p)]
 
 
 def _parent_tables(c: int, t: int, p: int, maxima: Iterable[tuple[int, int]] | None = None
@@ -237,13 +254,13 @@ def _parent_tables(c: int, t: int, p: int, maxima: Iterable[tuple[int, int]] | N
     """(rule, delta, clause table, up-set) of every parent of the shape with clause
     table ``c`` and up-set ``t``: `_parent_groups` on ``maxima``, M(S) from
     scratch unless given, R1 and R2 in its order, then R3 pairs."""
-    r1, r2, r3 = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
-    for a in r1:
-        yield PARENT_R1, 1, c | a, t | a
-    for new, a in r2:
-        yield PARENT_R2, 1, new, t | a
-    for new, a in r3:
-        yield PARENT_R3, 2, new, t | a
+    r1, r2, failed = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
+    for m in r1:
+        yield PARENT_R1, 1, c | 1 << m, t | 1 << m
+    for m, above in r2.items():
+        yield PARENT_R2, 1, c & ~above | 1 << m, t | 1 << m
+    for new, m1, m2 in _pairs(c, p, failed):
+        yield PARENT_R3, 2, new, t | 1 << m1 | 1 << m2
 
 
 # per byte, bits complemented and reversed (its own inverse): held low states first
@@ -404,16 +421,75 @@ def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlic
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
     """The tagged covering step from ``lower`` up to ``upper``.
 
-    Raises NotAParent when ``upper`` does not cover ``lower``.
+    Read off the order's definition, with no code shared with the rules, so
+    that `dynamics.path_trace` checks a walk independently: T(upper) holds
+    T(lower) and one or two states more, and for two, a and b, neither
+    T(lower) ∪ {a} nor T(lower) ∪ {b} is the up-set of a shape, so nothing
+    lies between.  A one-state step is R1 when it only adds that state as a
+    clause, else R2; a two-state step is R3.  Raises NotAParent when
+    ``upper`` does not cover ``lower``.
     """
     if lower.arity != upper.arity:
         raise ArityMismatch("shapes of different arity cannot be neighbors")
     p = lower.arity
-    c, want = clause_table(lower), clause_table(upper)
-    for rule, delta, new, _ in _parent_tables(c, up_table(lower), p):
-        if new == want:
-            return NeighborStep(upper, rule, delta)
+    t, u = up_table(lower), up_table(upper)
+    grown = u ^ t
+    if grown and u & t == t:
+        if grown.bit_count() == 1:
+            r1 = clause_table(upper) == clause_table(lower) | grown
+            return NeighborStep(upper, PARENT_R1 if r1 else PARENT_R2, 1)
+        if grown.bit_count() == 2 and not any(
+                up_closure(x, p) == x and _covering(minimal_elements(x, p), p)
+                for x in (t | grown & -grown, t | grown & grown - 1)):
+            return NeighborStep(upper, PARENT_R3, 2)
     raise NotAParent(f"{upper} does not cover {lower}")
+
+
+def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: list[int],
+                 r2: dict[int, int], failed: dict[int, int], r3: list[tuple[int, int, int]]
+                 ) -> tuple[int, int, dict[int, int], dict[int, int]]:
+    """Take parent ``i``, in the order ``parents`` sorts them, of the shape
+    with clause table ``c`` and up-set ``t``, whose ``maxima`` are sorted by
+    `_parent_groups` into ``r1`` (ascending), ``r2`` and ``failed``, with R3
+    parents ``r3`` (`_pairs`).  Returns the parent's clause table, up-set,
+    R2 and failed states; ``maxima`` and ``r1`` move in place.  Only the
+    states whose rule the step can change are tested again:
+
+    * an R1 state stays R1 until taken: every added clause is maximal
+      outside T, so none lies above it, and dropping clauses puts none there;
+    * the states the step makes maximal lie one regulator below an added
+      clause (`_raise_maxima`), so they are never R1;
+    * an R1 step drops no clause, so an R2 state keeps the clauses it
+      absorbs and its cover; an R2 or R3 step tests every state not R1.
+
+    R1 parents by new clause are in `_table_key` order (each adds one state
+    to the same table), and so are R2 parents by absorbed clauses, most
+    first, then new clause: an absorbed clause holds the new one, so it is
+    a higher state, and between two parents of one size the lowest state
+    that differs is the lower new clause.  Only R3 pairs sort their tables.
+    """
+    n1, n2 = len(r1), len(r1) + len(r2)
+    if i < n1:
+        m = r1.pop(i)
+        new, added, retest = c | 1 << m, 1 << m, [*failed.items()]
+    else:
+        if i < n2:
+            _, m = sorted([(-(c & above).bit_count(), m) for m, above in r2.items()])[i - n1]
+            new, added = c & ~r2.pop(m) | 1 << m, 1 << m
+        else:
+            key = _table_key(p)
+            _, new, m1, m2 = sorted([(key(new), new, m1, m2) for new, m1, m2 in r3])[i - n2]
+            del failed[m1], failed[m2]
+            added = 1 << m1 | 1 << m2
+        retest, r2 = [*r2.items(), *failed.items()], {}
+    t |= added
+    retest += _raise_maxima(maxima, added, t)
+    more, now_r2, failed = _parent_groups(new, p, retest)
+    if more:
+        r1 += more
+        r1.sort()
+    r2.update(now_r2)
+    return new, t, r2, failed
 
 
 def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
@@ -421,35 +497,35 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
 
     At each step one parent is chosen uniformly from the parent records in
     the order ``parents`` sorts them, by rule and `_table_key`; only the
-    pick becomes a shape.  The walk keeps M(S) with each up-set U(m) and
-    moves it by local deltas (`_raise_maxima`), so no step recomputes them.
-    The parents come grouped by rule (`_parent_groups`).  The R1 parents by
-    ascending new clause are already in key order (each adds one state to
-    the same clause table), so only a picked R2 or R3 parent sorts its own
-    rule's group.  Deterministic for a given seed; every consecutive pair
-    is a covering edge.  Each shape carries its up-set, so `true_count`,
-    `shape_table` and `parent_step` on the path read it
-    (`shapes.up_table`): 2^p/8 bytes a shape on a path of about 2^p shapes.
+    pick becomes a shape.  The walk carries M(S), each state's up-set U(m)
+    and its rule from step to step (`_take_parent`), and the clause list
+    moves by the step's delta: an R1 step inserts one clause, an R2 or R3
+    step drops the clauses it absorbs and inserts its one or two.
+    Deterministic for a given seed; every consecutive pair is a covering
+    edge.  Each shape carries its up-set, so `true_count`, `shape_table`
+    and `parent_step` on the path read it (`shapes.up_table`): 2^p/8 bytes
+    a shape on a path of about 2^p shapes.
     """
     rng = random.Random(seed)
     path = [inf_shape(p)]
     c = t = clause_table(path[0])  # the bottom's one clause is its up-set
     _carry_up(path[0], t)
     maxima = dict(_maxima(t, p))
-    key, states = _table_key(p), _states(p)
+    r1, r2, failed = _parent_groups(c, p, maxima.items())
+    cls, states = list(path[0].clauses), _states(p)
     while maxima:  # empty at the top shape only
-        r1, r2, r3 = _parent_groups(c, p, maxima.items())
-        n1, n2 = len(r1), len(r1) + len(r2)
-        i = rng.randrange(n2 + len(r3))
-        if i < n1:
-            added = sorted(r1)[i]
-            c |= added
-        else:
-            group, i = (r2, i - n1) if i < n2 else (r3, i - n2)
-            _, c, added = sorted([(key(new), new, a) for new, a in group])[i]
-        t |= added
-        _raise_maxima(maxima, added, t)
-        path.append(_carry_up(FunctionShape._unchecked(p, tuple(table_states(c, states))), t))
+        r3 = _pairs(c, p, failed) if len(failed) > 1 else []
+        i = rng.randrange(len(r1) + len(r2) + len(r3))
+        new, t, r2, failed = _take_parent(i, c, t, p, maxima, r1, r2, failed, r3)
+        moved, c = c ^ new, new
+        while moved:
+            x = moved.bit_length() - 1
+            moved ^= 1 << x
+            if c >> x & 1:
+                insort(cls, states[x])
+            else:
+                del cls[bisect_left(cls, x)]
+        path.append(_carry_up(FunctionShape._unchecked(p, tuple(cls)), t))
     return path
 
 

@@ -50,9 +50,12 @@ from funspace.neighborhood import (
     _child_tables,
     _drop_maxima,
     _maxima,
+    _pairs,
+    _parent_groups,
     _parent_tables,
     _raise_maxima,
     _table_key,
+    _take_parent,
 )
 from funspace.shapes import (
     _covering,
@@ -405,6 +408,53 @@ def test_parent_step():
         parent_step(shp("{{1},{2,3}}", 3), shp("{{2},{1,3}}", 3))
 
 
+@pytest.fixture(scope="module")
+def small_diagrams():
+    return {p: build_hasse(p) for p in range(1, 6)}
+
+
+def test_parent_step_tags_every_diagram_edge_like_parents(small_diagrams):
+    # parent_step reads a step off the two up-sets; the tags must be those
+    # of the rule-built parents on every covering pair at p <= 5
+    for p, hd in small_diagrams.items():
+        for s in hd.shapes:
+            want = {st.shape: st for st in parents(s)}
+            assert set(want) == hd.parents_of(s)
+            for up in want:
+                assert parent_step(s, up) == want[up]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(1, 5), hst.randoms(use_true_random=False))
+def test_parent_step_refuses_what_parents_do_not_hold(small_diagrams, p, rnd):
+    # random pairs, and pairs two covering steps apart, whose lower end is
+    # below the upper one but not covered by it
+    shapes_p = small_diagrams[p].shapes
+    lower = rnd.choice(shapes_p)
+    ups = parents(lower)
+    cands = [rnd.choice(shapes_p), lower]
+    if ups:
+        above = parents(rnd.choice(ups).shape)
+        if above:
+            cands.append(rnd.choice(above).shape)
+    covers = {st.shape for st in ups}
+    for upper in cands:
+        if upper in covers:
+            assert parent_step(lower, upper).shape == upper
+        else:
+            with pytest.raises(NotAParent):
+                parent_step(lower, upper)
+
+
+@pytest.mark.parametrize("p", [10, 11])
+def test_wide_walk_links_are_covers_by_definition(p):
+    path = random_path(p, 1)
+    for lo, hi in zip(path, path[1:]):
+        st = parent_step(lo, hi)
+        assert st.delta == true_count(hi) - true_count(lo)
+        assert (st.rule == PARENT_R3) == (st.delta == 2)
+
+
 def test_random_path_seeded():
     p1 = random_path(4, seed=11)
     p2 = random_path(4, seed=11)
@@ -628,6 +678,35 @@ def test_raised_maxima_match_a_fresh_computation(s):
         maxima = dict(start)
         _raise_maxima(maxima, u ^ t, u)
         assert maxima == dict(_maxima(u, p))
+
+
+# R3 alone (the bottom of p = 4), R1 beside R3, and R1 beside R2
+@example(FunctionShape(4, (15,)))
+@example(FunctionShape(4, (5, 11)))
+@example(FunctionShape(4, (11, 13, 14)))
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(2, 10).flatmap(shapes))
+def test_carried_rules_match_a_fresh_classification(s):
+    # a walk's step to each parent in turn: the pick is the parent `parents`
+    # lists at that index (so R2 picks by absorbed count and new clause keep
+    # the table-key order), and the maxima and rules it carries across
+    # equal those classified afresh on the parent
+    p = s.arity
+    c = clause_table(s)
+    t = up_closure(c, p)
+    start = dict(_maxima(t, p))
+    r1, r2, failed = _parent_groups(c, p, start.items())
+    r3 = _pairs(c, p, failed)
+    ups = parents(s)
+    assert len(r1) + len(r2) + len(r3) == len(ups)
+    for i, st in enumerate(ups):
+        maxima = dict(start)
+        moved = list(r1)
+        new, u, now_r2, now_failed = _take_parent(i, c, t, p, maxima, moved, dict(r2),
+                                                  dict(failed), r3)
+        assert new == clause_table(st.shape) and u == up_closure(new, p)
+        assert maxima == dict(_maxima(u, p))
+        assert (moved, now_r2, now_failed) == _parent_groups(new, p, _maxima(u, p))
 
 
 # two-clause drops: to the bottom of p = 3, from the top of p = 3 (whose

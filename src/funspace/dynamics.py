@@ -8,16 +8,22 @@ uses component 1 leftmost via :func:`funspace.shapes.state_to_string`.
 Two update schemes: asynchronous (one component flips per transition; the
 union over components gives the transition graph) and synchronous (all
 components update together).  A graph is held as the components' 2^n-bit
-truth tables: stable states, edge counts and async attractors are bitwise
-operations on whole-space sets, sync attractors are set images of the
-update map, and only sync cycles and the edge list walk states one by one
-(``STG.successors`` is that list grouped by source).
+truth tables: stable states and edge counts are bitwise operations on
+whole-space sets, and the edge list (``--edges``, ``--format dot``; its
+grouping by source is ``STG.successors``) walks the states one by one.
 Self-loops are never counted: stable states are the nodes without out-edges.
-A network keeps two things while it lives, each built on first use: its
+Attractors are searched on the trap space alone: percolation fixes the
+constant inputs and every component they make constant, and the search
+(async: bitwise closures on 2^k-bit sets; sync: set images of the update
+map, then one walk per cycle) runs on the k free components' tables, with
+each state found lifted back to the network's n bits.
+A network keeps three things while it lives, each built on first use: its
 components' tables (n 2^n-bit ints: 23 MB for the 23-component T-helper
-model) and its fixed points (one more 2^n-bit int).  Both graphs and
-:func:`stable_states` share them, so a network builds each once; a graph
-built by hand from tables computes its own fixed points, once.
+model), its fixed points (one more 2^n-bit int) and its trap space (the
+fixed values and the free components' 2^k-bit tables: k = 13 of 23 on the
+T-helper model).  Both graphs and :func:`stable_states` share them, so a
+network builds each once; a graph built by hand from tables computes its
+own fixed points, once, and fixes nothing.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -171,6 +177,28 @@ class BooleanNetwork:
         like them and handed to both graphs and :func:`stable_states`."""
         return _fixed_points(self._tables, self.n)
 
+    @cached_property
+    def _trap(self) -> tuple[int, int, tuple[int, ...]]:
+        """The trap space of :func:`_percolate` as (fixed components' mask,
+        their values, the free components' tables on the free bits), kept
+        like :attr:`_tables` and handed to both graphs for :func:`attractors`.
+        Free component j reads free bit j; a fixed regulator is a constant
+        literal (:func:`funspace.shapes.truth_table` with ``fixed``).  With
+        nothing fixed the free tables are :attr:`_tables` themselves."""
+        mask, values = _percolate(self._tables, self.n)
+        if not mask:
+            return 0, 0, self._tables
+        free = [i for i in range(self.n) if not mask >> i & 1]
+        rank = {i: j for j, i in enumerate(free)}
+        tables = []
+        for i in free:
+            c = self.components[i]
+            positions = [rank.get(r) for r in c.regulators]
+            fixed = {k: bool(values >> r & 1)
+                     for k, r in enumerate(c.regulators) if r not in rank}
+            tables.append(truth_table(c.shape, c.ctx, positions, len(free), fixed))
+        return mask, values, tuple(tables)
+
     def step_sync(self, state: int) -> int:
         """The synchronous update of one state, the reference step: each
         component's next value is :func:`funspace.shapes.evaluate` on its
@@ -203,6 +231,53 @@ def _fixed_points(tables: Sequence[int], n: int) -> int:
     for i, t in enumerate(tables):
         fixed &= ~(t ^ variable_table(i, n))
     return fixed
+
+
+def _percolate(tables: Sequence[int], n: int) -> tuple[int, int]:
+    """The components fixed by percolation, as (mask, values): a component
+    is fixed when its table is constant on the subcube of the values fixed so
+    far (a constant always is), until a pass over the rest fixes none.  The
+    subcube is a trap space holding every attractor in both modes (Naldi et
+    al., Theor. Comput. Sci. 412, 2011; Klarner et al., Nat. Comput. 14,
+    2015): off it, a fixed component is enabled toward its value, and on it,
+    it never moves."""
+    cube = full = (1 << (1 << n)) - 1
+    mask = values = 0
+    grew = True
+    while grew:
+        grew = False
+        for i, t in enumerate(tables):
+            if mask >> i & 1:
+                continue
+            on = t & cube
+            if not on or on == cube:
+                var = variable_table(i, n)
+                cube &= var if on else full ^ var
+                mask |= 1 << i
+                values |= bool(on) << i
+                grew = True
+    return mask, values
+
+
+def _lift(mask: int, values: int, n: int):
+    """Free-bit state -> network state: the free bits deposited at the
+    components outside ``mask``, one table lookup per byte, and ``values``
+    at the fixed ones.  Keeps the order of states."""
+    free = [i for i in range(n) if not mask >> i & 1]
+    lanes = []
+    for at in range(0, len(free), 8):
+        lane = [0]
+        for i in free[at:at + 8]:
+            lane += [t | 1 << i for t in lane]
+        lanes.append(lane)
+
+    def lift(s: int) -> int:
+        t = values
+        for lane in lanes:
+            t |= lane[s & 255]
+            s >>= 8
+        return t
+    return lift
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -240,9 +315,10 @@ class STG:
     component i's 2^n-bit truth table (bit s is its next value at state s),
     as :func:`funspace.shapes.truth_table` puts its shape on the network's
     state bits; a constant's table is all ones or 0.  Both graphs of a network
-    share its tuple of tables and its fixed points (``_fixed``); any other
-    graph builds them on first access, as it does ``successors``, each
-    state's out-edges (:meth:`edges` grouped by source)."""
+    share its tuple of tables, its fixed points (``_fixed``) and its trap
+    space (``_trap``); any other graph builds its fixed points on first
+    access, as it does ``successors``, each state's out-edges (:meth:`edges`
+    grouped by source), and fixes nothing."""
 
     mode: str  # 'async' | 'sync'
     n: int
@@ -257,6 +333,13 @@ class STG:
         """The fixed points (:func:`_fixed_points`); a network's graphs are
         handed its own."""
         return _fixed_points(self.tables, self.n)
+
+    @cached_property
+    def _trap(self) -> tuple[int, int, tuple[int, ...]]:
+        """The trap space :func:`attractors` searches, laid out as
+        :attr:`BooleanNetwork._trap`; a network's graphs are handed its own,
+        and a graph built by hand fixes nothing."""
+        return 0, 0, self.tables
 
     def _update(self) -> memoryview:
         """The synchronous update ``F[s]`` of every state s, 4 bytes a state.
@@ -300,10 +383,11 @@ class STG:
 
 
 def _graph(mode: str, bn: BooleanNetwork, limit: int) -> STG:
-    """A graph on the network's tables, holding the network's fixed points."""
+    """A graph on the network's tables, holding its fixed points and trap space."""
     _check_limit(bn.n, limit)
     graph = STG(mode, bn.n, bn._tables)
-    graph.__dict__["_fixed"] = bn._fixed  # what the cached property would store
+    graph.__dict__["_fixed"] = bn._fixed  # what the cached properties would store
+    graph.__dict__["_trap"] = bn._trap
     return graph
 
 
@@ -325,15 +409,31 @@ def stable_states(bn: BooleanNetwork, limit: int = DEFAULT_STATE_LIMIT) -> tuple
 def attractors(stg: STG) -> tuple[frozenset[int], ...]:
     """Terminal strongly connected components, sorted by smallest state.
 
+    Every attractor lies in the graph's trap space (:attr:`STG._trap`: the
+    values :func:`_percolate` fixes), so the search runs on the free
+    components' 2^k-state tables, and each state found is lifted back by
+    inserting the fixed bits (:func:`_lift`), which keeps the order.  A graph
+    built by hand fixes nothing and is searched on its own tables.
+
     Stable states come out as singletons.  Sync: the cycles of the update
     map F, among the states left once the images F^k(S) stop shrinking (sets
     of about 60-85 bytes per state of F(S)), each walked from its lowest
-    state.  Async: implicit-set search on 2^n-bit sets (Xie & Beerel, IEEE
+    state.  Async: implicit-set search on 2^k-bit sets (Xie & Beerel, IEEE
     TCAD 2000).  The stable states and the states that reach one go first.
     Then, from the lowest state s left, s moves to a state it reaches that
     cannot reach it back, until there is none; what s reaches is an
     attractor, and it goes with every state that reaches it.
     """
+    mask, values, tables = stg._trap
+    if not mask:
+        return tuple(map(frozenset, _search(stg)))
+    lift = _lift(mask, values, stg.n)
+    return tuple(frozenset(map(lift, a)) for a in _search(STG(stg.mode, len(tables), tables)))
+
+
+def _search(stg: STG) -> list[list[int]]:
+    """The attractors of ``stg`` (:func:`attractors`), sorted by smallest
+    state, each a list of its states."""
     if stg.mode == "sync":
         # The images are nested, so one no smaller than the last is the cycles.
         update = stg._update()
@@ -351,16 +451,16 @@ def attractors(stg: STG) -> tuple[frozenset[int], ...]:
                 mark[s] = 0
                 cycle.append(s)
                 s = update[s]
-            out.append(frozenset(cycle))
+            out.append(cycle)
             s = mark.find(1, s + 1)
-        return tuple(out)
+        return out
     moves = []  # components that never flip are left out
     for i, t in enumerate(stg.tables):
         var = variable_table(i, stg.n)
         if t != var:
             moves.append((1 << i, t & ~var, var & ~t))
     fixed = stg._fixed
-    out = [frozenset((s,)) for s in table_states(fixed)]
+    out = [[s] for s in table_states(fixed)]
     left = ((1 << (1 << stg.n)) - 1) & ~_closure(fixed, moves, False)
     while left:
         escape = left
@@ -369,9 +469,9 @@ def attractors(stg: STG) -> tuple[frozenset[int], ...]:
             fwd, bwd = _closure(s, moves, True), _closure(s, moves, False)
             escape = fwd & ~bwd
         low = (fwd & -fwd).bit_length() - 1  # skip the empty states below it
-        out.append(frozenset([low + k for k in table_states(fwd >> low)]))
+        out.append([low + k for k in table_states(fwd >> low)])
         left &= ~bwd
-    return tuple(sorted(out, key=min))
+    return sorted(out, key=min)
 
 
 # ---------------------------------------------------------------------------

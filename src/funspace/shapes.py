@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, compress
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -354,18 +354,23 @@ def _doubled_variable_table(j: int, n: int) -> int:
 
 
 def truth_table(
-    shape: FunctionShape, ctx: RegulatorContext, positions: Sequence[int], n: int
+    shape: FunctionShape, ctx: RegulatorContext, positions: Sequence[int | None], n: int,
+    fixed: Mapping[int, bool] | None = None,
 ) -> int:
     """Bit s is set iff the function holds at state s, for every s < 2^n.
 
     Regulator k reads state bit ``positions[k-1]``.  Its literal table is
     that bit's variable table, complemented for an inhibitor; a clause is
     the AND of its literals' tables and the function the OR of its clauses.
+    ``fixed`` maps k-1 to a value for regulators held constant: such a
+    regulator reads no bit (its ``positions`` entry is None), and its
+    literal table is all ones where the literal holds at that value, else 0.
     """
     _require_same_arity(shape, ctx)
     full = (1 << (1 << n)) - 1
-    lits = [variable_table(j, n) ^ (full if sign == NEGATIVE else 0)
-            for j, sign in zip(positions, ctx.signs, strict=True)]
+    lits = [variable_table(j, n) ^ (full if sign == NEGATIVE else 0) if j is not None
+            else full if fixed[k] != (sign == NEGATIVE) else 0
+            for k, (j, sign) in enumerate(zip(positions, ctx.signs, strict=True))]
     table = 0
     for c in shape.clauses:
         t = full

@@ -69,12 +69,17 @@ def shapes_with_contexts(draw, max_arity=8):
 
 
 @st.composite
-def networks(draw, max_n=6, min_n=1):
-    """Networks of random signed shapes over random regulators, some constant."""
+def networks(draw, max_n=6, min_n=1, constants=None):
+    """Networks of random signed shapes over random regulators, some constant:
+    each with odds 1 in 5, or ``constants`` of them (at most n) at random
+    positions."""
     n = draw(st.integers(min_n, max_n))
+    if constants is not None:
+        inputs = set(draw(st.lists(st.integers(0, n - 1), min_size=min(constants, n),
+                                   max_size=min(constants, n), unique=True)))
     comps = []
     for i in range(n):
-        if draw(st.integers(0, 4)) == 0:
+        if i in inputs if constants is not None else draw(st.integers(0, 4)) == 0:
             comps.append(Component(name=f"x{i}", constant=draw(st.booleans())))
             continue
         regs = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,

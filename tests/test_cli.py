@@ -383,16 +383,39 @@ STG_EDGE_DIGESTS = {
         "d164337955023d71d8803297b860b8e7e9faf2daa8136ca1c3f87e5a262ba360",
     ("ring10", "sync", "--format=dot"):
         "0e141d258d84789c8c91dc2c4dd956a4e860164e02979ce9f47960569d3273c5",
+    # recorded when attractors still searched all 2^n states
+    ("th_cell", "async", "--format=json"):
+        "007bbbb9e57309eb4bcf9c475dfb5a7851d68c62b96bcafe9fb032d6474b330b",
+    ("th_cell", "async", "--format=text"):
+        "416b6a9f3b45439869b34a7693fe5597872254e2159f088ace82747038acfb20",
+    ("th_cell", "sync", "--format=json"):
+        "e56533441bfd572ef22680b73c5b798e958ca33d91251a0833381e52c195e174",
+    ("th_cell", "sync", "--format=text"):
+        "db345c3272eb92cd124dcc83cb2bf5983e0833f19d31dfe502fe6dd5544ee8b9",
+    ("shift12", "async", "--format=json"):
+        "854c6da178c6c14bbafe66447b3b9477b2e6d99ad1cc46b901a1251472d2afb4",
+    ("shift12", "async", "--format=text"):
+        "9754e7c8e5aa39b0f2ff42ac4d3c17da2f728e9316c953303468aa6b2716df67",
+    ("shift12", "sync", "--format=json"):
+        "0f357460de3946a6ce08b8a0e012a4d7d84b21a3a82001a0c0f057612f03c28c",
+    ("shift12", "sync", "--format=text"):
+        "4025637f259c6be42709b3c23e9a4da571ba1babfa5fea92b54c6a580662f532",
+}
+
+# Generated models: a ring of 10 (x_i copies x_{i-1}, negated at odd i) and
+# a shift register of 12 (x0 = false, x_i = x_{i-1}), which percolates fully
+GENERATED_MODELS = {
+    "ring10": "".join(f"x{i}, {'!' if i % 2 else ''}x{(i - 1) % 10}\n" for i in range(10)),
+    "shift12": "x0, false\n" + "".join(f"x{i}, x{i - 1}\n" for i in range(1, 12)),
 }
 
 
 @pytest.mark.parametrize("model, mode, flag", sorted(STG_EDGE_DIGESTS))
 def test_stg_edges_and_dot_are_pinned(tmp_path, capsys, model, mode, flag):
-    path = TOY
-    if model == "ring10":  # x_i copies x_{i-1}, negated at odd i
-        path = tmp_path / "ring10.bnet"
-        path.write_text("targets, factors\n" + "".join(
-            f"x{i}, {'!' if i % 2 else ''}x{(i - 1) % 10}\n" for i in range(10)))
+    path = FIXTURES / f"{model}.bnet"
+    if model in GENERATED_MODELS:
+        path = tmp_path / f"{model}.bnet"
+        path.write_text("targets, factors\n" + GENERATED_MODELS[model])
     assert main(["stg", str(path), "--mode", mode, flag]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == STG_EDGE_DIGESTS[model, mode, flag]

@@ -5,7 +5,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import funspace.dynamics
 from funspace import (
@@ -373,37 +374,53 @@ def test_state_space_limit(toy_bn):
 
 
 def test_a_network_builds_its_tables_once(monkeypatch):
-    # one truth_table call per regulated component and one fixed-point set
-    # per network, whichever graph asks
+    # one full truth_table call per regulated component, one percolation,
+    # one free-bit table per free component and one fixed-point set per
+    # network, whichever graph asks; the async search adds one on the free bits
     bn = parse_model(
         "targets, factors\na, a | !b\nb, a & c\nc, true\nd, !d\ne, false\n"
     )
     calls, original = [], funspace.dynamics.truth_table
     fixed_calls, fixed_points = [], funspace.dynamics._fixed_points
+    percolations, percolate = [], funspace.dynamics._percolate
 
-    def counting(shape, ctx, positions, n):
-        calls.append(tuple(positions))
-        return original(shape, ctx, positions, n)
+    def counting(shape, ctx, positions, n, fixed=None):
+        calls.append((n, tuple(positions), fixed))
+        return original(shape, ctx, positions, n, fixed)
 
     def counting_fixed(tables, n):
         fixed_calls.append(n)
         return fixed_points(tables, n)
 
+    def counting_percolation(tables, n):
+        percolations.append(n)
+        return percolate(tables, n)
+
     monkeypatch.setattr(funspace.dynamics, "truth_table", counting)
     monkeypatch.setattr(funspace.dynamics, "_fixed_points", counting_fixed)
+    monkeypatch.setattr(funspace.dynamics, "_percolate", counting_percolation)
     g_async, g_sync = stg_async(bn), stg_sync(bn)
     stable = stable_states(bn)
     attractors(g_async)
     attractors(g_sync)
     assert g_async.n_edges and g_sync.n_edges
     assert g_async.stable_states() == g_sync.stable_states() == stable
-    assert sorted(calls) == [(0, 1), (0, 2), (3,)]
-    assert fixed_calls == [bn.n]
+    # c = true and e = false fix; a, b and d read free bits 0, 1 and 2
+    assert sorted(c[1] for c in calls if c[0] == bn.n) == [(0, 1), (0, 2), (3,)]
+    assert [c for c in calls if c[0] != bn.n] == [
+        (3, (0, 1), {}), (3, (0, None), {1: True}), (3, (2,), {}),
+    ]
+    assert percolations == [bn.n]
+    assert fixed_calls == [bn.n, 3]
     assert stg_sync(bn).tables is stg_async(bn).tables
-    # a graph built by hand computes its own fixed points, once
+    assert stg_sync(bn)._trap is stg_async(bn)._trap is bn._trap
+    assert bn._trap[:2] == (0b10100, 0b00100)
+    # a graph built by hand fixes nothing, and computes its own fixed points once
     by_hand = STG("sync", bn.n, bn._tables)
     assert by_hand.stable_states() == stable and attractors(by_hand) == attractors(g_sync)
-    assert fixed_calls == [bn.n, bn.n]
+    assert by_hand._trap == (0, 0, bn._tables)
+    assert fixed_calls == [bn.n, 3, bn.n]
+    assert len(calls) == 6 and percolations == [bn.n]
 
 
 def _component(name, regulators=(), shape=None, ctx=None, constant=None):
@@ -512,6 +529,53 @@ def test_attractors_past_six_components(bn):
         assert attractors(g) == _reference_attractors(g)
 
 
+def _reference_trap(bn):
+    """Percolation by brute force on the sync update map, in rounds: a
+    component is fixed when its next value is the same at every state that
+    agrees with the values of the rounds before.  ({component: value}, rounds)."""
+    step = list(range(1 << bn.n))
+    for s, t in stg_sync(bn).edges():
+        step[s] = t
+    fixed, rounds = {}, 0
+    while True:
+        cube = [s for s in range(1 << bn.n) if all(s >> i & 1 == v for i, v in fixed.items())]
+        new = {i: step[cube[0]] >> i & 1 for i in range(bn.n)
+               if i not in fixed and len({step[s] >> i & 1 for s in cube}) == 1}
+        if not new:
+            return fixed, rounds
+        fixed.update(new)
+        rounds += 1
+
+
+# the constant x0 fixes in the first round, x1 in the second, x3 in the third
+# and x5 in the fourth; on the way x4 turns into a self-loop and x8 into !x8,
+# which stay free with x2, x6 and x7
+FOUR_ROUNDS = parse_model(
+    "targets, factors\nx0, true\nx1, x0 | x2\nx2, x2 | x6\nx3, !x1 & x4\n"
+    "x4, x3 | x4\nx5, x3 | !x1\nx6, !x7\nx7, x6 & x2\nx8, !x8 | x5\n"
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(lambda k: networks(min_n=8, max_n=12, constants=k)))
+@example(FOUR_ROUNDS)
+def test_attractors_on_the_trap_space(bn):
+    # the percolation matches the brute-force one, and the search on the
+    # free components, lifted back, matches the full-space reference
+    fixed, _ = _reference_trap(bn)
+    mask, values, tables = bn._trap
+    assert (mask, values) == (sum(1 << i for i in fixed),
+                              sum(v << i for i, v in fixed.items()))
+    assert len(tables) == bn.n - len(fixed)
+    for g in (stg_async(bn), stg_sync(bn)):
+        assert attractors(g) == _reference_attractors(g)
+
+
+def test_percolation_takes_rounds():
+    assert _reference_trap(FOUR_ROUNDS) == ({0: 1, 1: 1, 3: 0, 5: 0}, 4)
+    assert FOUR_ROUNDS._trap[:2] == (0b101011, 0b11)
+
+
 def _shift_register(n):
     # x0 = false, x_i = x_{i-1}: long transients into the one fixed point 0
     return network_from_functions(
@@ -585,6 +649,21 @@ def test_th_model_stable_states_are_the_published_patterns(th_bn):
         frozenset({"GATA3", "IL10", "IL10R", "IL4", "IL4R", "STAT3", "STAT6"}),  # Th2
         frozenset({"IFNg", "IFNgR", "SOCS1", "Tbet"}),  # Th1
     }
+
+
+def test_th_model_trap_space(th_bn):
+    # percolation fixes the ten components off in every phenotype, and the
+    # search on the 13 left finds the three phenotype stable states alone
+    mask, values, tables = th_bn._trap
+    fixed = {c.name: bool(values >> i & 1)
+             for i, c in enumerate(th_bn.components) if mask >> i & 1}
+    assert fixed == dict.fromkeys(["IFNb", "IFNbR", "IL12", "IL12R", "IL18", "IL18R",
+                                   "IRAK", "NFAT", "STAT4", "TCR"], False)
+    assert len(tables) == 13
+    stable = stable_states(th_bn)
+    assert all(s & mask == values for s in stable)
+    want = tuple(frozenset({s}) for s in stable)
+    assert attractors(stg_async(th_bn)) == attractors(stg_sync(th_bn)) == want
 
 
 def test_local_state_projection(toy_bn):

@@ -400,6 +400,27 @@ def test_truth_table_reads_regulators_at_their_positions(data):
         assert (table >> x & 1) == evaluate(shape, ctx, local)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data())
+def test_truth_table_holds_fixed_regulators(data):
+    # a fixed regulator reads no bit: the table on the free regulators' bits
+    # equals evaluate() with the fixed ones at their values
+    p = data.draw(hst.integers(1, 6))
+    values = data.draw(hst.lists(hst.none() | hst.booleans(), min_size=p, max_size=p))
+    free = [k for k, v in enumerate(values) if v is None]
+    n = data.draw(hst.integers(len(free), 8))
+    bits = iter(data.draw(hst.permutations(range(n)))[:len(free)])
+    positions = [next(bits) if v is None else None for v in values]
+    fixed = {k: v for k, v in enumerate(values) if v is not None}
+    shape = data.draw(shapes(p))
+    ctx = data.draw(contexts(p, None))
+    table = truth_table(shape, ctx, positions, n, fixed)
+    for x in range(1 << n):
+        local = sum(1 << k for k, j in enumerate(positions)
+                    if (x >> j & 1 if j is not None else fixed[k]))
+        assert (table >> x & 1) == evaluate(shape, ctx, local)
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_variable_tables_come_from_the_per_size_cache(n):
     # bit s of table j is bit j of s: from the high state down, each period

@@ -7,23 +7,24 @@ uses component 1 leftmost via :func:`funspace.shapes.state_to_string`.
 
 Two update schemes: asynchronous (one component flips per transition; the
 union over components gives the transition graph) and synchronous (all
-components update together).  A graph is held as the components' 2^n-bit
-truth tables: stable states and edge counts are bitwise operations on
-whole-space sets, and the edge list (``--edges``, ``--format dot``; its
-grouping by source is ``STG.successors``) walks the states one by one.
-Self-loops are never counted: stable states are the nodes without out-edges.
-Attractors are searched on the trap space alone: percolation fixes the
-constant inputs and every component they make constant, and the search
-(async: bitwise closures on 2^k-bit sets; sync: set images of the update
-map, then one walk per cycle) runs on the k free components' tables, with
-each state found lifted back to the network's n bits.
-A network keeps three things while it lives, each built on first use: its
-components' tables (n 2^n-bit ints: 23 MB for the 23-component T-helper
-model), its fixed points (one more 2^n-bit int) and its trap space (the
-fixed values and the free components' 2^k-bit tables: k = 13 of 23 on the
-T-helper model).  Both graphs and :func:`stable_states` share them, so a
-network builds each once; a graph built by hand from tables computes its
-own fixed points, once, and fixes nothing.
+components update together).  Self-loops are never counted: stable states
+are the nodes without out-edges.
+
+Stable states, attractors and the sync edge count are answered on the trap
+space alone.  Percolation reads the clauses: it fixes the constant inputs
+and every component they make constant.  The k free components' 2^k-bit
+truth tables then give the fixed points (bitwise operations on 2^k-bit
+sets) and the attractor search (async: bitwise closures on 2^k-bit sets;
+sync: set images of the update map, then one walk per cycle), and each
+state found is lifted back to the network's n bits.  A network keeps its
+trap space (the fixed values and the free tables: k = 13 of 23 on the
+T-helper model) and its fixed points while it lives, and both graphs and
+:func:`stable_states` share them.  The components' 2^n-bit tables (23 MB
+for the T-helper model) are built only when a graph's edges are read:
+``STG.tables``, the edge list (``--edges``, ``--format dot``; its grouping
+by source is ``STG.successors``) and the async edge count.  The network
+builds them once and keeps them too.  A graph built by hand from tables
+fixes nothing, and goes the same way on its own tables.
 
 The second half of the module counts a single component's increasing and
 decreasing transitions — the quantity governed by structural bounds that
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -167,27 +168,30 @@ class BooleanNetwork:
     @cached_property
     def _tables(self) -> tuple[int, ...]:
         """Every component's 2^n-bit table (:func:`_table`), built on first use
-        and kept with the network.  Not a field: ``==``, ``hash`` and ``repr``
+        and kept with the network; with nothing fixed, they are the free
+        tables of :attr:`_trap`.  Not a field: ``==``, ``hash`` and ``repr``
         do not see it.  Callers check the state-space limit first."""
+        mask, _, tables = self._trap
+        if not mask:
+            return tables
         return tuple([_table(c, self.n) for c in self.components])
 
     @cached_property
     def _fixed(self) -> int:
-        """The fixed points of :attr:`_tables` (:func:`_fixed_points`), kept
-        like them and handed to both graphs and :func:`stable_states`."""
-        return _fixed_points(self._tables, self.n)
+        """The fixed points of the free tables of :attr:`_trap`
+        (:func:`_fixed_points`), a 2^k-bit set kept like them and handed to
+        both graphs and :func:`stable_states`."""
+        tables = self._trap[2]
+        return _fixed_points(tables, len(tables))
 
     @cached_property
     def _trap(self) -> tuple[int, int, tuple[int, ...]]:
         """The trap space of :func:`_percolate` as (fixed components' mask,
         their values, the free components' tables on the free bits), kept
-        like :attr:`_tables` and handed to both graphs for :func:`attractors`.
-        Free component j reads free bit j; a fixed regulator is a constant
-        literal (:func:`funspace.shapes.truth_table` with ``fixed``).  With
-        nothing fixed the free tables are :attr:`_tables` themselves."""
-        mask, values = _percolate(self._tables, self.n)
-        if not mask:
-            return 0, 0, self._tables
+        with the network and handed to both graphs.  Free component j reads
+        free bit j; a fixed regulator is a constant literal
+        (:func:`funspace.shapes.truth_table` with ``fixed``)."""
+        mask, values = _percolate(self.components)
         free = [i for i in range(self.n) if not mask >> i & 1]
         rank = {i: j for j, i in enumerate(free)}
         tables = []
@@ -202,8 +206,9 @@ class BooleanNetwork:
     def step_sync(self, state: int) -> int:
         """The synchronous update of one state, the reference step: each
         component's next value is :func:`funspace.shapes.evaluate` on its
-        regulators' projected state, or its constant.  Graphs are built from
-        whole-space tables instead (:func:`stg_async`)."""
+        regulators' projected state, or its constant.  Graphs read truth
+        tables instead: the trap space's, and the whole space's for their
+        edges (:class:`STG`)."""
         nxt = 0
         for i, c in enumerate(self.components):
             if c.shape is None:
@@ -233,50 +238,73 @@ def _fixed_points(tables: Sequence[int], n: int) -> int:
     return fixed
 
 
-def _percolate(tables: Sequence[int], n: int) -> tuple[int, int]:
-    """The components fixed by percolation, as (mask, values): a component
-    is fixed when its table is constant on the subcube of the values fixed so
-    far (a constant always is), until a pass over the rest fixes none.  The
-    subcube is a trap space holding every attractor in both modes (Naldi et
-    al., Theor. Comput. Sci. 412, 2011; Klarner et al., Nat. Comput. 14,
-    2015): off it, a fixed component is enabled toward its value, and on it,
-    it never moves."""
-    cube = full = (1 << (1 << n)) - 1
+def _percolate(components: Sequence[Component]) -> tuple[int, int]:
+    """The components fixed by percolation, as (mask, values), read off the
+    clauses.  A constant is fixed.  Given the values fixed so far, a
+    component is fixed at 1 once some clause has every literal fixed true,
+    and at 0 once every clause has a literal fixed false; passes repeat
+    until one fixes none.  On a unate DNF (each regulator keeps one sign in
+    every clause) the rule is exact: if neither holds, some clause has no
+    literal fixed false and at least one free, so setting every free
+    literal true gives 1, and setting every free literal false gives 0.
+
+    The fixed values span a trap space holding every attractor in both
+    modes (Naldi et al., Theor. Comput. Sci. 412, 2011; Klarner et al., Nat.
+    Comput. 14, 2015): off it, a fixed component is enabled toward its
+    value, and on it, it never moves."""
     mask = values = 0
+    rules = []  # the functions not fixed yet, with their bits
+    for i, c in enumerate(components):
+        if c.shape is None:
+            mask |= 1 << i
+            values |= c.constant << i
+        else:
+            rules.append((1 << i, c))
     grew = True
     while grew:
-        grew = False
-        for i, t in enumerate(tables):
-            if mask >> i & 1:
+        grew, left = False, []
+        for bit, c in rules:
+            held = broken = 0  # literal k (bit k) fixed true / fixed false
+            for k, r in enumerate(c.regulators):
+                if mask >> r & 1:
+                    if (values >> r ^ c.ctx.neg_mask >> k) & 1:
+                        held |= 1 << k
+                    else:
+                        broken |= 1 << k
+            if held and any(cl & held == cl for cl in c.shape.clauses):
+                values |= bit
+            elif not broken or not all(cl & broken for cl in c.shape.clauses):
+                left.append((bit, c))
                 continue
-            on = t & cube
-            if not on or on == cube:
-                var = variable_table(i, n)
-                cube &= var if on else full ^ var
-                mask |= 1 << i
-                values |= bool(on) << i
-                grew = True
+            mask |= bit
+            grew = True
+        rules = left
     return mask, values
 
 
+@lru_cache(maxsize=16)
 def _lift(mask: int, values: int, n: int):
-    """Free-bit state -> network state: the free bits deposited at the
-    components outside ``mask``, one table lookup per byte, and ``values``
-    at the fixed ones.  Keeps the order of states."""
+    """Free-bit states -> network states: ``lift(states)`` lists the states
+    with their free bits deposited at the components outside ``mask``, one
+    table lookup per byte, and ``values`` at the fixed ones.  Keeps the order
+    of states; with nothing fixed it hands them back as they are.  Kept for
+    the last few traps, so a network's graphs and :func:`stable_states`
+    build one."""
+    if not mask:
+        return lambda states: states
     free = [i for i in range(n) if not mask >> i & 1]
-    lanes = []
+    lanes = []  # (shift, the byte's free bits deposited)
     for at in range(0, len(free), 8):
         lane = [0]
         for i in free[at:at + 8]:
             lane += [t | 1 << i for t in lane]
-        lanes.append(lane)
+        lanes.append((at, lane))
 
-    def lift(s: int) -> int:
-        t = values
-        for lane in lanes:
-            t |= lane[s & 255]
-            s >>= 8
-        return t
+    def lift(states: Sequence[int]) -> list[int]:
+        out = [values] * len(states)
+        for at, lane in lanes:
+            out = [t | lane[s >> at & 255] for t, s in zip(out, states)]
+        return out
     return lift
 
 
@@ -309,16 +337,38 @@ def _closure(x: int, moves: list[tuple[int, int, int]], forward: bool) -> int:
 _LANE = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 
+def _update(tables: Sequence[int]) -> memoryview:
+    """The synchronous update ``F[s]`` of every state s of the tables' space,
+    4 bytes a state.  Component i's table digits (state 0 last) become bytes
+    0 or 1 << i % 8, read as one int; the ints of the (at most 8) components
+    in byte lane i // 8 are OR-ed and the lane is written once."""
+    size = 1 << len(tables)
+    words = bytearray(4 * size)
+    for k in range(0, len(tables), 8):
+        lane = 0
+        for i, t in enumerate(tables[k:k + 8]):
+            lane |= int.from_bytes(format(t, f"0{size}b").encode().translate(_LANE[i]), "big")
+        at = k // 8 if sys.byteorder == "little" else 3 - k // 8
+        words[at::4] = lane.to_bytes(size, "little")
+    return memoryview(words).cast("I")
+
+
 @dataclass(frozen=True)
 class STG:
     """A state-transition graph over the states 0..2^n-1: ``tables[i]`` is
     component i's 2^n-bit truth table (bit s is its next value at state s),
     as :func:`funspace.shapes.truth_table` puts its shape on the network's
-    state bits; a constant's table is all ones or 0.  Both graphs of a network
-    share its tuple of tables, its fixed points (``_fixed``) and its trap
-    space (``_trap``); any other graph builds its fixed points on first
-    access, as it does ``successors``, each state's out-edges (:meth:`edges`
-    grouped by source), and fixes nothing."""
+    state bits; a constant's table is all ones or 0.
+
+    Stable states, attractors and the sync edge count read the trap space
+    (``_trap``, laid out as :attr:`BooleanNetwork._trap`) and its fixed
+    points (``_fixed``, a set over the free bits).  Both graphs of a network
+    are handed the network's own, and read ``tables`` from it only when
+    something asks for them (:meth:`__getattr__`): the edge list, the async
+    edge count, ``==``, ``hash`` and ``repr``.  A graph built by hand fixes
+    nothing: its trap space is its own tables, and it builds their fixed
+    points on first access, as it does ``successors``, each state's
+    out-edges (:meth:`edges` grouped by source)."""
 
     mode: str  # 'async' | 'sync'
     n: int
@@ -328,36 +378,29 @@ class STG:
         if self.mode not in ("async", "sync"):
             raise InvalidArgument(f"mode must be 'async' or 'sync', got {self.mode!r}")
 
-    @cached_property
-    def _fixed(self) -> int:
-        """The fixed points (:func:`_fixed_points`); a network's graphs are
-        handed its own."""
-        return _fixed_points(self.tables, self.n)
+    def __getattr__(self, name: str):
+        """Reached only for attributes not yet set: a network's graph fills
+        ``tables`` from its network's kept tables on first read."""
+        network = vars(self).get("_network")
+        if name != "tables" or network is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["tables"] = tables = network._tables
+        return tables
 
     @cached_property
     def _trap(self) -> tuple[int, int, tuple[int, ...]]:
-        """The trap space :func:`attractors` searches, laid out as
-        :attr:`BooleanNetwork._trap`; a network's graphs are handed its own,
-        and a graph built by hand fixes nothing."""
+        """Nothing fixed: the free tables are the graph's own."""
         return 0, 0, self.tables
 
-    def _update(self) -> memoryview:
-        """The synchronous update ``F[s]`` of every state s, 4 bytes a state.
-        Component i's table digits (state 0 last) become bytes 0 or 1 << i % 8,
-        read as one int; the ints of the (at most 8) components in byte lane
-        i // 8 are OR-ed and the lane is written once."""
-        size = 1 << self.n
-        words = bytearray(4 * size)
-        for k in range(0, self.n, 8):
-            lane = 0
-            for i, t in enumerate(self.tables[k:k + 8]):
-                lane |= int.from_bytes(format(t, f"0{size}b").encode().translate(_LANE[i]), "big")
-            at = k // 8 if sys.byteorder == "little" else 3 - k // 8
-            words[at::4] = lane.to_bytes(size, "little")
-        return memoryview(words).cast("I")
+    @cached_property
+    def _fixed(self) -> int:
+        """The fixed points of the free tables (:func:`_fixed_points`)."""
+        tables = self._trap[2]
+        return _fixed_points(tables, len(tables))
 
     def stable_states(self) -> tuple[int, ...]:
-        return tuple(table_states(self._fixed))
+        mask, values, _ = self._trap
+        return tuple(_lift(mask, values, self.n)(table_states(self._fixed)))
 
     @property
     def n_edges(self) -> int:
@@ -376,18 +419,18 @@ class STG:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every transition (s, t), by source state and then ascending
         flipped component, streamed from the update map."""
-        pairs = enumerate(self._update())
+        pairs = enumerate(_update(self.tables))
         if self.mode == "sync":
             return ((s, t) for s, t in pairs if t != s)
         return ((s, s ^ 1 << i) for s, t in pairs for i in bits_of(s ^ t))
 
 
 def _graph(mode: str, bn: BooleanNetwork, limit: int) -> STG:
-    """A graph on the network's tables, holding its fixed points and trap space."""
+    """A graph of the network, holding its trap space and fixed points; its
+    tables are the network's, read on first use (:meth:`STG.__getattr__`)."""
     _check_limit(bn.n, limit)
-    graph = STG(mode, bn.n, bn._tables)
-    graph.__dict__["_fixed"] = bn._fixed  # what the cached properties would store
-    graph.__dict__["_trap"] = bn._trap
+    graph = object.__new__(STG)  # what the constructor and cached properties would store
+    graph.__dict__.update(mode=mode, n=bn.n, _network=bn, _trap=bn._trap, _fixed=bn._fixed)
     return graph
 
 
@@ -419,24 +462,23 @@ def attractors(stg: STG) -> tuple[frozenset[int], ...]:
     map F, among the states left once the images F^k(S) stop shrinking (sets
     of about 60-85 bytes per state of F(S)), each walked from its lowest
     state.  Async: implicit-set search on 2^k-bit sets (Xie & Beerel, IEEE
-    TCAD 2000).  The stable states and the states that reach one go first.
-    Then, from the lowest state s left, s moves to a state it reaches that
-    cannot reach it back, until there is none; what s reaches is an
-    attractor, and it goes with every state that reaches it.
+    TCAD 2000).  The stable states (:attr:`STG._fixed`) and the states that
+    reach one go first.  Then, from the lowest state s left, s moves to a
+    state it reaches that cannot reach it back, until there is none; what s
+    reaches is an attractor, and it goes with every state that reaches it.
     """
     mask, values, tables = stg._trap
-    if not mask:
-        return tuple(map(frozenset, _search(stg)))
     lift = _lift(mask, values, stg.n)
-    return tuple(frozenset(map(lift, a)) for a in _search(STG(stg.mode, len(tables), tables)))
+    return tuple(frozenset(lift(a)) for a in _search(stg.mode, tables, stg._fixed))
 
 
-def _search(stg: STG) -> list[list[int]]:
-    """The attractors of ``stg`` (:func:`attractors`), sorted by smallest
-    state, each a list of its states."""
-    if stg.mode == "sync":
+def _search(mode: str, tables: Sequence[int], fixed: int) -> list[list[int]]:
+    """The attractors (:func:`attractors`) of the graph on ``tables`` whose
+    fixed points are ``fixed``, sorted by smallest state, each a list of its
+    states."""
+    if mode == "sync":
         # The images are nested, so one no smaller than the last is the cycles.
-        update = stg._update()
+        update = _update(tables)
         size, image = len(update), set(update)
         while len(image) < size:
             size, image = len(image), set(map(update.__getitem__, image))
@@ -454,14 +496,14 @@ def _search(stg: STG) -> list[list[int]]:
             out.append(cycle)
             s = mark.find(1, s + 1)
         return out
+    n = len(tables)
     moves = []  # components that never flip are left out
-    for i, t in enumerate(stg.tables):
-        var = variable_table(i, stg.n)
+    for i, t in enumerate(tables):
+        var = variable_table(i, n)
         if t != var:
             moves.append((1 << i, t & ~var, var & ~t))
-    fixed = stg._fixed
     out = [[s] for s in table_states(fixed)]
-    left = ((1 << (1 << stg.n)) - 1) & ~_closure(fixed, moves, False)
+    left = ((1 << (1 << n)) - 1) & ~_closure(fixed, moves, False)
     while left:
         escape = left
         while escape:

@@ -38,6 +38,7 @@ from funspace import (
     transition_bounds,
     true_count,
 )
+from funspace.dynamics import _lift, _percolate
 from funspace.errors import (
     ArityMismatch,
     InvalidArgument,
@@ -374,12 +375,12 @@ def test_state_space_limit(toy_bn):
 
 
 def test_a_network_builds_its_tables_once(monkeypatch):
-    # one full truth_table call per regulated component, one percolation,
-    # one free-bit table per free component and one fixed-point set per
-    # network, whichever graph asks; the async search adds one on the free bits
-    bn = parse_model(
-        "targets, factors\na, a | !b\nb, a & c\nc, true\nd, !d\ne, false\n"
-    )
+    # stable states, both attractor searches and the sync edge count read the
+    # trap space alone: one percolation, one free-bit table per free component
+    # and one fixed-point set on the free bits per network, which the async
+    # search reuses; no table is built at the network's width
+    model = "targets, factors\na, a | !b\nb, a & c\nc, true\nd, !d\ne, false\n"
+    bn = parse_model(model)
     calls, original = [], funspace.dynamics.truth_table
     fixed_calls, fixed_points = [], funspace.dynamics._fixed_points
     percolations, percolate = [], funspace.dynamics._percolate
@@ -392,9 +393,9 @@ def test_a_network_builds_its_tables_once(monkeypatch):
         fixed_calls.append(n)
         return fixed_points(tables, n)
 
-    def counting_percolation(tables, n):
-        percolations.append(n)
-        return percolate(tables, n)
+    def counting_percolation(components):
+        percolations.append(len(components))
+        return percolate(components)
 
     monkeypatch.setattr(funspace.dynamics, "truth_table", counting)
     monkeypatch.setattr(funspace.dynamics, "_fixed_points", counting_fixed)
@@ -403,24 +404,37 @@ def test_a_network_builds_its_tables_once(monkeypatch):
     stable = stable_states(bn)
     attractors(g_async)
     attractors(g_sync)
-    assert g_async.n_edges and g_sync.n_edges
+    assert g_sync.n_edges == (1 << bn.n) - len(stable)
     assert g_async.stable_states() == g_sync.stable_states() == stable
     # c = true and e = false fix; a, b and d read free bits 0, 1 and 2
-    assert sorted(c[1] for c in calls if c[0] == bn.n) == [(0, 1), (0, 2), (3,)]
-    assert [c for c in calls if c[0] != bn.n] == [
-        (3, (0, 1), {}), (3, (0, None), {1: True}), (3, (2,), {}),
-    ]
-    assert percolations == [bn.n]
-    assert fixed_calls == [bn.n, 3]
-    assert stg_sync(bn).tables is stg_async(bn).tables
+    assert calls == [(3, (0, 1), {}), (3, (0, None), {1: True}), (3, (2,), {})]
+    assert percolations == [bn.n] and fixed_calls == [3]
     assert stg_sync(bn)._trap is stg_async(bn)._trap is bn._trap
     assert bn._trap[:2] == (0b10100, 0b00100)
-    # a graph built by hand fixes nothing, and computes its own fixed points once
-    by_hand = STG("sync", bn.n, bn._tables)
+    assert "_tables" not in vars(bn)
+    # the first read of a graph's tables, edges or async edge count builds
+    # each n-wide table once, and both graphs share them; each network still
+    # percolates once and finds its fixed points once, on the free bits
+    for read in (lambda g: g.tables, lambda g: g.n_edges, lambda g: list(g.edges())):
+        fresh = parse_model(model)
+        for counted in (calls, percolations, fixed_calls):
+            counted.clear()
+        read(stg_async(fresh))
+        assert sorted(c[1] for c in calls if c[0] == bn.n) == [(0, 1), (0, 2), (3,)]
+        assert stg_sync(fresh).successors and stg_async(fresh).n_edges
+        assert stg_sync(fresh).tables is stg_async(fresh).tables is fresh._tables
+        assert len([c for c in calls if c[0] == bn.n]) == 3
+        assert percolations == [fresh.n] and fixed_calls == [3]
+    # a graph built by hand fixes nothing: it calls neither truth_table nor
+    # _percolate, and computes its own fixed points once
+    tables = bn._tables
+    built, percolated = len(calls), len(percolations)
+    fixed_calls.clear()
+    by_hand = STG("sync", bn.n, tables)
     assert by_hand.stable_states() == stable and attractors(by_hand) == attractors(g_sync)
-    assert by_hand._trap == (0, 0, bn._tables)
-    assert fixed_calls == [bn.n, 3, bn.n]
-    assert len(calls) == 6 and percolations == [bn.n]
+    assert by_hand._trap == (0, 0, tables) and by_hand.n_edges == g_sync.n_edges
+    assert fixed_calls == [bn.n]
+    assert len(calls) == built and len(percolations) == percolated
 
 
 def _component(name, regulators=(), shape=None, ctx=None, constant=None):
@@ -457,18 +471,27 @@ def test_constructors_refuse_hand_built_input(build, message):
 
 def test_built_tables_leave_equality_hash_and_repr_alone(toy_bn):
     fresh, built = BooleanNetwork(toy_bn.components), BooleanNetwork(toy_bn.components)
-    stg_sync(built)
-    assert "_tables" in vars(built) and "_tables" not in vars(fresh)
+    g = stg_sync(built)
+    assert "_trap" in vars(built) and "_trap" not in vars(fresh)
     assert built == fresh and hash(built) == hash(fresh)
     assert repr(built) == repr(fresh)
+    # a network's graph reads its tables on first use, and then equals,
+    # hashes and prints as a graph built by hand from them
+    by_hand = STG("sync", toy_bn.n, stg_sync(toy_bn).tables)
+    assert "tables" not in vars(g)
+    assert g == by_hand and hash(g) == hash(by_hand) and repr(g) == repr(by_hand)
+    assert "_tables" in vars(built) and g.tables is built._tables
+    assert g != stg_async(built)
 
 
 def test_the_state_space_limit_holds_after_the_tables_are_built():
     bn = parse_model("targets, factors\na, a & b\nb, b\nc, true\n")
-    stg_async(bn)
-    for call in (stable_states, stg_async, stg_sync):
-        with pytest.raises(StateSpaceTooLarge):
-            call(bn, limit=bn.n - 1)
+    for build in (lambda: stg_async(bn), lambda: stg_async(bn).tables):
+        build()
+        assert "_trap" in vars(bn)
+        for call in (stable_states, stg_async, stg_sync):
+            with pytest.raises(StateSpaceTooLarge):
+                call(bn, limit=bn.n - 1)
     assert stable_states(bn, limit=bn.n) == (0b100, 0b110, 0b111)
 
 
@@ -561,19 +584,54 @@ FOUR_ROUNDS = parse_model(
 @example(FOUR_ROUNDS)
 def test_attractors_on_the_trap_space(bn):
     # the percolation matches the brute-force one, and the search on the
-    # free components, lifted back, matches the full-space reference
+    # free components, lifted back, matches the full-space reference; the
+    # stable states and edge counts match a hand-built graph, which fixes
+    # nothing
     fixed, _ = _reference_trap(bn)
     mask, values, tables = bn._trap
     assert (mask, values) == (sum(1 << i for i in fixed),
                               sum(v << i for i, v in fixed.items()))
     assert len(tables) == bn.n - len(fixed)
+    assert (bn._tables is tables) == (not mask)  # with nothing fixed, built once
     for g in (stg_async(bn), stg_sync(bn)):
-        assert attractors(g) == _reference_attractors(g)
+        full = STG(g.mode, bn.n, bn._tables)
+        assert full._trap[0] == 0
+        assert attractors(g) == attractors(full) == _reference_attractors(g)
+        assert g.stable_states() == full.stable_states() == stable_states(bn)
+        assert g.n_edges == full.n_edges == sum(1 for _ in full.edges())
 
 
 def test_percolation_takes_rounds():
     assert _reference_trap(FOUR_ROUNDS) == ({0: 1, 1: 1, 3: 0, 5: 0}, 4)
     assert FOUR_ROUNDS._trap[:2] == (0b101011, 0b11)
+
+
+@pytest.mark.parametrize("text, fixed", [
+    # every literal of the clause b & !c fixed true
+    ("a, d | (b & !c)\nb, true\nc, false\nd, d", {1: 1, 2: 0, 0: 1}),
+    # a literal fixed false in every clause
+    ("a, (b & d) | !c\nb, false\nc, true\nd, d", {1: 0, 2: 1, 0: 0}),
+    # a self-loop beside a false input stays free
+    ("x, x | c\nc, false", {1: 0}),
+    # one clause alive with a free literal: neither value is forced
+    ("a, (b & d) | c\nb, true\nc, false\nd, d", {1: 1, 2: 0}),
+])
+def test_percolation_reads_the_clauses(text, fixed):
+    bn = parse_model("targets, factors\n" + text + "\n")
+    assert _percolate(bn.components) == (sum(1 << i for i in fixed),
+                                         sum(v << i for i, v in fixed.items()))
+    assert _reference_trap(bn)[0] == fixed
+
+
+@pytest.mark.parametrize("mask", [0, 0b1, 0b1010_0110, (1 << 25) - 1,
+                                  1 << 19 | 1 << 5, 1 << 24, 0b1000_0001 << 8])
+def test_the_lift_deposits_the_free_bits_in_order(mask):
+    # lanes of 0, 1 and 2-3 free bytes; the fixed bits read ``values``
+    n, values = 25, mask & 0x0AAAAAA
+    free = [i for i in range(n) if not mask >> i & 1]
+    states = sorted(s for s in {0, 1, 0b1011, 0x15555, (1 << len(free)) - 1} if s >> len(free) == 0)
+    want = [values | sum(1 << i for j, i in enumerate(free) if s >> j & 1) for s in states]
+    assert _lift(mask, values, n)(states) == want == sorted(want)
 
 
 def _shift_register(n):

@@ -49,6 +49,7 @@ from .pbn import (
 from .shapes import (
     MAX_ARITY,
     RegulatorContext,
+    _state_text,
     level,
     state_from_string,
     state_to_string,
@@ -191,9 +192,8 @@ def cmd_stg(args) -> int:
         print(f"attractor [{kind}]: "
               + " ".join(sorted(state_to_string(s, graph.n) for s in a)))
     if args.edges:
-        n = graph.n
-        sys.stdout.writelines(f"  {state_to_string(s, n)} -> {state_to_string(t, n)}\n"
-                              for s, t in graph.edges())
+        text = _state_text(graph.n)
+        sys.stdout.writelines(f"  {text(s)} -> {text(t)}\n" for s, t in graph.edges())
     return 0
 
 

@@ -44,7 +44,7 @@ from .shapes import (
     POSITIVE,
     RegulatorContext,
     _minimal_shape,
-    state_to_string,
+    _state_text,
 )
 
 #: One token after optional whitespace: a name or an operator, else the one
@@ -378,6 +378,7 @@ def network_to_json(bn: BooleanNetwork) -> str:
 def stg_dot_lines(stg: STG, names: Iterable[str] | None = None) -> Iterator[str]:
     """GraphViz text for a transition graph, line by line; stable states get double circles."""
     n = stg.n
+    text = _state_text(n)
     label = ", ".join(names) if names else None
     yield "digraph stg {\n"
     if label:
@@ -386,9 +387,9 @@ def stg_dot_lines(stg: STG, names: Iterable[str] | None = None) -> Iterator[str]
     stable = set(stg.stable_states())
     for s in range(1 << n):
         shape = "doublecircle" if s in stable else "circle"
-        yield f'  "{state_to_string(s, n)}" [shape={shape}];\n'
+        yield f'  "{text(s)}" [shape={shape}];\n'
     for s, t in stg.edges():
-        yield f'  "{state_to_string(s, n)}" -> "{state_to_string(t, n)}";\n'
+        yield f'  "{text(s)}" -> "{text(t)}";\n'
     yield "}\n"
 
 

@@ -33,14 +33,16 @@ remaining true set); every such candidate is a cover by construction (see
 up-set): a step moves T by delta states, so no up-set needs a closure.
 Each table is read once into its clause tuple, and records sort on (rule,
 clause count, clauses), `NeighborStep.sort_key`'s order.  The rule test
-is written once (`_parent_groups`: R1, R2, or failing alone, R3's
-candidates) and serves `parents`, `siblings` and `random_path`.  A walk
+on tables is written once (`_parent_groups`: R1, R2, or failing alone,
+R3's candidates) and serves `parents` and `random_path`.  A walk
 carries each maximal state's rule along the path and tests again only
 the states whose rule a step can change (`_take_parent`); its clause list
 moves by the step's delta, and only its pick becomes a shape, which keeps
 its up-set for the counts along the path (`shapes.up_table`).  Siblings
-are deduplicated as tables; children's parents start from the shape's
-maxima (`_drop_maxima`).
+move by deltas too (`_siblings`): each is the shape's up-set with a few
+states added and removed, deduplicated on those states, its clauses cut
+from its neighbour's tuple, and its cover tested on clause counts per
+regulator (`_held`), so no sibling reads a table.
 
 Two checks share no code with the rules.  `build_hasse` is the oracle:
 it reads every shape's true set off `shapes.truth_table` and extracts the
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import and_, itemgetter
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -293,6 +295,42 @@ def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return _steps(_parent_tables(c, up_closure(c, p), p), p)
 
 
+def _single_drops(c: int, t: int, p: int) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """The clauses of the shape with clause table ``c`` and up-set ``t``,
+    ascending; per clause s, R(s), the one-bit raises of s whose only lower
+    state in T is s, ascending: the clauses T∖{s} gains; and the regulators
+    that one clause alone holds.
+
+    One pass over the regulators finds the states of T with at least two
+    one-bit-lower states in T; R(s) is the raises of s not among them.  Such
+    a raise holds every regulator of s, so dropping s covers iff R(s) is
+    not empty or s holds no regulator that no other clause holds.
+    """
+    one = two = 0  # states of T with at least one / two one-bit-lower states in T
+    for k, v in enumerate(variable_tables(p)):
+        lower = (t & ~v) << (1 << k)  # T is an up-set: these states lie in T
+        two |= one & lower
+        one |= lower
+    two_bytes = two.to_bytes((1 << p >> 3) + 1, "little")  # bit r in byte r >> 3
+    states = _states(p)
+    clauses = table_states(c, states)
+    once = twice = 0  # regulators in at least one / two clauses
+    full = (1 << p) - 1
+    raised = []
+    for s in clauses:
+        twice |= once & s
+        once |= s
+        new = []
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not two_bytes[(r := s | low) >> 3] >> (r & 7) & 1:
+                new.append(states[r])
+        raised.append(tuple(new))
+    return clauses, raised, once & ~twice
+
+
 def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
     """(CHILD, delta, clause table, up-set) of every child of the shape with clause
     table ``c`` and up-set ``t``: single drops by ascending clause, then pairs.
@@ -303,38 +341,17 @@ def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]
     that each fail alone, the only sets strictly between T∖{s1,s2} and T
     are T∖{s1} and T∖{s2}, both invalid, so a valid T∖{s1,s2} is a child
     too.  Its clauses are the minimal elements left; an empty rest fails the cover.
-
-    Single drops are local.  One pass over the regulators finds the states
-    of T with exactly one one-bit-lower state in T; the minimal elements of
-    T∖{s} are C less s plus those of them among the one-bit raises of s.
-    Such a raise holds every regulator of s, so the drop covers iff it adds
-    a clause or s holds no regulator that no other clause holds.  Pairs,
-    rare, re-minimize their up-set (`minimal_elements`).
+    Single drops are local: the clauses of T∖{s} are C less s plus R(s)
+    (`_single_drops`).  Pairs, rare, re-minimize their up-set (`minimal_elements`).
     """
-    one = two = 0  # states of T with at least one / two one-bit-lower states in T
-    for k, v in enumerate(variable_tables(p)):
-        lower = (t & ~v) << (1 << k)  # T is an up-set: these states lie in T
-        two |= one & lower
-        one |= lower
-    two_bytes = two.to_bytes((1 << p >> 3) + 1, "little")  # bit r in byte r >> 3
-    clauses = table_states(c)
-    once = twice = 0  # regulators in at least one / two clauses
-    for s in clauses:
-        twice |= once & s
-        once |= s
-    alone = once & ~twice
-    full = (1 << p) - 1
+    clauses, raised, alone = _single_drops(c, t, p)
     failing: list[int] = []
-    for s in clauses:
-        new = 0  # raises of s whose only lower state in T is s: clauses of T∖{s}
-        rest = full ^ s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not two_bytes[(r := s | low) >> 3] >> (r & 7) & 1:
-                new |= 1 << r
+    for s, new in zip(clauses, raised):
         if new or not s & alone:
-            yield CHILD, 1, c ^ 1 << s | new, t ^ 1 << s
+            cand = c ^ 1 << s
+            for r in new:
+                cand |= 1 << r
+            yield CHILD, 1, cand, t ^ 1 << s
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
@@ -350,29 +367,157 @@ def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     return _steps(_child_tables(c, up_closure(c, p), p), p)
 
 
+def _held(counts: list[int], low: list[int], gone: list[int], keep: int) -> bool:
+    """Do the clauses left when ``gone`` is removed from a clause list hold
+    every regulator outside ``keep``?  ``counts[k]`` is the number of clauses
+    holding regulator k and ``low[j]`` the regulators held by at most j, the
+    only ones j removed clauses can leave uncovered."""
+    need = 0
+    for x in gone:
+        need |= x
+    need &= low[len(gone)] & ~keep
+    while need:
+        b = need & -need
+        need ^= b
+        if counts[b.bit_length() - 1] == sum([1 for x in gone if x & b]):
+            return False
+    return True
+
+
+def _pack(states: Iterable[int]) -> int:
+    """A sibling's dedupe key: its up-set's added states, then its removed
+    ones, each ascending, 16 bits a state.  T fixes which is which, so
+    equal keys mean equal up-sets."""
+    key = 0
+    for x in states:
+        key = key << 16 | x
+    return key
+
+
+def _spliced(cls: tuple[int, ...], gone: Iterable[int], new: Iterable[int]) -> tuple[int, ...]:
+    """The ascending clause tuple ``cls`` less the clauses ``gone`` plus the
+    states ``new``, in any order: a sibling's clauses from its neighbour's."""
+    out = list(cls)
+    for x in gone:
+        del out[bisect_left(out, x)]
+    for x in new:
+        insort(out, x)
+    return tuple(out)
+
+
 def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
               ) -> tuple[FunctionShape, ...]:
     """The siblings of the shape with clause table ``c`` and up-set ``t``
     through its parent records ``ups`` and child records ``downs``; only
     those ``via`` names are read, so generators for the others never run.
 
-    Neighbours of neighbours are deduplicated as clause tables.  Only the
-    shape itself needs dropping: a parent S' of it that were also a child
-    of its parent P would lie strictly between it and P, so P would not
-    cover it, and the other three cases fail the same way.
+    Every sibling is a delta of the shape: its up-set is T ∪ A ∖ R with one
+    or two added states A and one or two removed states R, and its clauses
+    differ from the shape's in a few states.  Through a parent
+    P = C ∖ X ∪ A (X the clauses A absorbs), the children "P less clause s"
+    gain R(s) (`_single_drops`, once for the shape) less the one-bit raises
+    of A, the only states whose lower states grew, and cover iff they gain
+    a clause or s holds no regulator alone in P.  Through a child
+    K = C ∖ {s} ∪ R(s), the parents add a maximal state m of the shape not
+    below s (`_drop_maxima`), which absorbs the clauses of C it absorbs
+    less s and the states of R(s) above it; the cover test counts the
+    clauses per regulator (`_held`).  R3 parents' pair children, children's
+    R3 parents and the parents of pair children, all rare, go through their
+    tables.  Only the shape itself needs dropping: a parent S' of it that
+    were also a child of its parent P would lie strictly between it and P,
+    so P would not cover it, and the other three cases fail the same way.
+
+    Siblings are deduplicated on (A, R) (`_pack`), and each new one's
+    clause tuple is cut from its neighbour's (`_spliced`).  They sort on
+    (clause count, clauses), ``FunctionShape.sort_key``'s order.
     """
-    table = itemgetter(2)
-    found: set[int] = set()
-    if via != "children":
-        for _, _, new, u in ups:
-            found.update(map(table, _child_tables(new, u, p)))
-    if via != "parents":
-        maxima = dict(_maxima(t, p))
-        for _, _, cand, u in downs:
-            found.update(map(table, _parent_tables(cand, u, p, _drop_maxima(maxima, t ^ u, p))))
-    found.discard(c)
+    clauses, raised, _ = _single_drops(c, t, p)
     states = _states(p)
-    ordered = sorted([tuple(table_states(found.pop(), states)) for _ in range(len(found))])
+    found: dict[int, tuple[int, ...]] = {}
+
+    def by_table(new: int, u: int) -> None:
+        changed = table_states(t ^ u)
+        key = _pack([x for x in changed if not t >> x & 1] + [x for x in changed if t >> x & 1])
+        if key and key not in found:
+            found[key] = tuple(table_states(new, states))
+
+    if via != "children":
+        for _, delta, new, u in ups:
+            added = u ^ t
+            a = added.bit_length() - 1
+            b = a if delta == 1 else (added ^ 1 << a).bit_length() - 1
+            grown = [states[a]] if delta == 1 else [states[b], states[a]]
+            kept = []
+            once = twice = 0
+            for s, rs in zip(clauses, raised):
+                if s & a != a and s & b != b:
+                    kept.append((s, rs))
+                    twice |= once & s
+                    once |= s
+            twice |= once & a | (once | a) & b
+            once |= a | b
+            alone_p, akey = once & ~twice, _pack(grown)
+            cls = _spliced(tuple([s for s, _ in kept]), (), grown)
+            failing = grown[:] if delta == 2 else []  # dropping an R3 state leaves the other's failed parent
+            for s, rs in kept:
+                if rs:  # less the raises of A, which gained a lower state
+                    rs = [r for r in rs if r & a != a and r & b != b]
+                if rs or not s & alone_p:
+                    if (key := akey << 16 | s) not in found:
+                        found[key] = _spliced(cls, (s,), rs)
+                else:
+                    failing.append(s)
+            for s1, s2 in combinations(failing, 2):
+                if _covering(cand := minimal_elements(v := u ^ 1 << s1 ^ 1 << s2, p), p):
+                    by_table(cand, v)
+    if via != "parents":
+        counts = [sum([s >> k & 1 for s in clauses]) for k in range(p)]
+        low = [0] * (len(clauses) + 1)  # by count: the regulators in at most that many clauses
+        for k, m in enumerate(counts):
+            low[m] |= 1 << k
+        for j in range(1, len(low)):
+            low[j] |= low[j - 1]
+        maxima = _maxima(t, p)
+        groups = []  # (m, U(m), the clauses m absorbs, whether the shape's parent through m covers)
+        for m, above in maxima:
+            xc = table_states(c & above, states)
+            groups.append((states[m], above, xc, _held(counts, low, xc, m)))
+        drops = dict(zip(clauses, raised))
+        whole = tuple(clauses)
+        for _, delta, cand, u in downs:
+            if delta == 2:
+                for _, _, new, v in _parent_tables(cand, u, p, _drop_maxima(dict(maxima), t ^ u, p)):
+                    by_table(new, v)
+                continue
+            s = (t ^ u).bit_length() - 1
+            rs = drops[s]
+            cls = _spliced(whole, (s,), rs)
+            failed = {}
+            for m, above, xc, ok in groups:
+                if m & s == m:
+                    continue  # m lies below s, so it is not maximal outside T∖{s}
+                if s & m == m:  # m absorbs s and R(s) and keeps what it keeps of C
+                    absorbed = [x for x in xc if x != s] + [*rs]
+                elif rs:
+                    kr = [r for r in rs if r & m != m]
+                    absorbed = xc + [r for r in rs if r & m == m]
+                    if absorbed:
+                        keep = m
+                        for r in kr:
+                            keep |= r
+                        ok = _held(counts, low, xc + [s], keep)
+                else:
+                    absorbed = xc
+                    ok = ok and _held(counts, low, xc + [s], m)
+                if not absorbed or ok:
+                    if (key := m << 16 | s) not in found:
+                        found[key] = _spliced(cls, absorbed, (m,))
+                else:
+                    failed[m] = above
+            if len(failed) > 1:
+                for new, m1, m2 in _pairs(cand, p, failed):
+                    by_table(new, u | 1 << m1 | 1 << m2)
+    ordered = sorted(found.values())
     ordered.sort(key=len)  # stable: by clause count, then clauses
     return tuple([FunctionShape._unchecked(p, cls) for cls in ordered])
 
@@ -391,9 +536,9 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
 
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
-    Direct neighbors of ``shape`` and the shape itself never count.  The
-    search runs on clause tables (`_siblings`) and builds only the
-    neighbour records ``via`` reads.
+    Direct neighbors of ``shape`` and the shape itself never count.  Each
+    sibling is built as a delta of the shape's clauses (`_siblings`), from
+    only the neighbour records ``via`` reads.
     """
     p, c, t = _centre(shape, via)
     return _siblings(c, t, p, via, _parent_tables(c, t, p), _child_tables(c, t, p))
@@ -445,6 +590,42 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
     raise NotAParent(f"{upper} does not cover {lower}")
 
 
+def _kept_r2(c: int, new: int, p: int, grown: int, r2: dict[int, int], failed: dict[int, int]
+             ) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """(states to classify again, R2 states that stay R2) after an R2 or R3
+    step from clause table ``c`` to ``new`` that adds the clauses of mask
+    ``grown``: the ``failed`` states, and those of ``r2`` that lose a
+    regulator or every clause they absorb (they may turn R1).
+
+    The step keeps its new clauses, which no R2 state m absorbs (they are
+    maximal outside T, as m is), so m can lose only the regulators that the
+    dropped clauses held and no new clause holds; only those are tested, on
+    the clauses m leaves.
+    """
+    dropped, lost = c & ~new, 0
+    while dropped:
+        y = dropped.bit_length() - 1
+        dropped ^= 1 << y
+        lost |= y
+    lost &= ~grown
+    var = variable_tables(p)
+    retest, kept = [*failed.items()], {}
+    for m, above in r2.items():
+        rest, need = new & ~above, lost & ~m
+        if rest == new:
+            retest.append((m, above))
+            continue
+        while need:
+            b = need & -need
+            need ^= b
+            if not rest & var[b.bit_length() - 1]:
+                retest.append((m, above))
+                break
+        else:
+            kept[m] = above
+    return retest, kept
+
+
 def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: list[int],
                  r2: dict[int, int], failed: dict[int, int], r3: list[tuple[int, int, int]]
                  ) -> tuple[int, int, dict[int, int], dict[int, int]]:
@@ -460,7 +641,10 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     * the states the step makes maximal lie one regulator below an added
       clause (`_raise_maxima`), so they are never R1;
     * an R1 step drops no clause, so an R2 state keeps the clauses it
-      absorbs and its cover; an R2 or R3 step tests every state not R1.
+      absorbs and its cover; an R2 or R3 step tests every state not R1,
+      the R2 states only on the regulators it can take from them
+      (`_kept_r2`) once there are more than p of them (fewer cost less
+      to test in full).
 
     R1 parents by new clause are in `_table_key` order (each adds one state
     to the same table), and so are R2 parents by absorbed clauses, most
@@ -475,13 +659,16 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     else:
         if i < n2:
             _, m = sorted([(-(c & above).bit_count(), m) for m, above in r2.items()])[i - n1]
-            new, added = c & ~r2.pop(m) | 1 << m, 1 << m
+            new, added, grown = c & ~r2.pop(m) | 1 << m, 1 << m, m
         else:
             key = _table_key(p)
             _, new, m1, m2 = sorted([(key(new), new, m1, m2) for new, m1, m2 in r3])[i - n2]
             del failed[m1], failed[m2]
-            added = 1 << m1 | 1 << m2
-        retest, r2 = [*r2.items(), *failed.items()], {}
+            added, grown = 1 << m1 | 1 << m2, m1 | m2
+        if len(r2) <= p:  # a few states: testing them in full costs less
+            retest, r2 = [*r2.items(), *failed.items()], {}
+        else:
+            retest, r2 = _kept_r2(c, new, p, grown, r2, failed)
     t |= added
     retest += _raise_maxima(maxima, added, t)
     more, now_r2, failed = _parent_groups(new, p, retest)

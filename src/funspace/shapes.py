@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, compress
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -667,6 +667,17 @@ def no_inhibitors(ctx: RegulatorContext) -> FunctionShape:
 def state_to_string(state: int, n: int) -> str:
     """Render a state mask with component 1 leftmost; bits past n are dropped."""
     return format(state, f"0{n}b")[::-1][:n]
+
+
+def _state_text(n: int) -> Callable[[int], str]:
+    """:func:`state_to_string` for states of n components, from two
+    half-width string tables: two lookups and a join a state, for the
+    edge lines of large graphs (4,096 + 8,192 strings at n = 25)."""
+    h = n // 2
+    low = [state_to_string(x, h) for x in range(1 << h)]
+    high = [state_to_string(x, n - h) for x in range(1 << (n - h))]
+    mask = (1 << h) - 1
+    return lambda s: low[s & mask] + high[s >> h]
 
 
 def state_from_string(text: str) -> int:

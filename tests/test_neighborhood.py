@@ -633,6 +633,59 @@ def test_siblings_match_the_diagram():
                 assert set(siblings(s, via)) == want - near
 
 
+# Each sibling path that goes through tables: R3 parents (a) and their
+# children's pair drops (b), pair children (c) and children's R3 parents (d);
+# no centre at p <= 5 has both R3 parents and pair children
+TABLE_PATH_CASES = [
+    ((4, (15,)), "ab"),
+    ((5, (1, 4, 8, 18)), "ab"),
+    ((6, (17, 30, 33, 34)), "ab"),
+    ((5, (3, 5, 9, 18)), "b"),
+    ((4, (7, 11)), "cd"),
+    ((4, (1, 2, 4, 8)), "cd"),
+    ((6, (5, 43, 51)), "cd"),
+    ((4, (3, 13, 14)), "d"),
+]
+
+
+@pytest.mark.parametrize("clauses, paths", TABLE_PATH_CASES)
+def test_siblings_through_pair_steps_match_the_shape_reference(clauses, paths):
+    s = FunctionShape(*clauses)
+    ups, downs = parents(s), children(s)
+    counts = {
+        "a": sum(st.rule == PARENT_R3 for st in ups),
+        "b": sum(st.delta == 2 for up in ups for st in children(up.shape)),
+        "c": sum(st.delta == 2 for st in downs),
+        "d": sum(st.rule == PARENT_R3 for down in downs for st in parents(down.shape)),
+    }
+    assert {path for path, n in counts.items() if n} == set(paths)
+    for via in VIAS:
+        assert siblings(s, via) == _reference_siblings(s, via)
+
+
+def test_wide_siblings_match_the_shape_reference():
+    for s in (_readme_random_shape(9), _readme_random_shape(10), majority_rule(9, 3)):
+        for via in VIAS:
+            assert siblings(s, via) == _reference_siblings(s, via)
+
+
+def test_siblings_read_no_table_per_sibling(monkeypatch):
+    # each sibling's clauses come from its neighbour's tuple: the tables
+    # read are the shape's own and, through the children, one per maximal
+    # state, however many siblings there are
+    import funspace.neighborhood as nb
+
+    reads = []
+    real = nb.table_states
+    monkeypatch.setattr(nb, "table_states", lambda *args: reads.append(1) or real(*args))
+    m = majority_rule(8, 4)
+    bound = len(max_outside(m)) + 4
+    for via in VIAS:
+        reads.clear()
+        assert len(siblings(m, via)) == 3640
+        assert len(reads) <= bound < 3640 // 50
+
+
 @settings(max_examples=150, deadline=None)
 @given(hst.integers(2, 10).flatmap(shapes))
 def test_child_tables_carry_their_up_sets(s):

@@ -42,6 +42,7 @@ from funspace.shapes import (
     Signature,
     bits_of,
     clause_mask,
+    _state_text,
     clause_table,
     shape_table,
     table_states,
@@ -658,6 +659,16 @@ def test_state_strings():
         assert state_from_string(state_to_string(x, 4)) == x
     with pytest.raises(ValueError):
         state_from_string("01a")
+
+
+def test_state_text_matches_state_to_string():
+    # the half-width tables behind the stg edge lines
+    for n in range(0, 10):
+        text = _state_text(n)
+        assert [text(x) for x in range(1 << n)] == [state_to_string(x, n) for x in range(1 << n)]
+    text = _state_text(23)
+    for x in random.Random(1).sample(range(1 << 23), 500) + [0, (1 << 23) - 1]:
+        assert text(x) == state_to_string(x, 23)
 
 
 def test_shapes_are_immutable():

@@ -419,11 +419,11 @@ def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
     of A, the only states whose lower states grew, and cover iff they gain
     a clause or s holds no regulator alone in P.  Through a child
     K = C ∖ {s} ∪ R(s), the parents add a maximal state m of the shape not
-    below s (`_drop_maxima`), which absorbs the clauses of C it absorbs
-    less s and the states of R(s) above it; the cover test counts the
-    clauses per regulator (`_held`).  R3 parents' pair children, children's
-    R3 parents and the parents of pair children, all rare, go through their
-    tables.  Only the shape itself needs dropping: a parent S' of it that
+    below s (`_drop_maxima`), which absorbs the clauses of C above it (s
+    is not one: T holds s, not m) and the states of R(s) above it; the
+    cover test counts the clauses per regulator (`_held`).  R3 parents'
+    pair children, children's R3 parents and the parents of pair children,
+    all rare, go through their tables.  Only the shape itself needs dropping: a parent S' of it that
     were also a child of its parent P would lie strictly between it and P,
     so P would not cover it, and the other three cases fail the same way.
 
@@ -458,7 +458,8 @@ def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
             once |= a | b
             alone_p, akey = once & ~twice, _pack(grown)
             cls = _spliced(tuple([s for s, _ in kept]), (), grown)
-            failing = grown[:] if delta == 2 else []  # dropping an R3 state leaves the other's failed parent
+            # dropping one R3 state leaves the other's failed parent
+            failing = grown[:] if delta == 2 else []
             for s, rs in kept:
                 if rs:  # less the raises of A, which gained a lower state
                     rs = [r for r in rs if r & a != a and r & b != b]
@@ -478,38 +479,30 @@ def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
         for j in range(1, len(low)):
             low[j] |= low[j - 1]
         maxima = _maxima(t, p)
-        groups = []  # (m, U(m), the clauses m absorbs, whether the shape's parent through m covers)
-        for m, above in maxima:
-            xc = table_states(c & above, states)
-            groups.append((states[m], above, xc, _held(counts, low, xc, m)))
+        # (m, U(m), the clauses m absorbs) per maximal state
+        groups = [(states[m], above, table_states(c & above, states)) for m, above in maxima]
         drops = dict(zip(clauses, raised))
         whole = tuple(clauses)
         for _, delta, cand, u in downs:
             if delta == 2:
-                for _, _, new, v in _parent_tables(cand, u, p, _drop_maxima(dict(maxima), t ^ u, p)):
+                for _, _, new, v in _parent_tables(cand, u, p,
+                                                   _drop_maxima(dict(maxima), t ^ u, p)):
                     by_table(new, v)
                 continue
             s = (t ^ u).bit_length() - 1
             rs = drops[s]
             cls = _spliced(whole, (s,), rs)
             failed = {}
-            for m, above, xc, ok in groups:
+            for m, above, xc in groups:
                 if m & s == m:
                     continue  # m lies below s, so it is not maximal outside T∖{s}
-                if s & m == m:  # m absorbs s and R(s) and keeps what it keeps of C
-                    absorbed = [x for x in xc if x != s] + [*rs]
-                elif rs:
-                    kr = [r for r in rs if r & m != m]
-                    absorbed = xc + [r for r in rs if r & m == m]
-                    if absorbed:
-                        keep = m
-                        for r in kr:
-                            keep |= r
-                        ok = _held(counts, low, xc + [s], keep)
-                else:
-                    absorbed = xc
-                    ok = ok and _held(counts, low, xc + [s], m)
-                if not absorbed or ok:
+                absorbed, keep = xc, m
+                for r in rs:
+                    if r & m == m:
+                        absorbed = absorbed + [r]
+                    else:
+                        keep |= r
+                if not absorbed or _held(counts, low, xc + [s], keep):
                     if (key := m << 16 | s) not in found:
                         found[key] = _spliced(cls, absorbed, (m,))
                 else:
@@ -590,42 +583,6 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
     raise NotAParent(f"{upper} does not cover {lower}")
 
 
-def _kept_r2(c: int, new: int, p: int, grown: int, r2: dict[int, int], failed: dict[int, int]
-             ) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """(states to classify again, R2 states that stay R2) after an R2 or R3
-    step from clause table ``c`` to ``new`` that adds the clauses of mask
-    ``grown``: the ``failed`` states, and those of ``r2`` that lose a
-    regulator or every clause they absorb (they may turn R1).
-
-    The step keeps its new clauses, which no R2 state m absorbs (they are
-    maximal outside T, as m is), so m can lose only the regulators that the
-    dropped clauses held and no new clause holds; only those are tested, on
-    the clauses m leaves.
-    """
-    dropped, lost = c & ~new, 0
-    while dropped:
-        y = dropped.bit_length() - 1
-        dropped ^= 1 << y
-        lost |= y
-    lost &= ~grown
-    var = variable_tables(p)
-    retest, kept = [*failed.items()], {}
-    for m, above in r2.items():
-        rest, need = new & ~above, lost & ~m
-        if rest == new:
-            retest.append((m, above))
-            continue
-        while need:
-            b = need & -need
-            need ^= b
-            if not rest & var[b.bit_length() - 1]:
-                retest.append((m, above))
-                break
-        else:
-            kept[m] = above
-    return retest, kept
-
-
 def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: list[int],
                  r2: dict[int, int], failed: dict[int, int], r3: list[tuple[int, int, int]]
                  ) -> tuple[int, int, dict[int, int], dict[int, int]]:
@@ -641,10 +598,7 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     * the states the step makes maximal lie one regulator below an added
       clause (`_raise_maxima`), so they are never R1;
     * an R1 step drops no clause, so an R2 state keeps the clauses it
-      absorbs and its cover; an R2 or R3 step tests every state not R1,
-      the R2 states only on the regulators it can take from them
-      (`_kept_r2`) once there are more than p of them (fewer cost less
-      to test in full).
+      absorbs and its cover; an R2 or R3 step tests every state not R1.
 
     R1 parents by new clause are in `_table_key` order (each adds one state
     to the same table), and so are R2 parents by absorbed clauses, most
@@ -659,16 +613,13 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     else:
         if i < n2:
             _, m = sorted([(-(c & above).bit_count(), m) for m, above in r2.items()])[i - n1]
-            new, added, grown = c & ~r2.pop(m) | 1 << m, 1 << m, m
+            new, added = c & ~r2.pop(m) | 1 << m, 1 << m
         else:
             key = _table_key(p)
             _, new, m1, m2 = sorted([(key(new), new, m1, m2) for new, m1, m2 in r3])[i - n2]
             del failed[m1], failed[m2]
-            added, grown = 1 << m1 | 1 << m2, m1 | m2
-        if len(r2) <= p:  # a few states: testing them in full costs less
-            retest, r2 = [*r2.items(), *failed.items()], {}
-        else:
-            retest, r2 = _kept_r2(c, new, p, grown, r2, failed)
+            added = 1 << m1 | 1 << m2
+        retest, r2 = [*r2.items(), *failed.items()], {}
     t |= added
     retest += _raise_maxima(maxima, added, t)
     more, now_r2, failed = _parent_groups(new, p, retest)

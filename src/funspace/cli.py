@@ -17,7 +17,7 @@ from . import __version__
 from .dynamics import (
     DEFAULT_STATE_LIMIT,
     attractors,
-    shape_transition_counts,
+    path_trace,
     stg_async,
     stg_sync,
     transition_bounds,
@@ -148,14 +148,14 @@ def cmd_walk(args) -> int:
     writer = csv.writer(sys.stdout) if args.format == "csv" else None
     if writer:
         writer.writerow(["step", "shape", "true_size", "increasing", "decreasing", "total"])
-    for k, sh in enumerate(path):
-        inc, dec, _ = shape_transition_counts(sh, ctx)
+    for k, row in enumerate(path_trace(ctx, path)):
         if writer:
-            writer.writerow([k, str(sh), true_count(sh), inc, dec, inc + dec])
+            writer.writerow([k, str(row.shape), row.true_size, row.increasing,
+                             row.decreasing, row.total])
         else:
             print(
-                f"{k:3d}  {str(sh):40s} |T|={true_count(sh):4d} "
-                f"inc={inc:4d} dec={dec:4d} total={inc + dec:4d}"
+                f"{k:3d}  {str(row.shape):40s} |T|={row.true_size:4d} "
+                f"inc={row.increasing:4d} dec={row.decreasing:4d} total={row.total:4d}"
             )
     return 0
 

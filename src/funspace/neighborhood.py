@@ -29,19 +29,23 @@ single addition of m' would already cover whenever the pair does, so the
 pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
-`_child_tables`).  Every candidate is one record (rule, delta, clause table,
-up-set): a step moves T by delta states, so no up-set needs a closure.
-Each table is read once into its clause tuple, and records sort on (rule,
-clause count, clauses), `NeighborStep.sort_key`'s order.  The rule test
-on tables is written once (`_parent_groups`: R1, R2, or failing alone,
-R3's candidates) and serves `parents` and `random_path`.  A walk
-carries each maximal state's rule along the path and tests again only
-the states whose rule a step can change (`_take_parent`); its clause list
+`_child_records`).  Every neighbour is one record (rule, delta, clause
+tuple, up-set): a step moves T by delta states, so no up-set needs a
+closure, and a one-state step's clauses are cut from the shape's own
+tuple.  An R1 parent adds m; an R2 parent adds m and drops the clauses
+above it, each one regulator above m (`_absorbed`); a single child drops
+s and gains R(s) (`_single_drops`).  Only R3 parents and pair children,
+rare, read their clause tables.  Records sort on (rule, clause count,
+clauses), `NeighborStep.sort_key`'s order.  The rule test on tables is
+written once (`_parent_groups`: R1, R2, or failing alone, R3's
+candidates) and serves `parents` and `random_path`.  A walk carries
+each maximal state's rule along the path and tests again only the
+states whose rule a step can change (`_take_parent`); its clause list
 moves by the step's delta, and only its pick becomes a shape, which keeps
 its up-set for the counts along the path (`shapes.up_table`).  Siblings
 move by deltas too (`_siblings`): each is the shape's up-set with a few
 states added and removed, deduplicated on those states, its clauses cut
-from its neighbour's tuple, and its cover tested on clause counts per
+from its neighbour's record, and its cover tested on clause counts per
 regulator (`_held`), so no sibling reads a table.
 
 Two checks share no code with the rules.  `build_hasse` is the oracle:
@@ -61,7 +65,7 @@ from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .errors import (
     ArityMismatch,
@@ -139,9 +143,12 @@ def max_outside(shape: FunctionShape) -> tuple[int, ...]:
 def independent(sigma: Iterable[int] | int, shape: FunctionShape) -> bool:
     """Is the index set comparable to no clause of the shape?
 
-    Accepts 1-based indices or a prepacked bitmask.
+    Accepts 1-based indices or a prepacked bitmask in 1..2^p − 1.
     """
-    m = sigma if isinstance(sigma, int) else clause_mask(sigma, shape.arity)
+    p = shape.arity
+    if isinstance(sigma, int) and not 0 < sigma < 1 << p:
+        raise InvalidArgument(f"index mask {sigma:#x} outside 0x1..{(1 << p) - 1:#x}")
+    m = sigma if isinstance(sigma, int) else clause_mask(sigma, p)
     if m == 0:
         return False
     return all(m & c not in (m, c) for c in shape.clauses)
@@ -159,12 +166,6 @@ def _up_sets(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                       for b in range(1 << len(ks))])
 
     return ups(range(min(p, 8))), ups(range(8, max(p, 8)))
-
-
-def _above(m: int, p: int) -> int:
-    """U(m), the states ⊇ m: two lookups in `_up_sets`."""
-    low, high = _up_sets(p)
-    return low[m & 255] & high[m >> 8]
 
 
 def _maxima(t: int, p: int) -> list[tuple[int, int]]:
@@ -204,22 +205,12 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> list[tuple[int,
     return fresh
 
 
-def _drop_maxima(maxima: dict[int, int], dropped: int, p: int) -> list[tuple[int, int]]:
-    """(m, U(m)) over M(T ∖ ``dropped``) from ``maxima``, {m: U(m)} over
-    M(T), along a child step: ``dropped`` holds one or two clauses s of T.
-
-    The downward twin of `_raise_maxima`: M(T∖{s}) = M(T) ∖ {m ⊂ s} ∪ {s}.
-    An m of M(T) under s lies one regulator below it (m ∪ {j} for j in s∖m
-    is in T, and nothing in T lies under s), so m leaves as s joins: one
-    mask test per maximal state and one U(s), no pass over the table.
-    """
-    out = list(maxima.items())
-    while dropped:
-        s = dropped.bit_length() - 1
-        dropped ^= 1 << s
-        out = [(m, above) for m, above in out if m & s != m]
-        out.append((s, _above(s, p)))
-    return out
+def _absorbed(m: int, p: int, clauses: Container[int]) -> list[int]:
+    """The clauses above m, a state maximal outside T, ascending, given
+    the shape's ``clauses`` as a set or dict.  Each is m and one regulator
+    more: every state above m lies in T, so a clause further above would
+    have a lower state in T.  At most p lookups, no pass over a table."""
+    return [x for k in range(p) if (x := m | 1 << k) != m and x in clauses]
 
 
 def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
@@ -251,39 +242,42 @@ def _pairs(c: int, p: int, failed: dict[int, int]) -> list[tuple[int, int, int]]
             if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p)]
 
 
-def _parent_tables(c: int, t: int, p: int, maxima: Iterable[tuple[int, int]] | None = None
-                   ) -> Iterator[tuple[str, int, int, int]]:
-    """(rule, delta, clause table, up-set) of every parent of the shape with clause
-    table ``c`` and up-set ``t``: `_parent_groups` on ``maxima``, M(S) from
-    scratch unless given, R1 and R2 in its order, then R3 pairs."""
+def _spliced(cls: tuple[int, ...], gone: Iterable[int], new: Iterable[int]) -> tuple[int, ...]:
+    """The ascending clause tuple ``cls`` less the clauses ``gone`` plus the
+    states ``new``, in any order: a neighbour's clauses from the shape's,
+    or a sibling's from its neighbour's."""
+    out = list(cls)
+    for x in gone:
+        del out[bisect_left(out, x)]
+    for x in new:
+        insort(out, x)
+    return tuple(out)
+
+
+def _parent_records(c: int, cls: tuple[int, ...], t: int, p: int,
+                    maxima: Iterable[tuple[int, int]] | None = None
+                    ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
+    """(rule, delta, clause tuple, up-set) of every parent of the shape with
+    clause table ``c``, clause tuple ``cls`` and up-set ``t``:
+    `_parent_groups` on ``maxima``, M(S) from scratch unless given.  R1
+    and R2 come in its order, their tuples cut from ``cls``; then R3
+    pairs, read off their tables."""
     r1, r2, failed = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
     for m in r1:
-        yield PARENT_R1, 1, c | 1 << m, t | 1 << m
-    for m, above in r2.items():
-        yield PARENT_R2, 1, c & ~above | 1 << m, t | 1 << m
-    for new, m1, m2 in _pairs(c, p, failed):
-        yield PARENT_R3, 2, new, t | 1 << m1 | 1 << m2
-
-
-# per byte, bits complemented and reversed (its own inverse): held low states first
-_FLIP = bytes(int(f"{~b & 255:08b}"[::-1], 2) for b in range(256))
-
-
-@cache
-def _table_key(p: int):
-    """The order of ``FunctionShape.sort_key`` on clause tables of arity p:
-    clause count, then the table holding the lowest differing state first."""
-    n = max(1, 1 << p >> 3)
-    return lambda table: (table.bit_count(), table.to_bytes(n, "little").translate(_FLIP))
-
-
-def _steps(found: Iterable[tuple[str, int, int, int]], p: int) -> tuple[NeighborStep, ...]:
-    """Neighbour records as steps: each table is read once into its clause
-    tuple, and the steps sort on (rule, clause count, clauses), which is
-    ``NeighborStep.sort_key``'s order."""
+        yield PARENT_R1, 1, _spliced(cls, (), (m,)), t | 1 << m
+    held = set(cls)
+    for m in r2:
+        yield PARENT_R2, 1, _spliced(cls, _absorbed(m, p, held), (m,)), t | 1 << m
     states = _states(p)
-    ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, table, _ in found
-                      for cls in [tuple(table_states(table, states))]])
+    for new, m1, m2 in _pairs(c, p, failed):
+        yield PARENT_R3, 2, tuple(table_states(new, states)), t | 1 << m1 | 1 << m2
+
+
+def _steps(found: Iterable[tuple[str, int, tuple[int, ...], int]], p: int
+           ) -> tuple[NeighborStep, ...]:
+    """Neighbour records as steps, sorted on (rule, clause count, clauses),
+    which is ``NeighborStep.sort_key``'s order."""
+    ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, cls, _ in found])
     return tuple([NeighborStep(FunctionShape._unchecked(p, cls), rule, delta)
                   for rule, _, cls, delta in ordered])
 
@@ -292,14 +286,14 @@ def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from above, tagged by the rule that built them."""
     p = shape.arity
     c = clause_table(shape)
-    return _steps(_parent_tables(c, up_closure(c, p), p), p)
+    return _steps(_parent_records(c, shape.clauses, up_closure(c, p), p), p)
 
 
-def _single_drops(c: int, t: int, p: int) -> tuple[list[int], list[tuple[int, ...]], int]:
-    """The clauses of the shape with clause table ``c`` and up-set ``t``,
-    ascending; per clause s, R(s), the one-bit raises of s whose only lower
-    state in T is s, ascending: the clauses T∖{s} gains; and the regulators
-    that one clause alone holds.
+def _single_drops(cls: tuple[int, ...], t: int, p: int) -> tuple[list[tuple[int, ...]], int]:
+    """Per clause s of the shape with ascending clause tuple ``cls`` and
+    up-set ``t``, R(s), the one-bit raises of s whose only lower state in T
+    is s, ascending: the clauses T∖{s} gains; and the regulators that one
+    clause alone holds.
 
     One pass over the regulators finds the states of T with at least two
     one-bit-lower states in T; R(s) is the raises of s not among them.  Such
@@ -313,11 +307,10 @@ def _single_drops(c: int, t: int, p: int) -> tuple[list[int], list[tuple[int, ..
         one |= lower
     two_bytes = two.to_bytes((1 << p >> 3) + 1, "little")  # bit r in byte r >> 3
     states = _states(p)
-    clauses = table_states(c, states)
     once = twice = 0  # regulators in at least one / two clauses
     full = (1 << p) - 1
     raised = []
-    for s in clauses:
+    for s in cls:
         twice |= once & s
         once |= s
         new = []
@@ -328,12 +321,15 @@ def _single_drops(c: int, t: int, p: int) -> tuple[list[int], list[tuple[int, ..
             if not two_bytes[(r := s | low) >> 3] >> (r & 7) & 1:
                 new.append(states[r])
         raised.append(tuple(new))
-    return clauses, raised, once & ~twice
+    return raised, once & ~twice
 
 
-def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]:
-    """(CHILD, delta, clause table, up-set) of every child of the shape with clause
-    table ``c`` and up-set ``t``: single drops by ascending clause, then pairs.
+def _child_records(cls: tuple[int, ...], t: int, p: int,
+                   drops: tuple[list[tuple[int, ...]], int] | None = None
+                   ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
+    """(CHILD, delta, clause tuple, up-set) of every child of the shape with
+    clause tuple ``cls`` and up-set ``t``: single drops by ascending clause,
+    then pairs.  ``drops`` is `_single_drops`, computed unless given.
 
     Each candidate is a cover by construction.  Dropping a clause s (a
     minimal element of T) leaves the up-set T∖{s}, one state smaller, so
@@ -341,30 +337,28 @@ def _child_tables(c: int, t: int, p: int) -> Iterator[tuple[str, int, int, int]]
     that each fail alone, the only sets strictly between T∖{s1,s2} and T
     are T∖{s1} and T∖{s2}, both invalid, so a valid T∖{s1,s2} is a child
     too.  Its clauses are the minimal elements left; an empty rest fails the cover.
-    Single drops are local: the clauses of T∖{s} are C less s plus R(s)
-    (`_single_drops`).  Pairs, rare, re-minimize their up-set (`minimal_elements`).
+    Single drops are local: the clauses of T∖{s} are ``cls`` less s plus
+    R(s).  Pairs, rare, re-minimize their up-set (`minimal_elements`) and
+    read the table.
     """
-    clauses, raised, alone = _single_drops(c, t, p)
+    raised, alone = _single_drops(cls, t, p) if drops is None else drops
     failing: list[int] = []
-    for s, new in zip(clauses, raised):
+    for s, new in zip(cls, raised):
         if new or not s & alone:
-            cand = c ^ 1 << s
-            for r in new:
-                cand |= 1 << r
-            yield CHILD, 1, cand, t ^ 1 << s
+            yield CHILD, 1, _spliced(cls, (s,), new), t ^ 1 << s
         else:
             failing.append(s)
+    states = _states(p)
     for s1, s2 in combinations(failing, 2):
         if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            yield CHILD, 2, cand, u
+            yield CHILD, 2, tuple(table_states(cand, states)), u
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from below: the inverse removals of
-    `_child_tables`, each table a shape once they are sorted."""
+    `_child_records`, each a shape once they are sorted."""
     p = shape.arity
-    c = clause_table(shape)
-    return _steps(_child_tables(c, up_closure(c, p), p), p)
+    return _steps(_child_records(shape.clauses, up_table(shape), p), p)
 
 
 def _held(counts: list[int], low: list[int], gone: list[int], keep: int) -> bool:
@@ -394,104 +388,94 @@ def _pack(states: Iterable[int]) -> int:
     return key
 
 
-def _spliced(cls: tuple[int, ...], gone: Iterable[int], new: Iterable[int]) -> tuple[int, ...]:
-    """The ascending clause tuple ``cls`` less the clauses ``gone`` plus the
-    states ``new``, in any order: a sibling's clauses from its neighbour's."""
-    out = list(cls)
-    for x in gone:
-        del out[bisect_left(out, x)]
-    for x in new:
-        insort(out, x)
-    return tuple(out)
-
-
-def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
-              ) -> tuple[FunctionShape, ...]:
-    """The siblings of the shape with clause table ``c`` and up-set ``t``
-    through its parent records ``ups`` and child records ``downs``; only
-    those ``via`` names are read, so generators for the others never run.
+def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
+              drops: tuple[list[tuple[int, ...]], int], maxima: list[tuple[int, int]],
+              ups: Iterable, downs: Iterable) -> tuple[FunctionShape, ...]:
+    """The siblings of the shape with clause tuple ``cls``, up-set ``t``,
+    single drops ``drops`` (`_single_drops`) and maximal states ``maxima``
+    (`_maxima`), through its parent records ``ups`` and child records
+    ``downs``; only those ``via`` names are read, so generators for the
+    others never run.
 
     Every sibling is a delta of the shape: its up-set is T ∪ A ∖ R with one
     or two added states A and one or two removed states R, and its clauses
-    differ from the shape's in a few states.  Through a parent
+    differ from its neighbour's in a few states.  Through a parent
     P = C ∖ X ∪ A (X the clauses A absorbs), the children "P less clause s"
-    gain R(s) (`_single_drops`, once for the shape) less the one-bit raises
-    of A, the only states whose lower states grew, and cover iff they gain
-    a clause or s holds no regulator alone in P.  Through a child
-    K = C ∖ {s} ∪ R(s), the parents add a maximal state m of the shape not
-    below s (`_drop_maxima`), which absorbs the clauses of C above it (s
-    is not one: T holds s, not m) and the states of R(s) above it; the
-    cover test counts the clauses per regulator (`_held`).  R3 parents'
-    pair children, children's R3 parents and the parents of pair children,
-    all rare, go through their tables.  Only the shape itself needs dropping: a parent S' of it that
-    were also a child of its parent P would lie strictly between it and P,
-    so P would not cover it, and the other three cases fail the same way.
+    gain R(s) less the one-bit raises of A, the only states whose lower
+    states grew, and cover iff they gain a clause or s holds no regulator
+    alone in P.  Through a child K = C ∖ {s} ∪ R(s), the parents add a
+    maximal state m of the shape not below s (M(T∖{s}) is M(T) less the
+    states below s, plus s, which would give back the shape), which absorbs
+    the clauses of C above it (`_absorbed`; s is not one: T holds s, not m)
+    and the states of R(s) above it; the cover test counts the clauses per
+    regulator (`_held`).  R3 parents' pair children, children's R3 parents
+    and the parents of pair children, all rare, go through their tables.
+    Only the shape itself needs dropping: a parent S' of it that were also
+    a child of its parent P would lie strictly between it and P, so P would
+    not cover it, and the other three cases fail the same way.
 
     Siblings are deduplicated on (A, R) (`_pack`), and each new one's
-    clause tuple is cut from its neighbour's (`_spliced`).  They sort on
-    (clause count, clauses), ``FunctionShape.sort_key``'s order.
+    clause tuple is cut from its neighbour's record (`_spliced`).  They
+    sort on (clause count, clauses), ``FunctionShape.sort_key``'s order.
     """
-    clauses, raised, _ = _single_drops(c, t, p)
+    raised, _ = drops
     states = _states(p)
     found: dict[int, tuple[int, ...]] = {}
 
-    def by_table(new: int, u: int) -> None:
+    def fresh(u: int) -> int:
+        """The key of a sibling through a pair step, with up-set ``u``, read
+        off the tables; 0 for the shape itself or a sibling found before."""
         changed = table_states(t ^ u)
         key = _pack([x for x in changed if not t >> x & 1] + [x for x in changed if t >> x & 1])
-        if key and key not in found:
-            found[key] = tuple(table_states(new, states))
+        return 0 if key in found else key
 
     if via != "children":
-        for _, delta, new, u in ups:
+        for _, delta, up, u in ups:
             added = u ^ t
             a = added.bit_length() - 1
             b = a if delta == 1 else (added ^ 1 << a).bit_length() - 1
-            grown = [states[a]] if delta == 1 else [states[b], states[a]]
             kept = []
             once = twice = 0
-            for s, rs in zip(clauses, raised):
+            for s, rs in zip(cls, raised):
                 if s & a != a and s & b != b:
                     kept.append((s, rs))
                     twice |= once & s
                     once |= s
             twice |= once & a | (once | a) & b
             once |= a | b
-            alone_p, akey = once & ~twice, _pack(grown)
-            cls = _spliced(tuple([s for s, _ in kept]), (), grown)
+            alone_p, akey = once & ~twice, a if delta == 1 else b << 16 | a
             # dropping one R3 state leaves the other's failed parent
-            failing = grown[:] if delta == 2 else []
+            failing = [b, a] if delta == 2 else []
             for s, rs in kept:
                 if rs:  # less the raises of A, which gained a lower state
                     rs = [r for r in rs if r & a != a and r & b != b]
                 if rs or not s & alone_p:
                     if (key := akey << 16 | s) not in found:
-                        found[key] = _spliced(cls, (s,), rs)
+                        found[key] = _spliced(up, (s,), rs)
                 else:
                     failing.append(s)
             for s1, s2 in combinations(failing, 2):
-                if _covering(cand := minimal_elements(v := u ^ 1 << s1 ^ 1 << s2, p), p):
-                    by_table(cand, v)
+                if _covering(cand := minimal_elements(v := u ^ 1 << s1 ^ 1 << s2, p), p) \
+                        and (key := fresh(v)):
+                    found[key] = tuple(table_states(cand, states))
     if via != "parents":
-        counts = [sum([s >> k & 1 for s in clauses]) for k in range(p)]
-        low = [0] * (len(clauses) + 1)  # by count: the regulators in at most that many clauses
+        counts = [sum([s >> k & 1 for s in cls]) for k in range(p)]
+        low = [0] * (len(cls) + 1)  # by count: the regulators in at most that many clauses
         for k, m in enumerate(counts):
             low[m] |= 1 << k
         for j in range(1, len(low)):
             low[j] |= low[j - 1]
-        maxima = _maxima(t, p)
+        by_clause = dict(zip(cls, raised))
         # (m, U(m), the clauses m absorbs) per maximal state
-        groups = [(states[m], above, table_states(c & above, states)) for m, above in maxima]
-        drops = dict(zip(clauses, raised))
-        whole = tuple(clauses)
-        for _, delta, cand, u in downs:
+        groups = [(states[m], above, _absorbed(m, p, by_clause)) for m, above in maxima]
+        for _, delta, down, u in downs:
             if delta == 2:
-                for _, _, new, v in _parent_tables(cand, u, p,
-                                                   _drop_maxima(dict(maxima), t ^ u, p)):
-                    by_table(new, v)
+                for _, _, up, v in _parent_records(minimal_elements(u, p), down, u, p):
+                    if key := fresh(v):
+                        found[key] = up
                 continue
             s = (t ^ u).bit_length() - 1
-            rs = drops[s]
-            cls = _spliced(whole, (s,), rs)
+            rs = by_clause[s]
             failed = {}
             for m, above, xc in groups:
                 if m & s == m:
@@ -504,24 +488,30 @@ def _siblings(c: int, t: int, p: int, via: str, ups: Iterable, downs: Iterable
                         keep |= r
                 if not absorbed or _held(counts, low, xc + [s], keep):
                     if (key := m << 16 | s) not in found:
-                        found[key] = _spliced(cls, absorbed, (m,))
+                        found[key] = _spliced(down, absorbed, (m,))
                 else:
                     failed[m] = above
             if len(failed) > 1:
-                for new, m1, m2 in _pairs(cand, p, failed):
-                    by_table(new, u | 1 << m1 | 1 << m2)
+                for new, m1, m2 in _pairs(minimal_elements(u, p), p, failed):
+                    if key := fresh(u | 1 << m1 | 1 << m2):
+                        found[key] = tuple(table_states(new, states))
     ordered = sorted(found.values())
     ordered.sort(key=len)  # stable: by clause count, then clauses
     return tuple([FunctionShape._unchecked(p, cls) for cls in ordered])
 
 
-def _centre(shape: FunctionShape, via: str) -> tuple[int, int, int]:
-    """(p, clause table, up-set) of a slice's centre, once ``via`` is valid."""
+def _centre(shape: FunctionShape, via: str) -> tuple:
+    """(p, up-set, `_single_drops`, `_maxima`, parent records, child
+    records) of a slice's centre, once ``via`` is valid: the records, as
+    generators, and the sibling search share one of each pass."""
     if via not in ("parents", "children", "both"):
         raise InvalidArgument("via must be 'parents', 'children' or 'both'")
-    p = shape.arity
+    p, cls = shape.arity, shape.clauses
     c = clause_table(shape)
-    return p, c, up_closure(c, p)
+    t = up_closure(c, p)
+    drops, maxima = _single_drops(cls, t, p), _maxima(t, p)
+    return p, t, drops, maxima, _parent_records(c, cls, t, p, maxima), \
+        _child_records(cls, t, p, drops)
 
 
 def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape, ...]:
@@ -530,11 +520,11 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     ``via``: 'parents' (default) — other children of the shape's parents;
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.  Each
-    sibling is built as a delta of the shape's clauses (`_siblings`), from
-    only the neighbour records ``via`` reads.
+    sibling is built as a delta of its neighbour's clauses (`_siblings`),
+    from only the neighbour records ``via`` reads.
     """
-    p, c, t = _centre(shape, via)
-    return _siblings(c, t, p, via, _parent_tables(c, t, p), _child_tables(c, t, p))
+    p, t, drops, maxima, ups, downs = _centre(shape, via)
+    return _siblings(shape.clauses, t, p, via, drops, maxima, ups, downs)
 
 
 @dataclass(frozen=True)
@@ -550,10 +540,10 @@ class HasseSlice:
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
     """``shape``'s parents, children and siblings, from one build of its
     parent and child records (`_siblings` reads those ``sibling_via`` names)."""
-    p, c, t = _centre(shape, sibling_via)
-    ups, downs = list(_parent_tables(c, t, p)), list(_child_tables(c, t, p))
+    p, t, drops, maxima, ups, downs = _centre(shape, sibling_via)
+    ups, downs = list(ups), list(downs)
     return HasseSlice(shape, _steps(ups, p), _steps(downs, p),
-                      _siblings(c, t, p, sibling_via, ups, downs))
+                      _siblings(shape.clauses, t, p, sibling_via, drops, maxima, ups, downs))
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
@@ -600,11 +590,13 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     * an R1 step drops no clause, so an R2 state keeps the clauses it
       absorbs and its cover; an R2 or R3 step tests every state not R1.
 
-    R1 parents by new clause are in `_table_key` order (each adds one state
-    to the same table), and so are R2 parents by absorbed clauses, most
-    first, then new clause: an absorbed clause holds the new one, so it is
-    a higher state, and between two parents of one size the lowest state
-    that differs is the lower new clause.  Only R3 pairs sort their tables.
+    R1 parents by new clause are in the order of ``parents``, clause count
+    and then clause tuple (each adds one clause to the same tuple), and so
+    are R2 parents by absorbed clauses, most first, then new clause, and R3
+    parents by clause count, then lower and higher new clause: a clause
+    one parent absorbs and the other keeps lies above a new clause of the
+    first that the second lacks, so between two parents of one size the
+    lowest state that differs is a new clause.  No parent's table is read.
     """
     n1, n2 = len(r1), len(r1) + len(r2)
     if i < n1:
@@ -615,8 +607,8 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
             _, m = sorted([(-(c & above).bit_count(), m) for m, above in r2.items()])[i - n1]
             new, added = c & ~r2.pop(m) | 1 << m, 1 << m
         else:
-            key = _table_key(p)
-            _, new, m1, m2 = sorted([(key(new), new, m1, m2) for new, m1, m2 in r3])[i - n2]
+            _, m1, m2, new = sorted([(new.bit_count(), *sorted((m1, m2)), new)
+                                     for new, m1, m2 in r3])[i - n2]
             del failed[m1], failed[m2]
             added = 1 << m1 | 1 << m2
         retest, r2 = [*r2.items(), *failed.items()], {}
@@ -634,8 +626,8 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     """Uniform-upward random walk from the bottom shape to the top one.
 
     At each step one parent is chosen uniformly from the parent records in
-    the order ``parents`` sorts them, by rule and `_table_key`; only the
-    pick becomes a shape.  The walk carries M(S), each state's up-set U(m)
+    the order ``parents`` sorts them, by rule, clause count and clauses;
+    only the pick becomes a shape.  The walk carries M(S), each state's up-set U(m)
     and its rule from step to step (`_take_parent`), and the clause list
     moves by the step's delta: an R1 step inserts one clause, an R2 or R3
     step drops the clauses it absorbs and inserts its one or two.

@@ -45,7 +45,7 @@ from .errors import (
 
 #: Largest supported regulator count for shape algebra.  Neighbour tables
 #: have 2^p bits: at 16 `max_outside` takes 0.07 s, but neighbour lists are
-#: bound by their size (`children(majority_rule(16, 8))`: 14 s, 1.3 GB).
+#: bound by their size (`children(majority_rule(16, 8))`: 3.4 s, 1.3 GB).
 MAX_ARITY = 16
 
 POSITIVE = 1

@@ -20,6 +20,7 @@ from funspace import (
     enumerate_all,
     evaluate,
     hasse_slice,
+    independent,
     inf_shape,
     majority_rule,
     make_shape,
@@ -46,15 +47,12 @@ from funspace.neighborhood import (
     PARENT_R1,
     PARENT_R2,
     PARENT_R3,
-    NeighborStep,
-    _child_tables,
-    _drop_maxima,
+    _child_records,
     _maxima,
     _pairs,
     _parent_groups,
-    _parent_tables,
+    _parent_records,
     _raise_maxima,
-    _table_key,
     _take_parent,
 )
 from funspace.shapes import (
@@ -504,39 +502,26 @@ def test_walk_shapes_count_like_fresh_shapes(p):
             assert vars(fresh) == {"arity": p, "clauses": s.clauses}  # readers store nothing
 
 
-@hst.composite
-def _ranked_shapes(draw):
-    """Distinct shapes of one arity, each with a rule; images of each shape
-    under regulator permutations share its clause count."""
-    p = draw(hst.integers(2, 12))
-    found = set()
-    for shape in draw(hst.lists(shapes(p), min_size=1, max_size=4)):
-        for perm in draw(hst.lists(hst.permutations(range(p)), max_size=4)):
-            found.add(FunctionShape(p, tuple(sorted(
-                sum(1 << perm[j] for j in range(p) if c >> j & 1) for c in shape.clauses))))
-        found.add(shape)
-    rules = hst.sampled_from((PARENT_R1, PARENT_R2, PARENT_R3))
-    return [(draw(rules), s) for s in sorted(found, key=FunctionShape.sort_key)]
-
-
-def _every_ranked_shape(p):
-    return [(r, s) for r in (PARENT_R1, PARENT_R2, PARENT_R3, CHILD) for s in enumerate_all(p)]
-
-
-# every shape of p = 1..3, whose 2, 4 or 8-state tables are narrower than a byte
-@example(_every_ranked_shape(1), random.Random(1))
-@example(_every_ranked_shape(2), random.Random(2))
-@example(_every_ranked_shape(3), random.Random(3))
-@settings(max_examples=200, deadline=None)
-@given(_ranked_shapes(), hst.randoms())
-def test_table_order_is_the_sort_key_order(ranked, rnd):
-    rnd.shuffle(ranked)
-    want = sorted(ranked, key=lambda rs: NeighborStep(rs[1], rs[0], 1).sort_key())
-    by_table = {clause_table(s): s for _, s in ranked}
-    key = _table_key(ranked[0][1].arity)
-    tables = [(r, clause_table(s)) for r, s in ranked]
-    got = sorted([(r, key(t), t) for r, t in tables])
-    assert [(r, by_table[t]) for r, _, t in got] == want
+def test_independent_reads_index_sets_and_masks():
+    s = shp("{{1,2},{2,3}}", 3)
+    assert independent([1, 3], s) and independent(0b101, s)
+    # inside a clause, holding one, a clause itself, or empty
+    for sigma in ([1], [2], [1, 2, 3], [2, 3], []):
+        assert not independent(sigma, s)
+    for p in (1, 2, 3, 4):
+        for s in enumerate_all(p):
+            sets = [set(c) for c in s.index_sets()]
+            r1 = {st.shape.clauses for st in parents(s) if st.rule == PARENT_R1}
+            for m in range(1, 1 << p):
+                indices = [k + 1 for k in range(p) if m >> k & 1]
+                want = not any(c <= set(indices) or set(indices) <= c for c in sets)
+                assert independent(m, s) == independent(indices, s) == want
+                # an independent maximal state outside T is an R1 parent's new clause
+                if m in max_outside(s):
+                    assert want == (tuple(sorted(s.clauses + (m,))) in r1)
+    for bad in (0, 1 << 3, -1):
+        with pytest.raises(InvalidArgument):
+            independent(bad, sup_shape(3))
 
 
 def test_random_path_seeds_differ():
@@ -574,6 +559,13 @@ def test_siblings_match_the_shape_reference(s):
             s, parents(s), children(s), want)
 
 
+def _records(cls, t, p):
+    """The parent and child records of the shape with clause tuple ``cls``
+    and up-set ``t``, each built from scratch."""
+    return (list(_parent_records(minimal_elements(t, p), cls, t, p)),
+            list(_child_records(cls, t, p)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(hst.integers(2, 8).flatmap(shapes))
 def test_no_neighbour_is_a_neighbours_neighbour(s):
@@ -581,43 +573,51 @@ def test_no_neighbour_is_a_neighbours_neighbour(s):
     # of s among its parents' children or children's parents would lie
     # strictly between s and one of its covers
     p = s.arity
-    c = clause_table(s)
-    t = up_closure(c, p)
-    ups = list(_parent_tables(c, t, p))
-    downs = list(_child_tables(c, t, p))
-    near = {table for _, _, table, _ in ups + downs}
-    for _, _, new, u in ups:
-        assert near.isdisjoint(table for _, _, table, _ in _child_tables(new, u, p))
-    for _, _, cand, u in downs:
-        assert near.isdisjoint(table for _, _, table, _ in _parent_tables(cand, u, p))
+    ups, downs = _records(s.clauses, up_closure(clause_table(s), p), p)
+    near = {cls for _, _, cls, _ in ups + downs}
+    for _, _, cls, u in ups:
+        assert near.isdisjoint(x for _, _, x, _ in _records(cls, u, p)[1])
+    for _, _, cls, u in downs:
+        assert near.isdisjoint(x for _, _, x, _ in _records(cls, u, p)[0])
 
 
 def test_siblings_build_only_the_records_via_reads(monkeypatch):
     # siblings through the parents never build the shape's own child
     # records, nor through the children its parent records; a slice
-    # builds both whatever its siblings read
+    # builds both whatever its siblings read, and either reads the
+    # shape's single drops and maximal states once
     import funspace.neighborhood as nb
 
     s = shp("{{1},{2,3},{2,4}}", 4)
-    c = clause_table(s)
+    c, t = clause_table(s), up_closure(clause_table(s), 4)
     want = {via: siblings(s, via) for via in VIAS}
     ups, downs = parents(s), children(s)
-    built = []
-    for name in ("_parent_tables", "_child_tables"):
-        def counting(cc, t, p, *maxima, real=getattr(nb, name), name=name):
-            if cc == c:
+    built, passes = [], []
+    for name, own in (("_parent_records", c), ("_child_records", s.clauses)):
+        def counting(first, *args, real=getattr(nb, name), name=name, own=own):
+            if first == own:
                 built.append(name)
-            yield from real(cc, t, p, *maxima)
+            yield from real(first, *args)
         monkeypatch.setattr(nb, name, counting)
-    for via, reads in (("parents", ["_parent_tables"]), ("children", ["_child_tables"]),
-                       ("both", ["_parent_tables", "_child_tables"])):
+    for name, at in (("_single_drops", 1), ("_maxima", 0)):
+        def once(*args, real=getattr(nb, name), name=name, at=at):
+            if args[at] == t:
+                passes.append(name)
+            return real(*args)
+        monkeypatch.setattr(nb, name, once)
+    for via, reads in (("parents", ["_parent_records"]), ("children", ["_child_records"]),
+                       ("both", ["_parent_records", "_child_records"])):
         built.clear()
+        passes.clear()
         assert siblings(s, via) == want[via]
         assert built == reads
+        assert sorted(passes) == ["_maxima", "_single_drops"]
         built.clear()
+        passes.clear()
         sl = hasse_slice(s, via)
         assert (sl.parents, sl.children, sl.siblings) == (ups, downs, want[via])
-        assert built == ["_parent_tables", "_child_tables"]
+        assert built == ["_parent_records", "_child_records"]
+        assert sorted(passes) == ["_maxima", "_single_drops"]
 
 
 def test_siblings_match_the_diagram():
@@ -670,56 +670,77 @@ def test_wide_siblings_match_the_shape_reference():
 
 
 def test_siblings_read_no_table_per_sibling(monkeypatch):
-    # each sibling's clauses come from its neighbour's tuple: the tables
-    # read are the shape's own and, through the children, one per maximal
-    # state, however many siblings there are
+    # each neighbour's clauses come from the shape's tuple, and each
+    # sibling's from its neighbour's: the one table read is M(S)'s, however
+    # many neighbours and siblings there are
     import funspace.neighborhood as nb
 
     reads = []
     real = nb.table_states
     monkeypatch.setattr(nb, "table_states", lambda *args: reads.append(1) or real(*args))
     m = majority_rule(8, 4)
-    bound = len(max_outside(m)) + 4
-    for via in VIAS:
+    for call, found in ((parents, 56), (children, 70)) + tuple(
+            (lambda s, via=via: siblings(s, via), 3640) for via in VIAS):
         reads.clear()
-        assert len(siblings(m, via)) == 3640
-        assert len(reads) <= bound < 3640 // 50
+        assert len(call(m)) == found
+        assert len(reads) <= 1
 
 
+def _table_path_examples(test):
+    """Every `TABLE_PATH_CASES` centre as an example: R3 parents and pair
+    children, the records read off their tables."""
+    for clauses, _ in TABLE_PATH_CASES:
+        test = example(FunctionShape(*clauses))(test)
+    return test
+
+
+def _check_records(found, t, p):
+    """Each record's clause tuple is the minimal elements of its up-set,
+    and its delta the number of states that up-set differs from T in."""
+    for _, delta, cls, u in found:
+        assert cls == tuple(table_states(minimal_elements(u, p)))
+        assert u == up_closure(minimal_elements(u, p), p)
+        assert (t ^ u).bit_count() == delta
+
+
+@_table_path_examples
 @settings(max_examples=150, deadline=None)
-@given(hst.integers(2, 10).flatmap(shapes))
+@given(hst.integers(2, 12).flatmap(shapes))
 def test_child_tables_carry_their_up_sets(s):
     p = s.arity
-    c = clause_table(s)
-    t = up_closure(c, p)
-    found = list(_child_tables(c, t, p))
-    assert sorted((rule, delta, cand) for rule, delta, cand, _ in found) == sorted(
-        (st.rule, st.delta, clause_table(st.shape)) for st in children(s))
-    for _, delta, cand, u in found:
-        assert u == up_closure(cand, p)
-        assert u & t == u and (t ^ u).bit_count() == delta
+    t = up_closure(clause_table(s), p)
+    found = list(_child_records(s.clauses, t, p))
+    assert sorted((rule, delta, cls) for rule, delta, cls, _ in found) == sorted(
+        (st.rule, st.delta, st.shape.clauses) for st in children(s))
+    _check_records(found, t, p)
+    assert all(u & t == u for _, _, _, u in found)
 
 
+@_table_path_examples
 @settings(max_examples=150, deadline=None)
-@given(hst.integers(2, 10).flatmap(shapes))
+@given(hst.integers(2, 12).flatmap(shapes))
 def test_parent_tables_carry_their_up_sets(s):
     p = s.arity
     c = clause_table(s)
     t = up_closure(c, p)
-    found = list(_parent_tables(c, t, p))
-    assert sorted((rule, delta, new) for rule, delta, new, _ in found) == sorted(
-        (st.rule, st.delta, clause_table(st.shape)) for st in parents(s))
-    for _, delta, new, u in found:
-        assert u == up_closure(new, p)
-        assert u & t == t and (u ^ t).bit_count() == delta
+    found = list(_parent_records(c, s.clauses, t, p))
+    assert sorted((rule, delta, cls) for rule, delta, cls, _ in found) == sorted(
+        (st.rule, st.delta, st.shape.clauses) for st in parents(s))
+    _check_records(found, t, p)
+    assert all(u & t == t for _, _, _, u in found)
+    # why a walk sorts a picked R3 group without reading its tables: by
+    # clause count, then new clauses, is the order of the clause tuples
+    r3 = [(len(cls), cls, table_states(u ^ t)) for rule, _, cls, u in found if rule == PARENT_R3]
+    assert sorted(r3) == sorted(r3, key=lambda r: (r[0], r[2]))
 
 
 # R3 alone (the bottom of p = 4), R1 beside R3, and R1 beside R2
 @example(FunctionShape(4, (15,)))
 @example(FunctionShape(4, (5, 11)))
 @example(FunctionShape(4, (11, 13, 14)))
+@_table_path_examples
 @settings(max_examples=100, deadline=None)
-@given(hst.integers(2, 10).flatmap(shapes))
+@given(hst.integers(2, 12).flatmap(shapes))
 def test_raised_maxima_match_a_fresh_computation(s):
     # the walk's local update of {m: U(m)} over M(S), applied for every parent
     p = s.arity
@@ -727,7 +748,7 @@ def test_raised_maxima_match_a_fresh_computation(s):
     t = up_closure(c, p)
     start = dict(_maxima(t, p))
     assert sorted(start) == [m for m in max_outside(s) if m]
-    for _, _, _, u in _parent_tables(c, t, p):
+    for _, _, _, u in _parent_records(c, s.clauses, t, p):
         maxima = dict(start)
         _raise_maxima(maxima, u ^ t, u)
         assert maxima == dict(_maxima(u, p))
@@ -737,12 +758,14 @@ def test_raised_maxima_match_a_fresh_computation(s):
 @example(FunctionShape(4, (15,)))
 @example(FunctionShape(4, (5, 11)))
 @example(FunctionShape(4, (11, 13, 14)))
+@_table_path_examples
 @settings(max_examples=100, deadline=None)
 @given(hst.integers(2, 10).flatmap(shapes))
 def test_carried_rules_match_a_fresh_classification(s):
     # a walk's step to each parent in turn: the pick is the parent `parents`
-    # lists at that index (so R2 picks by absorbed count and new clause keep
-    # the table-key order), and the maxima and rules it carries across
+    # lists at that index (so R2 picks by absorbed count and new clause, and
+    # R3 picks by clause count and new clauses, keep the clause-tuple
+    # order), and the maxima and rules it carries across
     # equal those classified afresh on the parent
     p = s.arity
     c = clause_table(s)
@@ -762,60 +785,46 @@ def test_carried_rules_match_a_fresh_classification(s):
         assert (moved, now_r2, now_failed) == _parent_groups(new, p, _maxima(u, p))
 
 
-# two-clause drops: to the bottom of p = 3, from the top of p = 3 (whose
-# one maximal state, 0, is left out) and beside a kept clause at p = 4
-@example(FunctionShape(3, (3, 5)))
-@example(FunctionShape(3, (1, 2, 4)))
-@example(FunctionShape(4, (1, 6, 10)))
 @settings(max_examples=100, deadline=None)
-@given(hst.integers(2, 10).flatmap(shapes))
-def test_dropped_maxima_match_a_fresh_computation(s):
-    # the sibling search's local update of {m: U(m)} over M(S), applied for every child
+@given(hst.integers(1, 12).flatmap(shapes))
+def test_r1_parents_by_new_clause_come_in_clause_tuple_order(s):
+    # why a walk picking an R1 parent sorts nothing: each adds one clause to
+    # the same tuple, so the lower new clause makes the lower tuple
     p = s.arity
     c = clause_table(s)
-    t = up_closure(c, p)
-    start = dict(_maxima(t, p))
-    for _, _, _, u in _child_tables(c, t, p):
-        assert dict(_drop_maxima(start, t ^ u, p)) == dict(_maxima(u, p))
-    assert start == dict(_maxima(t, p))
+    r1 = [cls for rule, _, cls, _ in _parent_records(c, s.clauses, up_closure(c, p), p)
+          if rule == PARENT_R1]
+    new = [min(set(cls) - set(s.clauses)) for cls in r1]
+    assert new == sorted(new)
+    assert r1 == sorted(r1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(hst.integers(1, 10).flatmap(shapes))
-def test_r1_parents_by_new_clause_come_in_table_key_order(s):
-    # why a walk picking an R1 parent sorts nothing: each adds one state to
-    # the same clause table, so the lowest added state holds the lower key
-    p = s.arity
-    c = clause_table(s)
-    r1 = [new for rule, _, new, _ in _parent_tables(c, up_closure(c, p), p) if rule == PARENT_R1]
-    assert [new ^ c for new in r1] == sorted(new ^ c for new in r1)
-    assert r1 == sorted(r1, key=_table_key(p))
-
-
-def _reference_child_tables(c, t, p):
-    """`_child_tables` candidate by candidate: re-minimize every up-set
+def _reference_child_records(cls, t, p):
+    """`_child_records` candidate by candidate: re-minimize every up-set
     left after a drop and test its cover on the whole table."""
     found, failing = [], []
-    for s in table_states(c):
+    for s in cls:
         if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
-            found.append((CHILD, 1, cand, u))
+            found.append((CHILD, 1, tuple(table_states(cand)), u))
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
         if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            found.append((CHILD, 2, cand, u))
+            found.append((CHILD, 2, tuple(table_states(cand)), u))
     return found
 
 
+@_table_path_examples
 @settings(max_examples=100, deadline=None)
-@given(hst.integers(2, 10).flatmap(shapes))
+@given(hst.integers(2, 12).flatmap(shapes))
 def test_child_tables_match_a_per_candidate_reference(s):
     # the shape's own up-set, and every parent's, as `siblings` feeds them in
     p = s.arity
     c = clause_table(s)
     t = up_closure(c, p)
-    for cc, tt in [(c, t)] + [(new, u) for _, _, new, u in _parent_tables(c, t, p)]:
-        assert list(_child_tables(cc, tt, p)) == _reference_child_tables(cc, tt, p)
+    for cls, u in [(s.clauses, t)] + [(cls, u) for _, _, cls, u in
+                                      _parent_records(c, s.clauses, t, p)]:
+        assert list(_child_records(cls, u, p)) == _reference_child_records(cls, u, p)
 
 
 def _neighbour_digest(obj):

@@ -15,6 +15,7 @@ from funspace import (
     RegulatorContext,
     enumerate_all,
     evaluate,
+    independent,
     inf_shape,
     is_consistent,
     level,
@@ -116,6 +117,7 @@ def test_make_shape_index_range():
     (lambda: Signature(("o", "?")), "signature symbols must be OPERATIVE/NON_OPERATIVE/FREE"),
     (lambda: render_expression(sup_shape(2), RegulatorContext.from_str("++"), ("a",)),
      "one name per regulator required"),
+    (lambda: independent(0b1000, FunctionShape(2, (1, 2))), "index mask 0x8 outside 0x1..0x3"),
 ])
 def test_bad_arguments_raise_the_package_error(call, message):
     # a FunspaceError and still a ValueError, so callers catching that keep working

@@ -30,23 +30,22 @@ pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
 `_child_records`).  Every neighbour is one record (rule, delta, clause
-tuple, up-set): a step moves T by delta states, so no up-set needs a
-closure, and a one-state step's clauses are cut from the shape's own
-tuple.  An R1 parent adds m; an R2 parent adds m and drops the clauses
-above it, each one regulator above m (`_absorbed`); a single child drops
-s and gains R(s) (`_single_drops`).  Only R3 parents and pair children,
-rare, read their clause tables.  Records sort on (rule, clause count,
-clauses), `NeighborStep.sort_key`'s order.  The rule test on tables is
-written once (`_parent_groups`: R1, R2, or failing alone, R3's
-candidates) and serves `parents` and `random_path`.  A walk carries
-each maximal state's rule along the path and tests again only the
-states whose rule a step can change (`_take_parent`); its clause list
-moves by the step's delta, and only its pick becomes a shape, which keeps
-its up-set for the counts along the path (`shapes.up_table`).  Siblings
-move by deltas too (`_siblings`): each is the shape's up-set with a few
-states added and removed, deduplicated on those states, its clauses cut
-from its neighbour's record, and its cover tested on clause counts per
-regulator (`_held`), so no sibling reads a table.
+tuple, up-set): a step moves T by delta states, and its clauses are cut
+from the shape's own tuple, so only M(S) is read off a table.  A parent
+adds m and drops the clauses above it, each one regulator above
+(`_absorbed`), or adds m and m' and drops m | m'; a child drops s and
+gains R(s) (`_single_drops`), or s and s' and gains s | s' (`_joined`).
+Records sort on (rule, clause count, clauses), `NeighborStep.sort_key`'s
+order.  The rule test on tables is written once (`_parent_groups`: R1,
+R2, or failing alone, R3's candidates) and serves `parents` and
+`random_path`.  A walk carries each maximal state's rule along the path
+and tests again only the states whose rule a step can change
+(`_take_parent`); its clause list moves by the step's delta, and only its
+pick becomes a shape, which keeps its up-set for the counts along the
+path (`shapes.up_table`).  Siblings move by deltas too (`_siblings`):
+each is the shape's up-set with a few states added and removed,
+deduplicated on those states, its clauses cut from its neighbour's
+record, and its cover tested on clause counts per regulator (`_held`).
 
 Two checks share no code with the rules.  `build_hasse` is the oracle:
 it reads every shape's true set off `shapes.truth_table` and extracts the
@@ -62,9 +61,9 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import Container, Iterable, Iterator
 
 from .errors import (
@@ -125,7 +124,7 @@ def _max_outside_table(t: int, p: int) -> int:
 
 @cache
 def _states(p: int) -> tuple[int, ...]:
-    # Shared int objects for the clauses read off tables: a fresh int per
+    # Shared int objects for the clauses neighbours gain: a fresh int per
     # clause (above 256) tripled the memory of large neighbour lists.
     return tuple(range(1 << p))
 
@@ -187,7 +186,7 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> list[tuple[int,
     of that up-set outside T'.  A step costs p·|added| small table
     operations, not p shift-ORs over the table and an up-set per maximal state.
     """
-    fresh = []
+    more = []
     while added:
         a = added.bit_length() - 1
         added ^= 1 << a
@@ -201,8 +200,8 @@ def _raise_maxima(maxima: dict[int, int], added: int, t: int) -> list[tuple[int,
                 ux = above | above >> low
                 if ux & ~t == 1 << x:
                     maxima[x] = ux
-                    fresh.append((x, ux))
-    return fresh
+                    more.append((x, ux))
+    return more
 
 
 def _absorbed(m: int, p: int, clauses: Container[int]) -> list[int]:
@@ -259,18 +258,20 @@ def _parent_records(c: int, cls: tuple[int, ...], t: int, p: int,
                     ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
     """(rule, delta, clause tuple, up-set) of every parent of the shape with
     clause table ``c``, clause tuple ``cls`` and up-set ``t``:
-    `_parent_groups` on ``maxima``, M(S) from scratch unless given.  R1
-    and R2 come in its order, their tuples cut from ``cls``; then R3
-    pairs, read off their tables."""
+    `_parent_groups` on ``maxima``, M(S) from scratch unless given; R1, R2,
+    then R3 pairs (`_pairs`), each ``cls`` less the clauses its new ones
+    absorb (`_absorbed`).  An R3 pair m, m' absorbs m | m' alone: dropping
+    m from it gives back the clauses m alone absorbs, which hold m's
+    regulators, so were there any, m' would not fail alone; and a clause
+    both absorb lies one regulator above each."""
     r1, r2, failed = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
     for m in r1:
         yield PARENT_R1, 1, _spliced(cls, (), (m,)), t | 1 << m
     held = set(cls)
     for m in r2:
         yield PARENT_R2, 1, _spliced(cls, _absorbed(m, p, held), (m,)), t | 1 << m
-    states = _states(p)
-    for new, m1, m2 in _pairs(c, p, failed):
-        yield PARENT_R3, 2, tuple(table_states(new, states)), t | 1 << m1 | 1 << m2
+    for _, m1, m2 in _pairs(c, p, failed):
+        yield PARENT_R3, 2, _spliced(cls, (m1 | m2,), (m1, m2)), t | 1 << m1 | 1 << m2
 
 
 def _steps(found: Iterable[tuple[str, int, tuple[int, ...], int]], p: int
@@ -324,6 +325,16 @@ def _single_drops(cls: tuple[int, ...], t: int, p: int) -> tuple[list[tuple[int,
     return raised, once & ~twice
 
 
+def _joined(s1: int, s2: int, cls: Iterable[int]) -> int:
+    """What dropping the clauses s1 and s2 of ``cls``, each failing alone,
+    leaves in their place: s1 | s2 if it lies one regulator above each and
+    above no other clause, so that s1 and s2 are its only lower states in
+    T; it holds all their regulators.  Else 0: the drop fails the cover."""
+    j = s1 | s2
+    return j if (s1 ^ s2).bit_count() == 2 and all(
+        x & j != x for x in cls if x != s1 and x != s2) else 0
+
+
 def _child_records(cls: tuple[int, ...], t: int, p: int,
                    drops: tuple[list[tuple[int, ...]], int] | None = None
                    ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
@@ -336,10 +347,9 @@ def _child_records(cls: tuple[int, ...], t: int, p: int,
     when it still covers every regulator it is a child.  For clauses s1, s2
     that each fail alone, the only sets strictly between T∖{s1,s2} and T
     are T∖{s1} and T∖{s2}, both invalid, so a valid T∖{s1,s2} is a child
-    too.  Its clauses are the minimal elements left; an empty rest fails the cover.
-    Single drops are local: the clauses of T∖{s} are ``cls`` less s plus
-    R(s).  Pairs, rare, re-minimize their up-set (`minimal_elements`) and
-    read the table.
+    too.  Both drops are local: the clauses of T∖{s} are ``cls`` less s
+    plus R(s), and those of T∖{s1,s2} are ``cls`` less s1 and s2 plus
+    their join (`_joined`), R(s1) and R(s2) being empty.
     """
     raised, alone = _single_drops(cls, t, p) if drops is None else drops
     failing: list[int] = []
@@ -348,10 +358,9 @@ def _child_records(cls: tuple[int, ...], t: int, p: int,
             yield CHILD, 1, _spliced(cls, (s,), new), t ^ 1 << s
         else:
             failing.append(s)
-    states = _states(p)
     for s1, s2 in combinations(failing, 2):
-        if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            yield CHILD, 2, tuple(table_states(cand, states)), u
+        if j := _joined(s1, s2, cls):
+            yield CHILD, 2, _spliced(cls, (s1, s2), (_states(p)[j],)), t ^ 1 << s1 ^ 1 << s2
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
@@ -403,16 +412,16 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
     P = C ∖ X ∪ A (X the clauses A absorbs), the children "P less clause s"
     gain R(s) less the one-bit raises of A, the only states whose lower
     states grew, and cover iff they gain a clause or s holds no regulator
-    alone in P.  Through a child K = C ∖ {s} ∪ R(s), the parents add a
-    maximal state m of the shape not below s (M(T∖{s}) is M(T) less the
-    states below s, plus s, which would give back the shape), which absorbs
-    the clauses of C above it (`_absorbed`; s is not one: T holds s, not m)
-    and the states of R(s) above it; the cover test counts the clauses per
-    regulator (`_held`).  R3 parents' pair children, children's R3 parents
-    and the parents of pair children, all rare, go through their tables.
-    Only the shape itself needs dropping: a parent S' of it that were also
-    a child of its parent P would lie strictly between it and P, so P would
-    not cover it, and the other three cases fail the same way.
+    alone in P.  Two clauses failing alone, an R3 parent's new ones among
+    them (neither gives back a clause: `_parent_records`), drop as in
+    `_child_records`.  Through a child K = C ∖ R ∪ N (N = R(s), or s | s'
+    for a pair), the parents add a maximal state m of the shape not below a
+    clause in R, absorbing the clauses of C (`_absorbed`) and of N above
+    it, and cover as the clauses of C per regulator count (`_held`); two
+    failing alone, such m or a pair's s and s', are an R3 pair iff each
+    absorbs only their join.  Only the shape itself needs dropping: a
+    parent of it that were a child of its parent P would lie strictly
+    between it and P, so P would not cover it; the other three fail alike.
 
     Siblings are deduplicated on (A, R) (`_pack`), and each new one's
     clause tuple is cut from its neighbour's record (`_spliced`).  They
@@ -421,14 +430,6 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
     raised, _ = drops
     states = _states(p)
     found: dict[int, tuple[int, ...]] = {}
-
-    def fresh(u: int) -> int:
-        """The key of a sibling through a pair step, with up-set ``u``, read
-        off the tables; 0 for the shape itself or a sibling found before."""
-        changed = table_states(t ^ u)
-        key = _pack([x for x in changed if not t >> x & 1] + [x for x in changed if t >> x & 1])
-        return 0 if key in found else key
-
     if via != "children":
         for _, delta, up, u in ups:
             added = u ^ t
@@ -444,8 +445,7 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
             twice |= once & a | (once | a) & b
             once |= a | b
             alone_p, akey = once & ~twice, a if delta == 1 else b << 16 | a
-            # dropping one R3 state leaves the other's failed parent
-            failing = [b, a] if delta == 2 else []
+            failing = []
             for s, rs in kept:
                 if rs:  # less the raises of A, which gained a lower state
                     rs = [r for r in rs if r & a != a and r & b != b]
@@ -454,47 +454,47 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
                         found[key] = _spliced(up, (s,), rs)
                 else:
                     failing.append(s)
-            for s1, s2 in combinations(failing, 2):
-                if _covering(cand := minimal_elements(v := u ^ 1 << s1 ^ 1 << s2, p), p) \
-                        and (key := fresh(v)):
-                    found[key] = tuple(table_states(cand, states))
+            pairs = [(s1, s2, akey << 32 | s1 << 16 | s2) for s1, s2 in combinations(failing, 2)]
+            if delta == 2:  # a new clause drops with one of C, keeping the other new one
+                pairs += [(x, s, y << 16 | s) for x, y in ((a, b), (b, a)) for s in failing]
+            for s1, s2, key in pairs:
+                if key not in found and (j := _joined(s1, s2, up)):
+                    found[key] = _spliced(up, (s1, s2), (states[j],))
     if via != "parents":
         counts = [sum([s >> k & 1 for s in cls]) for k in range(p)]
         low = [0] * (len(cls) + 1)  # by count: the regulators in at most that many clauses
         for k, m in enumerate(counts):
             low[m] |= 1 << k
-        for j in range(1, len(low)):
-            low[j] |= low[j - 1]
+        low = list(accumulate(low, or_))
         by_clause = dict(zip(cls, raised))
-        # (m, U(m), the clauses m absorbs) per maximal state
-        groups = [(states[m], above, _absorbed(m, p, by_clause)) for m, above in maxima]
+        # (m, the clauses m absorbs) per maximal state
+        groups = [(states[m], _absorbed(m, p, by_clause)) for m, _ in maxima]
         for _, delta, down, u in downs:
-            if delta == 2:
-                for _, _, up, v in _parent_records(minimal_elements(u, p), down, u, p):
-                    if key := fresh(v):
-                        found[key] = up
-                continue
             s = (t ^ u).bit_length() - 1
-            rs = by_clause[s]
-            failed = {}
-            for m, above, xc in groups:
-                if m & s == m:
-                    continue  # m lies below s, so it is not maximal outside T∖{s}
+            s0, rs, dropped, dkey, failed = s, by_clause[s], [s], s, []
+            if delta == 2:  # K drops s0 and s, clauses failing alone, and gains their join
+                s0 = (t ^ u ^ 1 << s).bit_length() - 1
+                rs, dropped, dkey = [states[s0 | s]], [states[s0], states[s]], s0 << 16 | s
+                failed = [(x, rs) for x in dropped]  # (state, the clauses of K it absorbs)
+            for m, xc in groups:
+                if m & s == m or m & s0 == m:
+                    continue  # m lies below a dropped clause, so it is not maximal outside K
                 absorbed, keep = xc, m
                 for r in rs:
                     if r & m == m:
                         absorbed = absorbed + [r]
                     else:
                         keep |= r
-                if not absorbed or _held(counts, low, xc + [s], keep):
-                    if (key := m << 16 | s) not in found:
+                if not absorbed or _held(counts, low, xc + dropped, keep):
+                    if (key := m << 16 * delta | dkey) not in found:
                         found[key] = _spliced(down, absorbed, (m,))
                 else:
-                    failed[m] = above
-            if len(failed) > 1:
-                for new, m1, m2 in _pairs(minimal_elements(u, p), p, failed):
-                    if key := fresh(u | 1 << m1 | 1 << m2):
-                        found[key] = tuple(table_states(new, states))
+                    failed.append((m, absorbed))
+            for (m1, ab1), (m2, ab2) in combinations(failed, 2):
+                new = [x for x in (m1, m2) if x not in dropped]
+                if new and ab1 == ab2 == [m1 | m2]:  # an R3 pair (`_parent_records`)
+                    key = _pack(new + [x for x in dropped if x != m1 and x != m2])
+                    found.setdefault(key, _spliced(down, ab1, (m1, m2)))
     ordered = sorted(found.values())
     ordered.sort(key=len)  # stable: by clause count, then clauses
     return tuple([FunctionShape._unchecked(p, cls) for cls in ordered])

@@ -633,9 +633,10 @@ def test_siblings_match_the_diagram():
                 assert set(siblings(s, via)) == want - near
 
 
-# Each sibling path that goes through tables: R3 parents (a) and their
-# children's pair drops (b), pair children (c) and children's R3 parents (d);
-# no centre at p <= 5 has both R3 parents and pair children
+# Each sibling path through a pair step: R3 parents (a) and their children's
+# pair drops (b), pair children (c) and children's R3 parents (d); every
+# one is cut from the centre's clauses like a single step.  No centre at
+# p <= 5 has both R3 parents and pair children
 TABLE_PATH_CASES = [
     ((4, (15,)), "ab"),
     ((5, (1, 4, 8, 18)), "ab"),
@@ -672,23 +673,30 @@ def test_wide_siblings_match_the_shape_reference():
 def test_siblings_read_no_table_per_sibling(monkeypatch):
     # each neighbour's clauses come from the shape's tuple, and each
     # sibling's from its neighbour's: the one table read is M(S)'s, however
-    # many neighbours and siblings there are
+    # many neighbours and siblings there are and whatever their rules, and
+    # no neighbour re-minimizes an up-set
     import funspace.neighborhood as nb
 
     reads = []
-    real = nb.table_states
-    monkeypatch.setattr(nb, "table_states", lambda *args: reads.append(1) or real(*args))
+    for name in ("table_states", "minimal_elements"):
+        monkeypatch.setattr(nb, name, lambda *args, real=getattr(nb, name), name=name:
+                            reads.append(name) or real(*args))
+    sibs = tuple((lambda s, via=via: siblings(s, via)) for via in VIAS)
     m = majority_rule(8, 4)
-    for call, found in ((parents, 56), (children, 70)) + tuple(
-            (lambda s, via=via: siblings(s, via), 3640) for via in VIAS):
+    for call, found in zip((parents, children) + sibs, (56, 70, 3640, 3640, 3640)):
         reads.clear()
         assert len(call(m)) == found
-        assert len(reads) <= 1
+        assert reads in ([], ["table_states"])
+    for s in [m, sup_shape(16)] + [FunctionShape(*clauses) for clauses, _ in TABLE_PATH_CASES]:
+        for call in (parents, children, hasse_slice) + sibs:
+            reads.clear()
+            call(s)
+            assert reads in ([], ["table_states"])
 
 
 def _table_path_examples(test):
     """Every `TABLE_PATH_CASES` centre as an example: R3 parents and pair
-    children, the records read off their tables."""
+    children, the records of two-state steps."""
     for clauses, _ in TABLE_PATH_CASES:
         test = example(FunctionShape(*clauses))(test)
     return test
@@ -732,6 +740,10 @@ def test_parent_tables_carry_their_up_sets(s):
     # clause count, then new clauses, is the order of the clause tuples
     r3 = [(len(cls), cls, table_states(u ^ t)) for rule, _, cls, u in found if rule == PARENT_R3]
     assert sorted(r3) == sorted(r3, key=lambda r: (r[0], r[2]))
+    # why an R3 parent's tuple needs no table: its pair absorbs one clause,
+    # their join
+    for _, cls, (m1, m2) in r3:
+        assert set(cls) ^ set(s.clauses) == {m1, m2, m1 | m2}
 
 
 # R3 alone (the bottom of p = 4), R1 beside R3, and R1 beside R2
@@ -827,6 +839,17 @@ def test_child_tables_match_a_per_candidate_reference(s):
         assert list(_child_records(cls, u, p)) == _reference_child_records(cls, u, p)
 
 
+@pytest.mark.parametrize("p", range(2, 17))
+def test_widest_pair_children_match_a_per_candidate_reference(p):
+    # the top shape's children all drop two clauses: C(p, 2) pairs of
+    # singletons, none droppable alone
+    s = sup_shape(p)
+    t = up_closure(clause_table(s), p)
+    found = list(_child_records(s.clauses, t, p))
+    assert len(found) == p * (p - 1) // 2
+    assert found == _reference_child_records(s.clauses, t, p)
+
+
 def _neighbour_digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -859,6 +882,28 @@ def test_wide_neighbour_outputs_are_pinned():
             for found in (parents, children)] == [
         "0e2a27c9a20a7c99766b6258fe792ae438be6f912a3025451e73bf38d3da515c",
         "2d2cfcc910c3aafbf2a9b3e3ffb68cd22280f7305669ee24f6f3c1140a044942",
+    ]
+
+
+def _neighbours(s):
+    """The shape's clauses, its parent and child steps, and its siblings
+    through each via, as plain tuples."""
+    steps = [[(st.rule, st.delta, st.shape.clauses) for st in found(s)]
+             for found in (parents, children)]
+    return s.clauses, steps, [[x.clauses for x in siblings(s, via)] for via in VIAS]
+
+
+def test_pair_step_neighbour_outputs_are_pinned():
+    # recorded while R3 parents and pair children still read their tables:
+    # parents, children and siblings through either or both of the centres
+    # with pair steps, the top shape of p = 16 (120 pair children) and dense
+    # majority rules
+    groups = ([FunctionShape(*clauses) for clauses, _ in TABLE_PATH_CASES], [sup_shape(16)],
+              [majority_rule(7, 3), majority_rule(8, 4), majority_rule(9, 4)])
+    assert [_neighbour_digest([_neighbours(s) for s in group]) for group in groups] == [
+        "532e5de19473c6ad73eeade6b3c569818ce444d647eeaec25dcf0473f8d8fa95",
+        "009f22ffa381cf7b9d570d6f1566670d8af20268a053afecef9e8c897a22c3e5",
+        "0695c999501cfd6e95f5d8a183682b3299d16665068657c17a46b552c9bc09ad",
     ]
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Iterator
 
 from .dynamics import BooleanNetwork, Component, STG
@@ -43,6 +41,7 @@ from .shapes import (
     NEGATIVE,
     POSITIVE,
     RegulatorContext,
+    _minimal_cover,
     _minimal_shape,
     _state_text,
 )
@@ -196,14 +195,23 @@ def parse_expression(
 ) -> ParsedFunction:
     """Parse one expression into (shape, context, regulator names).
 
-    Regulators are numbered by first appearance in the text.  Rejects dual
-    regulation (a variable both plain and negated) and redundancy (a
-    variable whose every clause is absorbed), since either would break
-    consistency, and the constant names ``true``/``false`` in any case.
-    ``self_name`` marks autoregulation in the context.  The clause masks are
-    packed as the literals are read, and the shape and context are built
-    without the constructors' checks, which the parse itself guarantees.
+    Regulators are numbered by first appearance in the clauses the walk
+    reads: the text's order for a strict read, and with ``normalize`` the
+    order of the distributed clauses, so ``(a | b) & c`` numbers a, c, b.
+    Rejects dual regulation (a variable both plain and negated) and
+    redundancy (a variable whose every clause is absorbed), since either
+    would break consistency, and the constant names ``true``/``false`` in
+    any case.  ``self_name`` marks autoregulation in the context.
     """
+    return ParsedFunction(*_read_expression(text, normalize, line, self_name))
+
+
+def _read_expression(text: str, normalize: bool, line: int | None, self_name: str | None
+                     ) -> tuple[FunctionShape, RegulatorContext, tuple[str, ...]]:
+    """:func:`parse_expression`'s (shape, context, names), as a tuple.  The
+    clause masks are packed as the literals are read, and the shape and
+    context are built without the constructors' checks, which the parse
+    itself guarantees."""
     tokens = _tokenize(text, line)
     if not tokens:
         raise ModelSyntaxError("empty expression", line)
@@ -232,13 +240,13 @@ def parse_expression(
     try:
         shape = _minimal_shape(masks, len(signs))
     except NotCover:  # name, as typed, each regulator held by no unabsorbed clause
-        held = reduce(or_, [m for m in masks if not any(o & m == o != m for o in masks)])
-        names = ", ".join(nm for k, nm in enumerate(index) if not held >> k & 1)
+        _, missing = _minimal_cover(sorted(set(masks)), len(signs))
+        names = ", ".join(nm for k, nm in enumerate(index) if missing >> k & 1)
         where = "" if line is None else f"line {line}: "
         raise NotCover(f"{where}regulator(s) {names} appear only in absorbed clauses") from None
     self_index = index[self_name] + 1 if self_name in index else None
     ctx = RegulatorContext._unchecked(tuple(signs), self_index, neg_mask)
-    return ParsedFunction(shape, ctx, tuple(index))
+    return shape, ctx, tuple(index)
 
 
 _HEADER_RE = re.compile(r"^\s*targets\s*,\s*factors\s*$", re.IGNORECASE)
@@ -255,7 +263,7 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
     entries: list[tuple[int, str, str]] = []  # (line number, name, rhs)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if not header_seen:
@@ -263,15 +271,15 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
                 raise ModelSyntaxError("expected 'targets, factors' header", lineno)
             header_seen = True
             continue
-        if "," not in line:
+        name, comma, rhs = line.partition(",")
+        if not comma:
             raise ModelSyntaxError("expected 'name, expression'", lineno)
-        name, rhs = line.split(",", 1)
-        name = name.strip()
+        name = name.rstrip()
         if not _NAME_RE.match(name):
             raise ModelSyntaxError(f"bad component name {name!r}", lineno)
         if name.lower() in _CONSTANTS:
             raise ModelSyntaxError(f"{name} is a constant, not a component name", lineno)
-        entries.append((lineno, name, rhs.strip()))
+        entries.append((lineno, name, rhs.lstrip()))
     if not header_seen:
         raise ModelSyntaxError("empty model: no 'targets, factors' header")
 
@@ -287,14 +295,14 @@ def parse_model(text: str, normalize: bool = False) -> BooleanNetwork:
         if lowered in _CONSTANTS:
             comps.append(Component._unchecked(name, (), None, None, lowered == "true"))
             continue
-        pf = parse_expression(rhs, normalize=normalize, line=lineno, self_name=name)
+        shape, ctx, names = _read_expression(rhs, normalize, lineno, name)
         try:
-            regs = tuple(order[r] for r in pf.names)
+            regs = tuple(map(order.__getitem__, names))
         except KeyError as exc:
             raise UnknownVariable(
                 f"{exc.args[0]} is not a declared component", lineno
             ) from None
-        comps.append(Component._unchecked(name, regs, pf.shape, pf.ctx, None))
+        comps.append(Component._unchecked(name, regs, shape, ctx, None))
     return BooleanNetwork._unchecked(tuple(comps))
 
 

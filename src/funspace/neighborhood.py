@@ -234,11 +234,13 @@ def _parent_groups(c: int, p: int, maxima: Iterable[tuple[int, int]]
     return r1, r2, failed
 
 
-def _pairs(c: int, p: int, failed: dict[int, int]) -> list[tuple[int, int, int]]:
-    """(clause table, m, m') of every R3 parent: the pairs of ``failed``
-    states, {m: U(m)}, whose joint addition covers."""
-    return [(new, m1, m2) for (m1, u1), (m2, u2) in combinations(failed.items(), 2)
-            if _covering(new := c & ~(u1 | u2) | 1 << m1 | 1 << m2, p)]
+def _pairs(c: int, failed: dict[int, int]) -> list[tuple[int, int]]:
+    """(m, m'), m < m', of every R3 parent of the shape with clause table
+    ``c``: the pairs of ``failed`` states, {m: U(m)}, that each absorb only
+    their join m | m' (`_parent_records`), which they replace."""
+    return [(m1, m2) if m1 < m2 else (m2, m1)
+            for (m1, u1), (m2, u2) in combinations(failed.items(), 2)
+            if c & u1 == c & u2 == 1 << (m1 | m2)]
 
 
 def _spliced(cls: tuple[int, ...], gone: Iterable[int], new: Iterable[int]) -> tuple[int, ...]:
@@ -263,14 +265,16 @@ def _parent_records(c: int, cls: tuple[int, ...], t: int, p: int,
     absorb (`_absorbed`).  An R3 pair m, m' absorbs m | m' alone: dropping
     m from it gives back the clauses m alone absorbs, which hold m's
     regulators, so were there any, m' would not fail alone; and a clause
-    both absorb lies one regulator above each."""
+    both absorb lies one regulator above each.  Conversely two failing
+    states that each absorb only their join cover jointly, as m and m'
+    hold its regulators, so that is the whole pair test."""
     r1, r2, failed = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
     for m in r1:
         yield PARENT_R1, 1, _spliced(cls, (), (m,)), t | 1 << m
     held = set(cls)
     for m in r2:
         yield PARENT_R2, 1, _spliced(cls, _absorbed(m, p, held), (m,)), t | 1 << m
-    for _, m1, m2 in _pairs(c, p, failed):
+    for m1, m2 in _pairs(c, failed):
         yield PARENT_R3, 2, _spliced(cls, (m1 | m2,), (m1, m2)), t | 1 << m1 | 1 << m2
 
 
@@ -574,7 +578,7 @@ def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:
 
 
 def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: list[int],
-                 r2: dict[int, int], failed: dict[int, int], r3: list[tuple[int, int, int]]
+                 r2: dict[int, int], failed: dict[int, int], r3: list[tuple[int, int]]
                  ) -> tuple[int, int, dict[int, int], dict[int, int]]:
     """Take parent ``i``, in the order ``parents`` sorts them, of the shape
     with clause table ``c`` and up-set ``t``, whose ``maxima`` are sorted by
@@ -593,10 +597,11 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
     R1 parents by new clause are in the order of ``parents``, clause count
     and then clause tuple (each adds one clause to the same tuple), and so
     are R2 parents by absorbed clauses, most first, then new clause, and R3
-    parents by clause count, then lower and higher new clause: a clause
-    one parent absorbs and the other keeps lies above a new clause of the
-    first that the second lacks, so between two parents of one size the
-    lowest state that differs is a new clause.  No parent's table is read.
+    parents by lower and higher new clause (each drops one clause for two,
+    so all have one size): a clause one parent absorbs and the other keeps
+    lies above a new clause of the first that the second lacks, so between
+    two parents of one size the lowest state that differs is a new clause.
+    No parent's table is read.
     """
     n1, n2 = len(r1), len(r1) + len(r2)
     if i < n1:
@@ -607,10 +612,10 @@ def _take_parent(i: int, c: int, t: int, p: int, maxima: dict[int, int], r1: lis
             _, m = sorted([(-(c & above).bit_count(), m) for m, above in r2.items()])[i - n1]
             new, added = c & ~r2.pop(m) | 1 << m, 1 << m
         else:
-            _, m1, m2, new = sorted([(new.bit_count(), *sorted((m1, m2)), new)
-                                     for new, m1, m2 in r3])[i - n2]
+            m1, m2 = sorted(r3)[i - n2]
             del failed[m1], failed[m2]
             added = 1 << m1 | 1 << m2
+            new = c ^ 1 << (m1 | m2) | added
         retest, r2 = [*r2.items(), *failed.items()], {}
     t |= added
     retest += _raise_maxima(maxima, added, t)
@@ -644,7 +649,7 @@ def random_path(p: int, seed: int | None = None) -> list[FunctionShape]:
     r1, r2, failed = _parent_groups(c, p, maxima.items())
     cls, states = list(path[0].clauses), _states(p)
     while maxima:  # empty at the top shape only
-        r3 = _pairs(c, p, failed) if len(failed) > 1 else []
+        r3 = _pairs(c, failed) if len(failed) > 1 else []
         i = rng.randrange(len(r1) + len(r2) + len(r3))
         new, t, r2, failed = _take_parent(i, c, t, p, maxima, r1, r2, failed, r3)
         moved, c = c ^ new, new

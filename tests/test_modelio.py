@@ -358,6 +358,54 @@ def test_model_errors_carry_line_numbers():
     assert "line 3" in str(err.value)
 
 
+# The exact message and line a user reads for each malformed model.
+MODEL_ERRORS = [
+    ("targets, factors\na b\n", ModelSyntaxError, "line 2: expected 'name, expression'", 2),
+    ("targets, factors\na, b\nb, a\nb\n", ModelSyntaxError,
+     "line 4: expected 'name, expression'", 4),
+    ("targets, factors\n1a, b\n", ModelSyntaxError, "line 2: bad component name '1a'", 2),
+    ("targets, factors\na b, c\n", ModelSyntaxError, "line 2: bad component name 'a b'", 2),
+    ("targets, factors\né, a\n", ModelSyntaxError, "line 2: bad component name 'é'", 2),
+    ("targets, factors\n, b\n", ModelSyntaxError, "line 2: bad component name ''", 2),
+    ("targets, factors\nx, true\ntrue, x\n", ModelSyntaxError,
+     "line 3: true is a constant, not a component name", 3),
+    ("targets, factors\na,\n", ModelSyntaxError, "line 2: empty expression", 2),
+    ("targets, factors\na,   # b\n", ModelSyntaxError, "line 2: empty expression", 2),
+    ("targets, factors\na, b, c\nb, a\n", ModelSyntaxError,
+     "line 2: unexpected character ','", 2),
+    ("a, b\n", ModelSyntaxError, "line 1: expected 'targets, factors' header", 1),
+    ("targets factors\n", ModelSyntaxError, "line 1: expected 'targets, factors' header", 1),
+    ("targets, factors, x\n", ModelSyntaxError, "line 1: expected 'targets, factors' header", 1),
+    ("", ModelSyntaxError, "empty model: no 'targets, factors' header", None),
+    ("# only\n\n", ModelSyntaxError, "empty model: no 'targets, factors' header", None),
+    ("targets, factors\na, b\na, !b\nb, a\n", DuplicateComponent, "line 3: a declared twice", 3),
+    ("targets, factors\na, b | c\nb, a\n", UnknownVariable,
+     "line 2: c is not a declared component", 2),
+    # every line is read before any expression, and names before regulators
+    ("targets, factors\na, (\n1b, a\n", ModelSyntaxError, "line 3: bad component name '1b'", 3),
+    ("targets, factors\na, (\na, b\n", DuplicateComponent, "line 3: a declared twice", 3),
+    ("targets, factors\na, c\nb, (\n", UnknownVariable, "line 2: c is not a declared component", 2),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line", MODEL_ERRORS)
+def test_model_error_texts_are_pinned(text, error, message, line):
+    with pytest.raises(error) as exc:
+        parse_model(text)
+    assert type(exc.value) is error
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("text", [
+    "targets, factors\na,b\nb,!a\n",  # no spaces
+    "targets, factors\na, b  # a, b\nb, !a # ,\n",  # a comment holding a comma
+    "targets, factors\r\na, b\r\nb, !a\r\n",  # CRLF
+    "# header next\n\n  targets ,factors  \n\ta\t,\tb\nb, !a",  # tabs, no final newline
+])
+def test_model_line_forms_parse(text):
+    assert render_model(parse_model(text)) == "targets, factors\na, b\nb, !a\n"
+
+
 @pytest.mark.parametrize("text, name", [("true", "true"), ("a | TRUE", "TRUE"),
                                         ("False & !c", "False"), ("!x | (y & fAlSe)", "fAlSe")])
 def test_constant_names_are_not_regulators(text, name):

@@ -736,10 +736,11 @@ def test_parent_tables_carry_their_up_sets(s):
         (st.rule, st.delta, st.shape.clauses) for st in parents(s))
     _check_records(found, t, p)
     assert all(u & t == t for _, _, _, u in found)
-    # why a walk sorts a picked R3 group without reading its tables: by
-    # clause count, then new clauses, is the order of the clause tuples
+    # why a walk sorts a picked R3 group without reading its tables: all
+    # have one clause count, and their new clauses order their clause tuples
     r3 = [(len(cls), cls, table_states(u ^ t)) for rule, _, cls, u in found if rule == PARENT_R3]
-    assert sorted(r3) == sorted(r3, key=lambda r: (r[0], r[2]))
+    assert len({n for n, _, _ in r3}) <= 1
+    assert sorted(r3) == sorted(r3, key=lambda r: r[2])
     # why an R3 parent's tuple needs no table: its pair absorbs one clause,
     # their join
     for _, cls, (m1, m2) in r3:
@@ -776,15 +777,15 @@ def test_raised_maxima_match_a_fresh_computation(s):
 def test_carried_rules_match_a_fresh_classification(s):
     # a walk's step to each parent in turn: the pick is the parent `parents`
     # lists at that index (so R2 picks by absorbed count and new clause, and
-    # R3 picks by clause count and new clauses, keep the clause-tuple
-    # order), and the maxima and rules it carries across
+    # R3 picks by new clauses, keep the clause-tuple order), and the maxima
+    # and rules it carries across
     # equal those classified afresh on the parent
     p = s.arity
     c = clause_table(s)
     t = up_closure(c, p)
     start = dict(_maxima(t, p))
     r1, r2, failed = _parent_groups(c, p, start.items())
-    r3 = _pairs(c, p, failed)
+    r3 = _pairs(c, failed)
     ups = parents(s)
     assert len(r1) + len(r2) + len(r3) == len(ups)
     for i, st in enumerate(ups):

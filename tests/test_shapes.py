@@ -38,6 +38,7 @@ from funspace import (
     true_count,
     true_states,
 )
+import funspace.shapes as shape_module
 from funspace.shapes import (
     MAX_ARITY,
     Signature,
@@ -143,7 +144,8 @@ def test_minimize_absorbs_and_checks_cover():
         minimize([], 3)
 
 
-# The constructor, `minimize` and `shape_leq` test containment on 2^p-bit
+# The constructor and `minimize` find minimal clauses pairwise or on a
+# 2^p-bit table by clause count, and `shape_leq` tests containment on
 # tables.  The references below keep the clause-against-clause definitions.
 
 
@@ -205,6 +207,40 @@ def test_not_antichain_names_the_first_pair_a_pairwise_scan_meets():
     # {2} ⊂ {2, 4} comes first in clause order; {1, 3} ⊃ {3} is the lowest clause holding another
     with pytest.raises(NotAntichain, match=r"^clauses \{2\} and \{2, 4\} are comparable$"):
         FunctionShape(4, (0b0010, 0b0100, 0b0101, 0b1010))
+
+
+@hst.composite
+def _split_families(draw):
+    """(p, masks) at p = 1..16 with up to 16 distinct masks: wide and narrow
+    ones, with duplicates, supersets, the empty clause and non-covers."""
+    p = draw(hst.integers(1, 16))
+    full = (1 << p) - 1
+    narrow = hst.lists(hst.integers(0, p - 1), min_size=1, max_size=3).map(
+        lambda ks: sum({1 << k for k in ks}))
+    masks = draw(hst.lists(hst.one_of(hst.integers(0, full), narrow), max_size=12))
+    if masks:  # supersets (or copies) of drawn masks
+        grow = draw(hst.lists(hst.tuples(hst.integers(0, 11), hst.integers(0, full)), max_size=4))
+        masks += [masks[i % len(masks)] | m for i, m in grow]
+    return p, masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_families())
+def test_both_sides_of_the_clause_count_split_agree(case):
+    # minimal clauses come from a pairwise scan up to PAIRWISE_CLAUSES of
+    # them and from a 2^p-bit table past that; with each side forced on
+    # every family, `minimize` keeps the same clauses and both it and the
+    # constructor refuse with the same exception and message
+    p, masks = case
+    sets = [[k + 1 for k in range(p) if m >> k & 1] for m in masks]
+    cls = tuple(sorted(set(masks)))
+    verdicts = []
+    for limit in (0, 16):  # the table, then the pairwise scan, for every count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shape_module, "PAIRWISE_CLAUSES", limit)
+            verdicts.append((_verdict(minimize, sets, p), _verdict(FunctionShape, p, cls)))
+    assert verdicts[0] == verdicts[1]
+    assert _verdict(minimize, sets, p) == verdicts[0][0]  # the split itself
 
 
 def _absorbing_minimize(clauses, p):

@@ -36,13 +36,16 @@ adds m and drops the clauses above it, each one regulator above
 (`_absorbed`), or adds m and m' and drops m | m'; a child drops s and
 gains R(s) (`_single_drops`), or s and s' and gains s | s' (`_joined`).
 Records sort on (rule, clause count, clauses), `NeighborStep.sort_key`'s
-order.  The rule test on tables is written once (`_parent_groups`: R1,
-R2, or failing alone, R3's candidates) and serves `parents` and
-`random_path`.  A walk carries each maximal state's rule along the path
-and tests again only the states whose rule a step can change
-(`_take_parent`); its clause list moves by the step's delta, and only its
-pick becomes a shape, which keeps its up-set for the counts along the
-path (`shapes.up_table`).  Siblings move by deltas too (`_siblings`):
+order.  A shape's records, R(s) and M(S) make up its centre (`_Centre`),
+each built on first use; the last shape's is kept (`_centre`, bounded by
+`CENTRE_SLOTS`), so `parents`, `children`, `siblings` and `hasse_slice`
+on one shape build each once.  The rule test on tables is written once
+(`_parent_groups`: R1, R2, or failing alone, R3's candidates) and serves
+`parents` and `random_path`.  A walk carries each maximal state's rule
+along the path and tests again only the states whose rule a step can
+change (`_take_parent`); its clause list moves by the step's delta, and
+only its pick becomes a shape, which keeps its up-set for the counts
+along the path (`shapes.up_table`).  Siblings move by deltas too (`_siblings`):
 each is the shape's up-set with a few states added and removed,
 deduplicated on those states, its clauses cut from its neighbour's
 record, and its cover tested on clause counts per regulator (`_held`).
@@ -278,20 +281,147 @@ def _parent_records(c: int, cls: tuple[int, ...], t: int, p: int,
         yield PARENT_R3, 2, _spliced(cls, (m1 | m2,), (m1, m2)), t | 1 << m1 | 1 << m2
 
 
-def _steps(found: Iterable[tuple[str, int, tuple[int, ...], int]], p: int
+#: Most 8-byte slots a centre (`_Centre`) may hold and still stay in the
+#: memo past the call that built it: its records' clause slots, plus the
+#: words of its maximal states' 2^p-bit up-sets; 2^16 slots is 0.5 MB.
+#: The centres of the `neighbors` benchmark ops (p <= 7, at most 18
+#: clauses) hold at most 1,043.  Kept without a bound,
+#: `parents(majority_rule(14, 7))` left 90.6 MB held after its result was
+#: dropped (1.0 MB without a memo), and a following `children` call
+#: peaked at 187.4 MB (97.1 MB without); tracemalloc, Python 3.11.
+CENTRE_SLOTS = 1 << 16
+
+
+class _Centre:
+    """What `parents`, `children`, `siblings` and `hasse_slice` read of one
+    shape: its arity ``p``, clause tuple ``cls``, clause table ``c`` and
+    up-set ``t``, and, each built on first use, its single drops, maximal
+    states, parent records and child records (as lists, `_moves`).  All
+    of it depends on (arity, clauses) alone and holds only tuples and
+    ints, so calls on equal shapes share one centre (`_centre`).
+    ``slots`` counts what the built parts hold (`CENTRE_SLOTS`)."""
+
+    __slots__ = ("p", "cls", "c", "t", "slots", "_drops", "_maxima", "_ups", "_downs")
+
+    def __init__(self, shape: FunctionShape) -> None:
+        p = self.p = shape.arity
+        self.cls = shape.clauses
+        self.c = c = clause_table(shape)
+        self.t = up_closure(c, p)
+        self.slots = 0
+        self._drops = self._maxima = self._ups = self._downs = None
+
+    def _hold(self, n: int, each: int) -> None:
+        """Count ``n`` new entries of ``each`` slots, and leave the memo
+        once past `CENTRE_SLOTS`: the call holding the centre still reads
+        it, and it is freed with that call's last reference.  A record
+        counts as its five fields and the centre's clause count, which a
+        neighbour's is within p of."""
+        global _last
+        self.slots += n * each
+        if self.slots > CENTRE_SLOTS and _last is self:
+            _last = None
+
+    def drops(self) -> tuple[list[tuple[int, ...]], int]:
+        if self._drops is None:
+            self._drops = _single_drops(self.cls, self.t, self.p)
+            self._hold(len(self.cls), self.p)  # each R(s) holds under p states
+        return self._drops
+
+    def maxima(self) -> list[tuple[int, int]]:
+        if self._maxima is None:
+            self._maxima = _maxima(self.t, self.p)
+            self._hold(len(self._maxima), 1 + ((1 << self.p) + 63 >> 6))
+        return self._maxima
+
+    def ups(self) -> list[tuple[str, int, tuple[int, ...], int, int]]:
+        """`_parent_records`, in its order, as `_moves` keeps them."""
+        if self._ups is None:
+            self._ups = _moves(_parent_records(self.c, self.cls, self.t, self.p,
+                                               self.maxima()), self.t)
+            self._hold(len(self._ups), len(self.cls) + 5)
+        return self._ups
+
+    def downs(self) -> list[tuple[str, int, tuple[int, ...], int, int]]:
+        """`_child_records`, in its order, as `_moves` keeps them."""
+        if self._downs is None:
+            self._downs = _moves(_child_records(self.cls, self.t, self.p, self.drops()), self.t)
+            self._hold(len(self._downs), len(self.cls) + 5)
+        return self._downs
+
+
+def _moves(found: Iterable[tuple[str, int, tuple[int, ...], int]], t: int
+           ) -> list[tuple[str, int, tuple[int, ...], int, int]]:
+    """Neighbour records with each up-set u replaced by the states it adds
+    to or removes from ``t``, the higher one and the lower one (the same
+    one twice for a one-state step): all the sibling search reads of u.
+    Each u is let go as its record is read, so a centre holds no 2^p-bit
+    table per neighbour."""
+    out = []
+    for rule, delta, cls, u in found:
+        moved = u ^ t
+        hi = moved.bit_length() - 1
+        lo = hi if delta == 1 else (moved ^ 1 << hi).bit_length() - 1
+        out.append((rule, delta, cls, hi, lo))
+    return out
+
+
+_last: _Centre | None = None  # the one memo entry: the centre of the last shape asked about
+
+
+def _centre(shape: FunctionShape) -> _Centre:
+    """The centre of ``shape``: the last one built if it was built for an
+    equal shape (same arity and clauses), else a new one, which replaces it
+    in the memo once the old one has been let go.  Carries the centre's
+    up-set onto ``shape`` (`shapes._carry_up`), so `true_count` and
+    `shape_table` on it read the table instead of building it again."""
+    global _last
+    centre = _last
+    if centre is None or centre.cls != shape.clauses or centre.p != shape.arity:
+        centre = _last = None  # the old records go before the new ones are built
+        centre = _last = _Centre(shape)
+    _carry_up(shape, centre.t)
+    return centre
+
+
+def _new_shapes(p: int, clause_tuples: Iterable[tuple[int, ...]]) -> list[FunctionShape]:
+    """Shapes of arity p with these clause tuples, each an antichain cover
+    by construction, built as ``FunctionShape._unchecked`` builds one but
+    without a call per shape."""
+    new, shape = object.__new__, FunctionShape
+    out = []
+    for cls in clause_tuples:
+        out.append(s := new(shape))
+        attrs = s.__dict__  # frozen: fields go in without __setattr__
+        attrs["arity"] = p
+        attrs["clauses"] = cls
+    return out
+
+
+def _steps(found: Iterable[tuple[str, int, tuple[int, ...], int, int]], p: int
            ) -> tuple[NeighborStep, ...]:
-    """Neighbour records as steps, sorted on (rule, clause count, clauses),
-    which is ``NeighborStep.sort_key``'s order."""
-    ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, cls, _ in found])
-    return tuple([NeighborStep(FunctionShape._unchecked(p, cls), rule, delta)
-                  for rule, _, cls, delta in ordered])
+    """A centre's neighbour records (`_moves`) as steps, sorted on (rule,
+    clause count, clauses), which is ``NeighborStep.sort_key``'s order;
+    steps go in without the frozen dataclass ``__init__``, as their shapes
+    do (`_new_shapes`)."""
+    ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, cls, _, _ in found])
+    new = object.__new__
+    steps = []
+    for shape, (rule, _, _, delta) in zip(_new_shapes(p, [r[2] for r in ordered]), ordered):
+        steps.append(step := new(NeighborStep))
+        attrs = step.__dict__
+        attrs["shape"] = shape
+        attrs["rule"] = rule
+        attrs["delta"] = delta
+    return tuple(steps)
 
 
 def parents(shape: FunctionShape) -> tuple[NeighborStep, ...]:
-    """All covers of ``shape`` from above, tagged by the rule that built them."""
-    p = shape.arity
-    c = clause_table(shape)
-    return _steps(_parent_records(c, shape.clauses, up_closure(c, p), p), p)
+    """All covers of ``shape`` from above, tagged by the rule that built
+    them: the parent records of its centre (`_centre`), built unless a
+    call on an equal shape built them last."""
+    centre = _centre(shape)
+    return _steps(centre.ups(), centre.p)
 
 
 def _single_drops(cls: tuple[int, ...], t: int, p: int) -> tuple[list[tuple[int, ...]], int]:
@@ -369,9 +499,10 @@ def _child_records(cls: tuple[int, ...], t: int, p: int,
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:
     """All covers of ``shape`` from below: the inverse removals of
-    `_child_records`, each a shape once they are sorted."""
-    p = shape.arity
-    return _steps(_child_records(shape.clauses, up_table(shape), p), p)
+    `_child_records` on its centre (`_centre`), each a shape once they
+    are sorted."""
+    centre = _centre(shape)
+    return _steps(centre.downs(), centre.p)
 
 
 def _held(counts: list[int], low: list[int], gone: list[int], keep: int) -> bool:
@@ -401,14 +532,11 @@ def _pack(states: Iterable[int]) -> int:
     return key
 
 
-def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
-              drops: tuple[list[tuple[int, ...]], int], maxima: list[tuple[int, int]],
-              ups: Iterable, downs: Iterable) -> tuple[FunctionShape, ...]:
-    """The siblings of the shape with clause tuple ``cls``, up-set ``t``,
-    single drops ``drops`` (`_single_drops`) and maximal states ``maxima``
-    (`_maxima`), through its parent records ``ups`` and child records
-    ``downs``; only those ``via`` names are read, so generators for the
-    others never run.
+def _siblings(centre: _Centre, via: str) -> tuple[FunctionShape, ...]:
+    """The siblings of the shape of ``centre``, with clause tuple C, up-set
+    T, single drops R(s) and maximal states M(S), through its parent or
+    child records or both, as ``via`` names; the centre builds only the
+    records read.
 
     Every sibling is a delta of the shape: its up-set is T ∪ A ∖ R with one
     or two added states A and one or two removed states R, and its clauses
@@ -431,14 +559,12 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
     clause tuple is cut from its neighbour's record (`_spliced`).  They
     sort on (clause count, clauses), ``FunctionShape.sort_key``'s order.
     """
-    raised, _ = drops
+    cls, p = centre.cls, centre.p
+    raised, _ = centre.drops()
     states = _states(p)
     found: dict[int, tuple[int, ...]] = {}
     if via != "children":
-        for _, delta, up, u in ups:
-            added = u ^ t
-            a = added.bit_length() - 1
-            b = a if delta == 1 else (added ^ 1 << a).bit_length() - 1
+        for _, delta, up, a, b in centre.ups():
             kept = []
             once = twice = 0
             for s, rs in zip(cls, raised):
@@ -472,12 +598,10 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
         low = list(accumulate(low, or_))
         by_clause = dict(zip(cls, raised))
         # (m, the clauses m absorbs) per maximal state
-        groups = [(states[m], _absorbed(m, p, by_clause)) for m, _ in maxima]
-        for _, delta, down, u in downs:
-            s = (t ^ u).bit_length() - 1
-            s0, rs, dropped, dkey, failed = s, by_clause[s], [s], s, []
+        groups = [(states[m], _absorbed(m, p, by_clause)) for m, _ in centre.maxima()]
+        for _, delta, down, s, s0 in centre.downs():
+            rs, dropped, dkey, failed = by_clause[s], [s], s, []
             if delta == 2:  # K drops s0 and s, clauses failing alone, and gains their join
-                s0 = (t ^ u ^ 1 << s).bit_length() - 1
                 rs, dropped, dkey = [states[s0 | s]], [states[s0], states[s]], s0 << 16 | s
                 failed = [(x, rs) for x in dropped]  # (state, the clauses of K it absorbs)
             for m, xc in groups:
@@ -501,21 +625,12 @@ def _siblings(cls: tuple[int, ...], t: int, p: int, via: str,
                     found.setdefault(key, _spliced(down, ab1, (m1, m2)))
     ordered = sorted(found.values())
     ordered.sort(key=len)  # stable: by clause count, then clauses
-    return tuple([FunctionShape._unchecked(p, cls) for cls in ordered])
+    return tuple(_new_shapes(p, ordered))
 
 
-def _centre(shape: FunctionShape, via: str) -> tuple:
-    """(p, up-set, `_single_drops`, `_maxima`, parent records, child
-    records) of a slice's centre, once ``via`` is valid: the records, as
-    generators, and the sibling search share one of each pass."""
+def _check_via(via: str, name: str) -> None:
     if via not in ("parents", "children", "both"):
-        raise InvalidArgument("via must be 'parents', 'children' or 'both'")
-    p, cls = shape.arity, shape.clauses
-    c = clause_table(shape)
-    t = up_closure(c, p)
-    drops, maxima = _single_drops(cls, t, p), _maxima(t, p)
-    return p, t, drops, maxima, _parent_records(c, cls, t, p, maxima), \
-        _child_records(cls, t, p, drops)
+        raise InvalidArgument(f"{name} must be 'parents', 'children' or 'both'")
 
 
 def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape, ...]:
@@ -525,10 +640,12 @@ def siblings(shape: FunctionShape, via: str = "parents") -> tuple[FunctionShape,
     'children' — other parents of the shape's children; 'both' — union.
     Direct neighbors of ``shape`` and the shape itself never count.  Each
     sibling is built as a delta of its neighbour's clauses (`_siblings`),
-    from only the neighbour records ``via`` reads.
+    from only the neighbour records ``via`` reads, taken from the shape's
+    centre (`_centre`): a `parents` or `children` call on an equal shape
+    just before has built them already.
     """
-    p, t, drops, maxima, ups, downs = _centre(shape, via)
-    return _siblings(shape.clauses, t, p, via, drops, maxima, ups, downs)
+    _check_via(via, "via")
+    return _siblings(_centre(shape), via)
 
 
 @dataclass(frozen=True)
@@ -542,12 +659,13 @@ class HasseSlice:
 
 
 def hasse_slice(shape: FunctionShape, sibling_via: str = "parents") -> HasseSlice:
-    """``shape``'s parents, children and siblings, from one build of its
-    parent and child records (`_siblings` reads those ``sibling_via`` names)."""
-    p, t, drops, maxima, ups, downs = _centre(shape, sibling_via)
-    ups, downs = list(ups), list(downs)
-    return HasseSlice(shape, _steps(ups, p), _steps(downs, p),
-                      _siblings(shape.clauses, t, p, sibling_via, drops, maxima, ups, downs))
+    """``shape``'s parents, children and siblings (through ``sibling_via``),
+    all three read off one centre (`_centre`): one build of its parent and
+    child records, or none after a call on an equal shape."""
+    _check_via(sibling_via, "sibling_via")
+    centre = _centre(shape)
+    return HasseSlice(shape, _steps(centre.ups(), centre.p), _steps(centre.downs(), centre.p),
+                      _siblings(centre, sibling_via))
 
 
 def parent_step(lower: FunctionShape, upper: FunctionShape) -> NeighborStep:

@@ -500,7 +500,9 @@ def up_table(shape: FunctionShape) -> int:
     """T(S), the up-closure of the clause table (the all-positive true set).
 
     Shapes on a `random_path` carry the table the walk already held
-    (`_carry_up`); for any other shape it is computed here and not kept.
+    (`_carry_up`), and so does a shape passed to `parents`, `children`,
+    `siblings` or `hasse_slice`, which build it for its neighbours; for
+    any other shape it is computed here and not kept.
     """
     t = shape.__dict__.get("_up")
     return up_closure(clause_table(shape), shape.arity) if t is None else t

@@ -585,7 +585,8 @@ def test_siblings_build_only_the_records_via_reads(monkeypatch):
     # siblings through the parents never build the shape's own child
     # records, nor through the children its parent records; a slice
     # builds both whatever its siblings read, and either reads the
-    # shape's single drops and maximal states once
+    # shape's single drops and maximal states once.  The memo is emptied
+    # before each counted call, so that each call builds its own centre
     import funspace.neighborhood as nb
 
     s = shp("{{1},{2,3},{2,4}}", 4)
@@ -609,11 +610,13 @@ def test_siblings_build_only_the_records_via_reads(monkeypatch):
                        ("both", ["_parent_records", "_child_records"])):
         built.clear()
         passes.clear()
+        nb._last = None
         assert siblings(s, via) == want[via]
         assert built == reads
         assert sorted(passes) == ["_maxima", "_single_drops"]
         built.clear()
         passes.clear()
+        nb._last = None
         sl = hasse_slice(s, via)
         assert (sl.parents, sl.children, sl.siblings) == (ups, downs, want[via])
         assert built == ["_parent_records", "_child_records"]
@@ -926,9 +929,10 @@ def test_walk_paths_are_pinned(p):
 
 
 def test_siblings_reject_an_unknown_via():
-    with pytest.raises(ValueError):
+    # each message names the parameter it was passed as
+    with pytest.raises(ValueError, match="^via must be 'parents', 'children' or 'both'$"):
         siblings(sup_shape(3), via="cousins")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sibling_via must be 'parents', 'children' or 'both'$"):
         hasse_slice(sup_shape(3), sibling_via="cousins")
     with pytest.raises(FunspaceError) as err:
         siblings(sup_shape(3), via="x")
@@ -940,3 +944,107 @@ def test_hasse_slice_bundle():
     assert sl.center == shp("{{1},{2,3}}", 3)
     assert len(sl.parents) == 1 and len(sl.children) == 1
     assert len(sl.siblings) == 2
+
+
+# ---------------------------------------------------------------------------
+# One centre per shape: parents, children, siblings and slices share a build
+
+CENTRE_CALLS = {
+    "parents": parents,
+    "children": children,
+    **{f"siblings-{via}": (lambda s, via=via: siblings(s, via)) for via in VIAS},
+    **{f"hasse_slice-{via}": (lambda s, via=via: hasse_slice(s, via)) for via in VIAS},
+}
+CENTRE_PARTS = ("_parent_records", "_child_records", "_single_drops", "_maxima")
+
+
+def _cold(s):
+    """What every call in `CENTRE_CALLS` returns on ``s`` with the memo
+    emptied before it, so that each builds its own centre."""
+    import funspace.neighborhood as nb
+
+    found = {}
+    for name, call in CENTRE_CALLS.items():
+        nb._last = None
+        found[name] = call(FunctionShape(s.arity, s.clauses))
+    return found
+
+
+def _check_centre_order(s, order):
+    """Calls in ``order``, each on a new shape equal to ``s``, return what
+    cold calls return, and the four centre parts are built once between
+    them all."""
+    import funspace.neighborhood as nb
+
+    want = _cold(s)
+    builds = dict.fromkeys(CENTRE_PARTS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in CENTRE_PARTS:
+            def counting(*args, real=getattr(nb, name), name=name):
+                builds[name] += 1
+                return real(*args)
+            mp.setattr(nb, name, counting)
+        nb._last = None
+        for name in order:
+            assert CENTRE_CALLS[name](FunctionShape(s.arity, s.clauses)) == want[name], name
+    assert builds == dict.fromkeys(CENTRE_PARTS, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(1, 7).flatmap(shapes), hst.permutations(sorted(CENTRE_CALLS)))
+def test_calls_in_any_order_share_one_centre(s, order):
+    _check_centre_order(s, order)
+
+
+@pytest.mark.parametrize("clauses, paths", TABLE_PATH_CASES)
+def test_pair_step_centres_in_any_order_share_one_centre(clauses, paths):
+    # every call first, then the rest forwards and backwards
+    s = FunctionShape(*clauses)
+    names = list(CENTRE_CALLS)
+    for i, first in enumerate(names):
+        rest = names[:i] + names[i + 1:]
+        _check_centre_order(s, [first] + rest)
+        _check_centre_order(s, [first] + rest[::-1])
+
+
+def test_the_centre_carries_its_up_set_onto_the_shape(monkeypatch):
+    # the op's true_count after a neighbour call reads the table the
+    # centre built; an equal shape asked about later gets it too
+    import funspace.shapes as sh
+
+    s = majority_rule(7, 3)
+    other = FunctionShape(s.arity, s.clauses)
+    parents(s)
+    monkeypatch.setattr(sh, "up_closure", lambda *args: pytest.fail("up_closure ran"))
+    assert true_count(s) == 99
+    children(other)
+    assert true_count(other) == 99
+
+
+def test_a_large_centre_is_not_kept_past_its_call():
+    # `CENTRE_SLOTS`: the records of majority_rule(14, 7) (3,003 parents
+    # and 3,432 children of about 3,432 clauses each) leave the memo with
+    # the call that built them.  Without the bound, 90.6 MB stayed held
+    # after `parents`, and `children` then peaked at 187.4 MB.  Without a
+    # memo, 1.0 MB stays held after `parents` and 1.6 MB after both, and
+    # they peak at 90.6 and 97.1 MB; with the bound, 1.2 and 1.8 MB, the
+    # difference being CPython's tuple free lists, and 91.8 and 97.8 MB
+    # (tracemalloc, Python 3.11)
+    import tracemalloc
+
+    import funspace.neighborhood as nb
+
+    m = majority_rule(14, 7)
+    tracemalloc.start()
+    try:
+        assert len(parents(m)) == 3003
+        assert nb._last is None
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert len(children(m)) == 3432
+        assert nb._last is None
+        held_both, peak_both = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5e6 and held_both < 2.2e6
+    assert peak < 93e6 and peak_both < 99e6

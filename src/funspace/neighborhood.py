@@ -30,11 +30,12 @@ pair step is not a cover.  Children are the exact inverses (drop one
 clause, or a pair of clauses neither droppable alone, and re-minimize the
 remaining true set); every such candidate is a cover by construction (see
 `_child_records`).  Every neighbour is one record (rule, delta, clause
-tuple, up-set): a step moves T by delta states, and its clauses are cut
-from the shape's own tuple, so only M(S) is read off a table.  A parent
-adds m and drops the clauses above it, each one regulator above
-(`_absorbed`), or adds m and m' and drops m | m'; a child drops s and
-gains R(s) (`_single_drops`), or s and s' and gains s | s' (`_joined`).
+tuple, hi, lo): a step adds to T or removes from it the states hi ≥ lo,
+one state twice for a one-state step, and its clauses are cut from the
+shape's own tuple, so only M(S) is read off a table.  A parent adds m
+and drops the clauses above it, each one regulator above (`_absorbed`),
+or adds m and m' and drops m | m'; a child drops s and gains R(s)
+(`_single_drops`), or s and s' and gains s | s' (`_joined`).
 Records sort on (rule, clause count, clauses), `NeighborStep.sort_key`'s
 order.  A shape's records, R(s) and M(S) make up its centre (`_Centre`),
 each built on first use; the last shape's is kept (`_centre`, bounded by
@@ -258,27 +259,27 @@ def _spliced(cls: tuple[int, ...], gone: Iterable[int], new: Iterable[int]) -> t
     return tuple(out)
 
 
-def _parent_records(c: int, cls: tuple[int, ...], t: int, p: int,
-                    maxima: Iterable[tuple[int, int]] | None = None
-                    ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
-    """(rule, delta, clause tuple, up-set) of every parent of the shape with
-    clause table ``c``, clause tuple ``cls`` and up-set ``t``:
-    `_parent_groups` on ``maxima``, M(S) from scratch unless given; R1, R2,
-    then R3 pairs (`_pairs`), each ``cls`` less the clauses its new ones
-    absorb (`_absorbed`).  An R3 pair m, m' absorbs m | m' alone: dropping
-    m from it gives back the clauses m alone absorbs, which hold m's
-    regulators, so were there any, m' would not fail alone; and a clause
-    both absorb lies one regulator above each.  Conversely two failing
-    states that each absorb only their join cover jointly, as m and m'
-    hold its regulators, so that is the whole pair test."""
-    r1, r2, failed = _parent_groups(c, p, _maxima(t, p) if maxima is None else maxima)
+def _parent_records(c: int, cls: tuple[int, ...], p: int, maxima: Iterable[tuple[int, int]]
+                    ) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+    """(rule, delta, clause tuple, hi, lo) of every parent of the shape with
+    clause table ``c``, clause tuple ``cls`` and maximal states ``maxima``
+    (`_maxima`), by `_parent_groups` on them: R1 and R2 parents adding m
+    to T, as (m, m), then R3 pairs (`_pairs`) adding m < m', as (m', m),
+    each ``cls`` less the clauses its new ones absorb (`_absorbed`).  An R3
+    pair m, m' absorbs m | m' alone: dropping m from it gives back the
+    clauses m alone absorbs, which hold m's regulators, so were there any,
+    m' would not fail alone; and a clause both absorb lies one regulator
+    above each.  Conversely two failing states that each absorb only their
+    join cover jointly, as m and m' hold its regulators, so that is the
+    whole pair test."""
+    r1, r2, failed = _parent_groups(c, p, maxima)
     for m in r1:
-        yield PARENT_R1, 1, _spliced(cls, (), (m,)), t | 1 << m
+        yield PARENT_R1, 1, _spliced(cls, (), (m,)), m, m
     held = set(cls)
     for m in r2:
-        yield PARENT_R2, 1, _spliced(cls, _absorbed(m, p, held), (m,)), t | 1 << m
+        yield PARENT_R2, 1, _spliced(cls, _absorbed(m, p, held), (m,)), m, m
     for m1, m2 in _pairs(c, failed):
-        yield PARENT_R3, 2, _spliced(cls, (m1 | m2,), (m1, m2)), t | 1 << m1 | 1 << m2
+        yield PARENT_R3, 2, _spliced(cls, (m1 | m2,), (m1, m2)), m2, m1
 
 
 #: Most 8-byte slots a centre (`_Centre`) may hold and still stay in the
@@ -296,10 +297,10 @@ class _Centre:
     """What `parents`, `children`, `siblings` and `hasse_slice` read of one
     shape: its arity ``p``, clause tuple ``cls``, clause table ``c`` and
     up-set ``t``, and, each built on first use, its single drops, maximal
-    states, parent records and child records (as lists, `_moves`).  All
-    of it depends on (arity, clauses) alone and holds only tuples and
-    ints, so calls on equal shapes share one centre (`_centre`).
-    ``slots`` counts what the built parts hold (`CENTRE_SLOTS`)."""
+    states, parent records and child records, as lists.  All of it
+    depends on (arity, clauses) alone and holds only tuples and ints, so
+    calls on equal shapes share one centre (`_centre`).  ``slots`` counts
+    what the built parts hold (`CENTRE_SLOTS`)."""
 
     __slots__ = ("p", "cls", "c", "t", "slots", "_drops", "_maxima", "_ups", "_downs")
 
@@ -335,35 +336,16 @@ class _Centre:
         return self._maxima
 
     def ups(self) -> list[tuple[str, int, tuple[int, ...], int, int]]:
-        """`_parent_records`, in its order, as `_moves` keeps them."""
         if self._ups is None:
-            self._ups = _moves(_parent_records(self.c, self.cls, self.t, self.p,
-                                               self.maxima()), self.t)
+            self._ups = list(_parent_records(self.c, self.cls, self.p, self.maxima()))
             self._hold(len(self._ups), len(self.cls) + 5)
         return self._ups
 
     def downs(self) -> list[tuple[str, int, tuple[int, ...], int, int]]:
-        """`_child_records`, in its order, as `_moves` keeps them."""
         if self._downs is None:
-            self._downs = _moves(_child_records(self.cls, self.t, self.p, self.drops()), self.t)
+            self._downs = list(_child_records(self.cls, self.p, self.drops()))
             self._hold(len(self._downs), len(self.cls) + 5)
         return self._downs
-
-
-def _moves(found: Iterable[tuple[str, int, tuple[int, ...], int]], t: int
-           ) -> list[tuple[str, int, tuple[int, ...], int, int]]:
-    """Neighbour records with each up-set u replaced by the states it adds
-    to or removes from ``t``, the higher one and the lower one (the same
-    one twice for a one-state step): all the sibling search reads of u.
-    Each u is let go as its record is read, so a centre holds no 2^p-bit
-    table per neighbour."""
-    out = []
-    for rule, delta, cls, u in found:
-        moved = u ^ t
-        hi = moved.bit_length() - 1
-        lo = hi if delta == 1 else (moved ^ 1 << hi).bit_length() - 1
-        out.append((rule, delta, cls, hi, lo))
-    return out
 
 
 _last: _Centre | None = None  # the one memo entry: the centre of the last shape asked about
@@ -400,10 +382,10 @@ def _new_shapes(p: int, clause_tuples: Iterable[tuple[int, ...]]) -> list[Functi
 
 def _steps(found: Iterable[tuple[str, int, tuple[int, ...], int, int]], p: int
            ) -> tuple[NeighborStep, ...]:
-    """A centre's neighbour records (`_moves`) as steps, sorted on (rule,
-    clause count, clauses), which is ``NeighborStep.sort_key``'s order;
-    steps go in without the frozen dataclass ``__init__``, as their shapes
-    do (`_new_shapes`)."""
+    """A centre's neighbour records (`_parent_records`, `_child_records`)
+    as steps, sorted on (rule, clause count, clauses), which is
+    ``NeighborStep.sort_key``'s order; steps go in without the frozen
+    dataclass ``__init__``, as their shapes do (`_new_shapes`)."""
     ordered = sorted([(rule, len(cls), cls, delta) for rule, delta, cls, _, _ in found])
     new = object.__new__
     steps = []
@@ -469,12 +451,12 @@ def _joined(s1: int, s2: int, cls: Iterable[int]) -> int:
         x & j != x for x in cls if x != s1 and x != s2) else 0
 
 
-def _child_records(cls: tuple[int, ...], t: int, p: int,
-                   drops: tuple[list[tuple[int, ...]], int] | None = None
-                   ) -> Iterator[tuple[str, int, tuple[int, ...], int]]:
-    """(CHILD, delta, clause tuple, up-set) of every child of the shape with
-    clause tuple ``cls`` and up-set ``t``: single drops by ascending clause,
-    then pairs.  ``drops`` is `_single_drops`, computed unless given.
+def _child_records(cls: tuple[int, ...], p: int, drops: tuple[list[tuple[int, ...]], int]
+                   ) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+    """(CHILD, delta, clause tuple, hi, lo) of every child of the shape with
+    clause tuple ``cls`` and single drops ``drops`` (`_single_drops`):
+    single drops of s by ascending clause, as (s, s), then pairs s1 < s2,
+    as (s2, s1), the states each removes from T.
 
     Each candidate is a cover by construction.  Dropping a clause s (a
     minimal element of T) leaves the up-set T∖{s}, one state smaller, so
@@ -485,16 +467,16 @@ def _child_records(cls: tuple[int, ...], t: int, p: int,
     plus R(s), and those of T∖{s1,s2} are ``cls`` less s1 and s2 plus
     their join (`_joined`), R(s1) and R(s2) being empty.
     """
-    raised, alone = _single_drops(cls, t, p) if drops is None else drops
+    raised, alone = drops
     failing: list[int] = []
     for s, new in zip(cls, raised):
         if new or not s & alone:
-            yield CHILD, 1, _spliced(cls, (s,), new), t ^ 1 << s
+            yield CHILD, 1, _spliced(cls, (s,), new), s, s
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
         if j := _joined(s1, s2, cls):
-            yield CHILD, 2, _spliced(cls, (s1, s2), (_states(p)[j],)), t ^ 1 << s1 ^ 1 << s2
+            yield CHILD, 2, _spliced(cls, (s1, s2), (_states(p)[j],)), s2, s1
 
 
 def children(shape: FunctionShape) -> tuple[NeighborStep, ...]:

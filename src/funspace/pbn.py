@@ -38,7 +38,7 @@ from .errors import (
     UnknownComponent,
 )
 from .modelio import parse_model
-from .neighborhood import HasseSlice, children, count_consistent, hasse_slice, parents
+from .neighborhood import children, count_consistent, hasse_slice, parents, siblings
 from .shapes import FunctionShape, shape_table, state_to_string
 
 
@@ -152,11 +152,12 @@ def neighbor_ensemble(
     if comp.shape is None:
         raise ConstantComponent(f"component {comp.name} is constant")
     ref = comp.shape
-    sl = (hasse_slice(ref, "both") if mode == "with_siblings"
-          else HasseSlice(ref, parents(ref), children(ref), ()))
-    # disjoint: no parent or child of ref is a sibling of it
-    others = sorted([st.shape for st in sl.parents + sl.children] + list(sl.siblings),
-                    key=FunctionShape.sort_key)
+    # disjoint: no parent or child of ref is a sibling of it; all three
+    # calls read one centre (`neighborhood._centre`)
+    others = [st.shape for st in parents(ref) + children(ref)]
+    if mode == "with_siblings":
+        others += siblings(ref, "both")
+    others.sort(key=FunctionShape.sort_key)
     if not others or ref_prob == 1:
         return FunctionEnsemble(((ref, 1.0),))
     share = (1.0 - ref_prob) / len(others)

@@ -445,32 +445,25 @@ def minimal_elements(table: int, p: int) -> int:
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def table_states(table: int, states: Sequence[int] | None = None) -> list[int]:
+def table_states(table: int) -> list[int]:
     """The set bits of a truth table, ascending, in one linear pass.
 
-    With ``states``, bit s reads as ``states[s]``, so a caller can hand out
-    shared int objects.  A table with more than one bit set in 16 is read
-    in one C pass (`compress` over its digits as 0/1 bytes); a sparser one
-    by a `str.find` per set bit, which skips its zeros faster.  From 2^6 to
-    2^20 bits the two meet at about one bit in 12, or one in 22 with
-    ``states``, whose lookups the `find` loop pays per bit.  :func:`bits_of`
-    is faster on clause masks, but on a 2^n-bit table it copies the whole
+    A table with more than one bit set in 16 is read in one C pass
+    (`compress` over its digits as 0/1 bytes); a sparser one by a
+    `str.find` per set bit, which skips its zeros faster.  From 2^6 to
+    2^20 bits the two meet at about one bit in 12.  :func:`bits_of` is
+    faster on clause masks, but on a 2^n-bit table it copies the whole
     int once per set bit.
     """
     if table.bit_count() << 4 > table.bit_length():
         digits = bin(table).encode()[:1:-1].translate(_DIGIT_BYTES)
-        return list(compress(range(len(digits)) if states is None else states, digits))
+        return list(compress(range(len(digits)), digits))
     digits = bin(table)[:1:-1]
     out = []
     k = digits.find("1")
-    if states is None:
-        while k >= 0:
-            out.append(k)
-            k = digits.find("1", k + 1)
-    else:
-        while k >= 0:
-            out.append(states[k])
-            k = digits.find("1", k + 1)
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
     return out
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from unittest.mock import patch
 
@@ -101,6 +102,106 @@ def test_neighbors_accepts_parenthesized_dnf(capsys):
 def test_neighbors_rejects_too_many_regulators_at_once(p, capsys):
     assert main(["neighbors", " | ".join(f"x{k}" for k in range(p))]) == 3
     assert "arity" in capsys.readouterr().err
+
+
+# A centre with an R3 parent, one with a pair child, the bottom of p = 4
+# (R3 parents only), one with R3 parents and their children's pair drops,
+# and a 7-regulator majority with two negated regulators (35 clauses)
+NEIGHBORS_EXPRESSIONS = {
+    "r3": "a | (b & !c)",
+    "pair-child": "(a & b & c) | (a & b & !d)",
+    "bottom": "a & b & c & d",
+    "both-pairs": "a | c | d | (b & !e)",
+    "majority": " | ".join("(" + " & ".join("!" + x if x in "be" else x for x in c) + ")"
+                           for c in combinations("abcdefg", 4)),
+}
+
+NEIGHBORS_DIGESTS = {  # sha256 of stdout: (text, --format json, --format dot)
+    ("r3", "parents"): (
+        "3e431e31bfb99aef06b8059b8b303cfc5d9a3ff4b3e6e2b7855d9c70d235007f",
+        "dd693e96ae88e565dfef571dc5906b7d1d78dc662cdaf70e47841630b14787d5",
+        "6395eeb8c16345d7a5651b321483614341718eac6ccdfe1d5b1999703abffba0",
+    ),
+    ("r3", "children"): (
+        "e67bc8766e9e799daf244fc1046b11cf0e3e2b0f75b5b266cd6b5d6f8a8cca71",
+        "dd693e96ae88e565dfef571dc5906b7d1d78dc662cdaf70e47841630b14787d5",
+        "6395eeb8c16345d7a5651b321483614341718eac6ccdfe1d5b1999703abffba0",
+    ),
+    ("r3", "both"): (
+        "c3b1aab5fff073aebefd3c2320371acbb0e6afa5c0fd98c2fc943c5161987125",
+        "dd693e96ae88e565dfef571dc5906b7d1d78dc662cdaf70e47841630b14787d5",
+        "6395eeb8c16345d7a5651b321483614341718eac6ccdfe1d5b1999703abffba0",
+    ),
+    ("pair-child", "parents"): (
+        "ece80af541ff7904439c429202db04f3c01909a9e3e2192820cfe9a1726db43c",
+        "64ed5f7fab71a83d3dee111fb8ac1091bc5ebe7dcccf0902c6ffdccf219c8d2a",
+        "cc10bd0d3dbddbda810bb967a674cd95228cd1e7051bdbf7ab53946d9cc4b7d8",
+    ),
+    ("pair-child", "children"): (
+        "0e16ede3e9e87cb4ebfd31e5cf5f2eebed9f15ed8587b2f0a78d36dfb9bf7e3a",
+        "e99b639aff9d76b7786e5eec27784734ec331812843a5ac0b57ee6aeec036c16",
+        "ec75bea6d3c4d5226b73933cc054f0b84542df57e852f5b710e778f1bfd9714c",
+    ),
+    ("pair-child", "both"): (
+        "2775a638f7587c3d49b0f67c27cf9fe13a35a1b4d193c520add36121525d2192",
+        "e99b639aff9d76b7786e5eec27784734ec331812843a5ac0b57ee6aeec036c16",
+        "ec75bea6d3c4d5226b73933cc054f0b84542df57e852f5b710e778f1bfd9714c",
+    ),
+    ("bottom", "parents"): (
+        "2abe8988593e6b475837f47f3027d60cb33a11d8f29e5f94f94d403ef2f57d23",
+        "f91d5f9c53ca54c8d4262696c21818bd9813780eca3454786631eb14ca4c84f2",
+        "0fbcf9fda37ca83cd7999105fcec178e22de23908be88dd6af36a48fd01c746e",
+    ),
+    ("bottom", "children"): (
+        "7d4242c74d169a156f1d40fa790244996878f28b9709f0a5e8aa640dfd66e2e4",
+        "f91d5f9c53ca54c8d4262696c21818bd9813780eca3454786631eb14ca4c84f2",
+        "0fbcf9fda37ca83cd7999105fcec178e22de23908be88dd6af36a48fd01c746e",
+    ),
+    ("bottom", "both"): (
+        "de24925d76f40316d33a01e446c9016372c31b410ea79bd1bbedeca03e03580b",
+        "f91d5f9c53ca54c8d4262696c21818bd9813780eca3454786631eb14ca4c84f2",
+        "0fbcf9fda37ca83cd7999105fcec178e22de23908be88dd6af36a48fd01c746e",
+    ),
+    ("both-pairs", "parents"): (
+        "eede88bb3a9bb604d5189bb2a62b284d84381ad99419daaf1f7c0352a8637ae5",
+        "41e729bc80408cead8802d1e32a520b5732700a90d767e3a4ac07b609fd4fd5d",
+        "d3e1fc2c92c163a03f69b4ca330d0e54936467dd7a33f5050b74021532224ad2",
+    ),
+    ("both-pairs", "children"): (
+        "35a87357f9ac4ba9568977cf058fb1d609000fabbfb7ec87b65dbd08020a5e8e",
+        "ed5a2a7691edbadb9426c1e4d848e29f47252448795a9d44d16c478b7da294a4",
+        "87be5b3b74b785761369ada707af87d1546c9aa33e3cd073dc0112ac519f1345",
+    ),
+    ("both-pairs", "both"): (
+        "8cadb8548884cfa9a3a2f63e4ab35f42e66f99fe6aa5f6d761b84b2eed48e711",
+        "41e729bc80408cead8802d1e32a520b5732700a90d767e3a4ac07b609fd4fd5d",
+        "d3e1fc2c92c163a03f69b4ca330d0e54936467dd7a33f5050b74021532224ad2",
+    ),
+    ("majority", "parents"): (
+        "83e5a88393c732711988c4acb04735abf14ca0587ce42867b2e5d271942e7b34",
+        "e1e08a5e2ceceafa2bb01cf0a1cc3f2a53c26a0d865d4acc440e7ccc24a013be",
+        "324a20cf9f03628888b01a641bc6426e09259a2e1ba8185aa238f99b2dd4e1ec",
+    ),
+    ("majority", "children"): (
+        "0f98f31ec9077d9dcfabf4a4c847e0268072db7250200dfefdeb5e83239b3e72",
+        "e1e08a5e2ceceafa2bb01cf0a1cc3f2a53c26a0d865d4acc440e7ccc24a013be",
+        "324a20cf9f03628888b01a641bc6426e09259a2e1ba8185aa238f99b2dd4e1ec",
+    ),
+    ("majority", "both"): (
+        "7ec87399b4c24c6e79e8089ba294493025babb65307623d9b099b4af6d44e78b",
+        "e1e08a5e2ceceafa2bb01cf0a1cc3f2a53c26a0d865d4acc440e7ccc24a013be",
+        "324a20cf9f03628888b01a641bc6426e09259a2e1ba8185aa238f99b2dd4e1ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, via", sorted(NEIGHBORS_DIGESTS))
+def test_neighbors_output_is_pinned(capsys, name, via):
+    for fmt, want in zip(("text", "json", "dot"), NEIGHBORS_DIGESTS[name, via]):
+        assert main(["neighbors", NEIGHBORS_EXPRESSIONS[name], "--format", fmt,
+                     "--siblings-via", via]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == want, fmt
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from funspace.neighborhood import (
     _parent_groups,
     _parent_records,
     _raise_maxima,
+    _single_drops,
     _take_parent,
 )
 from funspace.shapes import (
@@ -559,11 +560,21 @@ def test_siblings_match_the_shape_reference(s):
             s, parents(s), children(s), want)
 
 
-def _records(cls, t, p):
-    """The parent and child records of the shape with clause tuple ``cls``
-    and up-set ``t``, each built from scratch."""
-    return (list(_parent_records(minimal_elements(t, p), cls, t, p)),
-            list(_child_records(cls, t, p)))
+def _with_up_sets(found, t):
+    """Neighbour records with (hi, lo) replaced by the up-set the step
+    moves ``t`` to: ``t`` with the states hi and lo switched."""
+    return [(rule, delta, cls, t ^ (1 << hi | 1 << lo)) for rule, delta, cls, hi, lo in found]
+
+
+def _ups(cls, t, p):
+    """The parent records of the shape with clause tuple ``cls`` and up-set
+    ``t``, built from scratch, with their up-sets (`_with_up_sets`)."""
+    return _with_up_sets(_parent_records(minimal_elements(t, p), cls, p, _maxima(t, p)), t)
+
+
+def _downs(cls, t, p):
+    """The child records of that shape, likewise."""
+    return _with_up_sets(_child_records(cls, p, _single_drops(cls, t, p)), t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -573,12 +584,13 @@ def test_no_neighbour_is_a_neighbours_neighbour(s):
     # of s among its parents' children or children's parents would lie
     # strictly between s and one of its covers
     p = s.arity
-    ups, downs = _records(s.clauses, up_closure(clause_table(s), p), p)
+    t = up_closure(clause_table(s), p)
+    ups, downs = _ups(s.clauses, t, p), _downs(s.clauses, t, p)
     near = {cls for _, _, cls, _ in ups + downs}
     for _, _, cls, u in ups:
-        assert near.isdisjoint(x for _, _, x, _ in _records(cls, u, p)[1])
+        assert near.isdisjoint(x for _, _, x, _ in _downs(cls, u, p))
     for _, _, cls, u in downs:
-        assert near.isdisjoint(x for _, _, x, _ in _records(cls, u, p)[0])
+        assert near.isdisjoint(x for _, _, x, _ in _ups(cls, u, p))
 
 
 def test_siblings_build_only_the_records_via_reads(monkeypatch):
@@ -720,7 +732,7 @@ def _check_records(found, t, p):
 def test_child_tables_carry_their_up_sets(s):
     p = s.arity
     t = up_closure(clause_table(s), p)
-    found = list(_child_records(s.clauses, t, p))
+    found = _downs(s.clauses, t, p)
     assert sorted((rule, delta, cls) for rule, delta, cls, _ in found) == sorted(
         (st.rule, st.delta, st.shape.clauses) for st in children(s))
     _check_records(found, t, p)
@@ -732,9 +744,8 @@ def test_child_tables_carry_their_up_sets(s):
 @given(hst.integers(2, 12).flatmap(shapes))
 def test_parent_tables_carry_their_up_sets(s):
     p = s.arity
-    c = clause_table(s)
-    t = up_closure(c, p)
-    found = list(_parent_records(c, s.clauses, t, p))
+    t = up_closure(clause_table(s), p)
+    found = _ups(s.clauses, t, p)
     assert sorted((rule, delta, cls) for rule, delta, cls, _ in found) == sorted(
         (st.rule, st.delta, st.shape.clauses) for st in parents(s))
     _check_records(found, t, p)
@@ -760,11 +771,10 @@ def test_parent_tables_carry_their_up_sets(s):
 def test_raised_maxima_match_a_fresh_computation(s):
     # the walk's local update of {m: U(m)} over M(S), applied for every parent
     p = s.arity
-    c = clause_table(s)
-    t = up_closure(c, p)
+    t = up_closure(clause_table(s), p)
     start = dict(_maxima(t, p))
     assert sorted(start) == [m for m in max_outside(s) if m]
-    for _, _, _, u in _parent_records(c, s.clauses, t, p):
+    for _, _, _, u in _ups(s.clauses, t, p):
         maxima = dict(start)
         _raise_maxima(maxima, u ^ t, u)
         assert maxima == dict(_maxima(u, p))
@@ -808,7 +818,7 @@ def test_r1_parents_by_new_clause_come_in_clause_tuple_order(s):
     # the same tuple, so the lower new clause makes the lower tuple
     p = s.arity
     c = clause_table(s)
-    r1 = [cls for rule, _, cls, _ in _parent_records(c, s.clauses, up_closure(c, p), p)
+    r1 = [cls for rule, _, cls, _ in _ups(s.clauses, up_closure(c, p), p)
           if rule == PARENT_R1]
     new = [min(set(cls) - set(s.clauses)) for cls in r1]
     assert new == sorted(new)
@@ -820,13 +830,13 @@ def _reference_child_records(cls, t, p):
     left after a drop and test its cover on the whole table."""
     found, failing = [], []
     for s in cls:
-        if _covering(cand := minimal_elements(u := t ^ 1 << s, p), p):
-            found.append((CHILD, 1, tuple(table_states(cand)), u))
+        if _covering(cand := minimal_elements(t ^ 1 << s, p), p):
+            found.append((CHILD, 1, tuple(table_states(cand)), s, s))
         else:
             failing.append(s)
     for s1, s2 in combinations(failing, 2):
-        if _covering(cand := minimal_elements(u := t ^ 1 << s1 ^ 1 << s2, p), p):
-            found.append((CHILD, 2, tuple(table_states(cand)), u))
+        if _covering(cand := minimal_elements(t ^ 1 << s1 ^ 1 << s2, p), p):
+            found.append((CHILD, 2, tuple(table_states(cand)), s2, s1))
     return found
 
 
@@ -836,11 +846,10 @@ def _reference_child_records(cls, t, p):
 def test_child_tables_match_a_per_candidate_reference(s):
     # the shape's own up-set, and every parent's, as `siblings` feeds them in
     p = s.arity
-    c = clause_table(s)
-    t = up_closure(c, p)
-    for cls, u in [(s.clauses, t)] + [(cls, u) for _, _, cls, u in
-                                      _parent_records(c, s.clauses, t, p)]:
-        assert list(_child_records(cls, u, p)) == _reference_child_records(cls, u, p)
+    t = up_closure(clause_table(s), p)
+    for cls, u in [(s.clauses, t)] + [(cls, u) for _, _, cls, u in _ups(s.clauses, t, p)]:
+        found = list(_child_records(cls, p, _single_drops(cls, u, p)))
+        assert found == _reference_child_records(cls, u, p)
 
 
 @pytest.mark.parametrize("p", range(2, 17))
@@ -849,9 +858,25 @@ def test_widest_pair_children_match_a_per_candidate_reference(p):
     # singletons, none droppable alone
     s = sup_shape(p)
     t = up_closure(clause_table(s), p)
-    found = list(_child_records(s.clauses, t, p))
+    found = list(_child_records(s.clauses, p, _single_drops(s.clauses, t, p)))
     assert len(found) == p * (p - 1) // 2
     assert found == _reference_child_records(s.clauses, t, p)
+
+
+@_table_path_examples
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 12).flatmap(shapes))
+def test_centre_records_name_the_states_their_steps_move(s):
+    # every record's (hi, lo) is the one or two states its up-set and T
+    # differ in, the higher first: the whole of what the sibling search
+    # reads of a neighbour's up-set
+    import funspace.neighborhood as nb
+
+    p = s.arity
+    centre = nb._centre(s)
+    for _, delta, cls, hi, lo in centre.ups() + centre.downs():
+        assert hi >= lo and (hi == lo) == (delta == 1)
+        assert centre.t ^ up_closure(clause_table(FunctionShape(p, cls)), p) == 1 << hi | 1 << lo
 
 
 def _neighbour_digest(obj):
